@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, checks, protocol, zeno
 from .gates import EulerAngles
-from .hilbert import schmidt_rank
+from .hilbert import is_unit_pair, schmidt_rank
 from .protocol import BellInput, GeneralInput
 from .zeno import CycleConfig
 
@@ -100,9 +100,9 @@ def _take_angles(doc: dict, errors: list[str]) -> EulerAngles:
 
 
 def _check_pair_norm(label: str, c0: complex, c1: complex, errors: list[str]) -> None:
-    total = abs(c0) ** 2 + abs(c1) ** 2
-    if abs(total - 1.0) > 1e-12:
-        errors.append(f"{label}: amplitudes must satisfy |c0|^2 + |c1|^2 = 1, got {total!r}")
+    if not is_unit_pair(c0, c1):
+        total = abs(c0) ** 2 + abs(c1) ** 2
+        errors.append(f"{label}: amplitudes must be finite with |c0|^2 + |c1|^2 = 1, got {total!r}")
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
@@ -242,7 +242,7 @@ def _envelope(config: RunConfig, results: dict) -> str:
         "version": __version__,
         "seed": config.seed,
     }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def cmd_run(config: RunConfig) -> int:
@@ -375,7 +375,7 @@ def cmd_verify(out: str | None = None, sabotage: str | None = None) -> int:
             ],
             "ok": all_ok,
         }
-        _atomic_write(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _atomic_write(out, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 

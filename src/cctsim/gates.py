@@ -43,6 +43,9 @@ _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 # X restricted to the {|0>,|1>} subspace of a qutrit, identity on |2>.
 _X01_QUTRIT = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=np.complex128)
+# Entries kept per angle-keyed constructor: a campaign over many distinct
+# angles must not hold one operator per angle for the life of the process.
+_ANGLE_CACHE_SIZE = 256
 
 
 def _proj(dim: int, k: int) -> np.ndarray:
@@ -77,13 +80,13 @@ def pauli_z() -> Operator:
     return Operator((2,), _Z)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def rotation_y(theta: float) -> Operator:
     """Rotation about y: [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]]."""
     return Operator((2,), _ry(theta))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def rotation_z(varphi: float) -> Operator:
     """Rotation about z: diag(e^{-i v/2}, e^{+i v/2})."""
     return Operator((2,), _rz(varphi))
@@ -112,7 +115,7 @@ def controlled_unitary(u: Operator) -> Operator:
     return Operator((2, 2), entries)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def v11(angles: EulerAngles) -> Operator:
     """On B (x) C: apply rotation_z(varphi).X to B when C=1, identity when C is 0 or 2."""
     b1 = _rz(angles.varphi) @ _X
@@ -132,7 +135,7 @@ def v12() -> Operator:
     return Operator((2, 3), entries)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def v13(angles: EulerAngles) -> Operator:
     """On B (x) C: apply rotation_z(phi).rotation_y(theta) to B when C is 1 or 2."""
     b2 = _rz(angles.phi) @ _ry(angles.theta)
@@ -147,7 +150,7 @@ def v14() -> Operator:
     return Operator((2, 3), entries)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def v1(angles: EulerAngles) -> Operator:
     """Bob's composite local operation on B (x) C: v14 . v13 . v12 . v11."""
     return v14() @ v13(angles) @ v12() @ v11(angles)
@@ -237,7 +240,7 @@ def _x_power(exponent: int) -> np.ndarray:
     return _X if exponent % 2 else _I2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def tilde_v1(angles: EulerAngles, ell: int) -> Operator:
     """Bell-variant local operation on B (x) C: X^(1-ell) U X^ell on B when C=1."""
     if ell not in (0, 1):

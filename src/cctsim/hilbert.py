@@ -25,6 +25,10 @@ NORMALIZATION_TOL = 1e-12
 # looser than NORMALIZATION_TOL to leave headroom for ~10 chained matrix
 # applications.
 FIDELITY_TOL = 1e-10
+# Uniforms drawn per block by sample_counts; bounds a campaign's memory.
+SAMPLE_BLOCK = 1 << 16
+# How far an outcome table's probabilities may sum from 1.
+_TABLE_SUM_TOL = 1e-9
 
 
 def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
@@ -253,6 +257,40 @@ def measure(
     outcome = min(outcome, probs.size - 1)
     collapsed, weight = collapse(state, subsystem, outcome)
     return outcome, collapsed, weight
+
+
+def is_unit_pair(c0: complex, c1: complex, tol: float = NORMALIZATION_TOL) -> bool:
+    """True when both amplitudes are finite and |c0|^2 + |c1|^2 is within ``tol`` of 1.
+
+    Written so that NaN fails: every comparison with NaN is False.
+    """
+    c0, c1 = complex(c0), complex(c1)
+    if not all(math.isfinite(part) for part in (c0.real, c0.imag, c1.real, c1.imag)):
+        return False
+    return abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) <= tol
+
+
+def sample_counts(probs: Sequence[float], trials: int, rng: np.random.Generator) -> list[int]:
+    """How many of ``trials`` draws land on each row of a discrete outcome table.
+
+    Trial i takes the i-th double of ``rng`` and the row whose interval of
+    the cumulative distribution holds it, so row 0 is chosen exactly when
+    that double is below probs[0].  Doubles are drawn SAMPLE_BLOCK at a
+    time; the block size does not change any count.  A double at or past
+    the last rounded cumulative value goes to the last row of positive
+    probability.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    if not (np.all(np.isfinite(probs)) and np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= _TABLE_SUM_TOL):
+        raise ValueError(f"outcome probabilities must be finite, nonnegative and sum to 1, got {probs!r}")
+    cdf = np.cumsum(probs)
+    rows = probs.size
+    counts = np.zeros(rows + 1, dtype=np.int64)
+    for start in range(0, trials, SAMPLE_BLOCK):
+        draws = rng.random(min(SAMPLE_BLOCK, trials - start))
+        counts += np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=rows + 1)
+    counts[np.flatnonzero(probs)[-1]] += counts[rows]
+    return counts[:rows].tolist()
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

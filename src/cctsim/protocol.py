@@ -26,13 +26,14 @@ from . import gates
 from .gates import EulerAngles
 from .hilbert import (
     FIDELITY_TOL,
-    NORMALIZATION_TOL,
     StateVector,
     apply,
     born_probabilities,
     collapse,
     factor_out,
     fidelity,
+    is_unit_pair,
+    sample_counts,
     tensor,
 )
 
@@ -45,9 +46,9 @@ class ProtocolFault(RuntimeError):
 
 
 def _check_amplitude_pair(label: str, c0: complex, c1: complex) -> None:
-    total = abs(c0) ** 2 + abs(c1) ** 2
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"{label} amplitudes must satisfy |c0|^2+|c1|^2 = 1, got {total!r}")
+    if not is_unit_pair(c0, c1):
+        total = abs(c0) ** 2 + abs(c1) ** 2
+        raise ValueError(f"{label} amplitudes must be finite with |c0|^2+|c1|^2 = 1, got {total!r}")
 
 
 @dataclass(frozen=True)
@@ -149,15 +150,27 @@ def _qubit(c0: complex, c1: complex) -> StateVector:
     return StateVector((2,), np.array([c0, c1], dtype=np.complex128))
 
 
-def _general_prefix(inp: GeneralInput) -> tuple[StateVector, ...]:
-    """Deterministic pipeline up to (not including) the ancilla measurement."""
+def _general_prefix(inp: GeneralInput) -> tuple[tuple[StateVector, ...], np.ndarray]:
+    """Deterministic pipeline up to (not including) the ancilla measurement.
+
+    Returns the stage states and the Born weights of the three ancilla
+    outcomes, after checking that level 2 carries no weight.
+    """
     psi0 = tensor(tensor(_qubit(inp.alpha, inp.beta), _qubit(inp.gamma, inp.delta)), StateVector.basis((3,), (0,)))
     psi1 = apply(gates.cnot_qutrit(), psi0, [1, 2])
     psi2 = apply(gates.toffoli(), psi1, [0, 1, 2])
     psi3 = apply(gates.v1(inp.angles), psi2, [1, 2])
     psi4 = apply(gates.q2(), apply(gates.q1(), psi3, [0, 1, 2]), [0, 1, 2])
     pre = apply(gates.hadamard_on_qutrit(), apply(gates.v2(), psi4, [1, 2]), [2])
-    return psi0, psi1, psi2, psi3, psi4, pre
+    probs = born_probabilities(pre, 2)
+    if probs[2] > ANCILLA_LEAK_TOL:
+        raise ProtocolFault(f"ancilla weight {probs[2]!r} on level 2 before measurement")
+    return (psi0, psi1, psi2, psi3, psi4, pre), probs
+
+
+def _zero_probability(probs: np.ndarray) -> float:
+    """Probability of outcome m=0 given the (checked) ancilla Born weights."""
+    return float(probs[0] / (probs[0] + probs[1]))
 
 
 def _finish_general(stages: tuple[StateVector, ...], m: int, weight: float) -> Transcript:
@@ -181,10 +194,7 @@ def _finish_general(stages: tuple[StateVector, ...], m: int, weight: float) -> T
 
 def measurement_weights(inp: GeneralInput) -> np.ndarray:
     """Exact Born weights of the ancilla measurement outcomes (0, 1, 2)."""
-    probs = born_probabilities(_general_prefix(inp)[-1], 2)
-    if probs[2] > ANCILLA_LEAK_TOL:
-        raise ProtocolFault(f"ancilla weight {probs[2]!r} on level 2 before measurement")
-    return probs
+    return _general_prefix(inp)[1]
 
 
 def run_general(inp: GeneralInput, rng: np.random.Generator) -> Transcript:
@@ -195,12 +205,8 @@ def run_general(inp: GeneralInput, rng: np.random.Generator) -> Transcript:
     composite operation, the two global flips, Bob's ancilla relabeling and
     Hadamard, the ancilla measurement, and the outcome correction.
     """
-    stages = _general_prefix(inp)
-    probs = born_probabilities(stages[-1], 2)
-    if probs[2] > ANCILLA_LEAK_TOL:
-        raise ProtocolFault(f"ancilla weight {probs[2]!r} on level 2 before measurement")
-    p0 = float(probs[0] / (probs[0] + probs[1]))
-    m = 0 if rng.random() < p0 else 1
+    stages, probs = _general_prefix(inp)
+    m = 0 if rng.random() < _zero_probability(probs) else 1
     return _finish_general(stages, m, float(probs[m]))
 
 
@@ -212,11 +218,20 @@ def run_general_for_outcome(inp: GeneralInput, m: int) -> Transcript:
     """
     if m not in (0, 1):
         raise ValueError(f"measurement outcome must be 0 or 1, got {m}")
-    stages = _general_prefix(inp)
-    probs = born_probabilities(stages[-1], 2)
-    if probs[2] > ANCILLA_LEAK_TOL:
-        raise ProtocolFault(f"ancilla weight {probs[2]!r} on level 2 before measurement")
+    stages, probs = _general_prefix(inp)
     return _finish_general(stages, m, float(probs[m]))
+
+
+def run_general_branches(inp: GeneralInput) -> tuple[float, tuple[Transcript, Transcript]]:
+    """Probability of m=0 and the replays of both outcomes, from one prefix build.
+
+    Each transcript equals ``run_general_for_outcome(inp, m)``.
+    """
+    stages, probs = _general_prefix(inp)
+    return _zero_probability(probs), (
+        _finish_general(stages, 0, float(probs[0])),
+        _finish_general(stages, 1, float(probs[1])),
+    )
 
 
 def bell_initial_state(inp: BellInput) -> StateVector:
@@ -378,14 +393,18 @@ def verify_bell(transcript: Transcript, inp: BellInput) -> VerificationReport:
 
 
 def outcome_statistics(inp: GeneralInput, trials: int, seed: int) -> tuple[float, float]:
-    """Empirical frequencies of m=0 and m=1 over repeated seeded runs."""
+    """Empirical frequencies of m=0 and m=1 over repeated seeded runs.
+
+    The pipeline before the measurement is deterministic, so it runs once;
+    trial i then reads m=0 exactly when the i-th double of
+    ``default_rng(seed)`` is below P(m=0), the same draw ``run_general``
+    makes, so the counts equal those of ``trials`` sampled runs on one
+    generator.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    zeros = 0
-    for _ in range(trials):
-        if run_general(inp, rng).outcome == 0:
-            zeros += 1
+    p0 = _zero_probability(_general_prefix(inp)[1])
+    zeros = sample_counts((p0, 1.0 - p0), trials, np.random.default_rng(seed))[0]
     return zeros / trials, (trials - zeros) / trials
 
 

@@ -21,13 +21,14 @@ absorption event fired, i.e. the photon was never found in the channel.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from . import protocol as _protocol
-from .hilbert import StateVector, fidelity
+from .hilbert import StateVector, fidelity, is_unit_pair, sample_counts
 from .protocol import BellInput, GeneralInput
 
 # Switch products to log-space accumulation above this many factors so
@@ -384,14 +385,161 @@ _POL_INDEX = {"H": 0, "V": 1}
 
 def _validate_absorber(absorber: tuple[complex, complex]) -> tuple[complex, complex]:
     a, b = complex(absorber[0]), complex(absorber[1])
-    total = abs(a) ** 2 + abs(b) ** 2
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"absorber amplitudes must be normalized, got |a|^2+|b|^2 = {total!r}")
+    if not is_unit_pair(a, b):
+        total = abs(a) ** 2 + abs(b) ** 2
+        raise ValueError(f"absorber amplitudes must be finite and normalized, got |a|^2+|b|^2 = {total!r}")
     return a, b
 
 
 def _joint_state(presence: bool, pol_index: int) -> StateVector:
     return StateVector.basis((2, 2), (1 if presence else 0, pol_index))
+
+
+# One row of a gate's outcome table: (probability, *TrajectoryOutcome fields).
+_Row = tuple[float, OutcomeKind, str, int, StateVector | None, bool]
+
+
+def _qz_born_rows(a: complex, b: complex, pol0: int, inner: int) -> Iterator[_Row]:
+    weight = abs(a) ** 2
+    p_cycle = weight * _sin_sq_pi(1.0 / (2 * inner))
+    alive = 1.0
+    for index in range(1, inner + 1):
+        yield alive * p_cycle, OutcomeKind.ABSORBED_BY_ELECTRON, "qz:channel", index, None, True
+        alive *= 1.0 - p_cycle
+    yield alive * weight, OutcomeKind.SUCCESS, "qz:exit", inner, _joint_state(True, pol0), False
+    yield alive * (1.0 - weight), OutcomeKind.ABSORBED_BY_ELECTRON, "qz:exit", inner, _joint_state(False, 1 - pol0), True
+
+
+def _exit_state(final: np.ndarray) -> tuple[float, StateVector | None]:
+    """Probability of an exit branch from its unnormalized (absorber, photon)
+    amplitudes, with the normalized state (None when the branch has none)."""
+    norm = float(np.linalg.norm(final))
+    weight = norm * norm
+    return weight, (StateVector((2, 2), final.reshape(-1) / norm) if weight > 0.0 else None)
+
+
+def _qz_coherent_rows(a: complex, b: complex, pol0: int, inner: int) -> Iterator[_Row]:
+    # Joint amplitudes indexed (absence/presence, design/channel pol).  They
+    # are never renormalized, so each removed component's squared modulus is
+    # the unconditional probability of its event.
+    amps = np.zeros((2, 2), dtype=np.complex128)
+    amps[0, 0] = b
+    amps[1, 0] = a
+    cos_t = math.cos(math.pi / (2 * inner))
+    sin_t = math.sin(math.pi / (2 * inner))
+    for index in range(1, inner + 1):
+        rotated = amps.copy()
+        rotated[:, 0] = cos_t * amps[:, 0] - sin_t * amps[:, 1]
+        rotated[:, 1] = sin_t * amps[:, 0] + cos_t * amps[:, 1]
+        amps = rotated
+        yield abs(amps[1, 1]) ** 2, OutcomeKind.ABSORBED_BY_ELECTRON, "qz:channel", index, None, True
+        amps[1, 1] = 0.0
+    # Exit splitter: measure the photon in the gate frame.
+    for column, pol_index, kind in ((0, pol0, OutcomeKind.SUCCESS), (1, 1 - pol0, OutcomeKind.ABSORBED_BY_ELECTRON)):
+        final = np.zeros((2, 2), dtype=np.complex128)
+        final[:, pol_index] = amps[:, column]
+        p_exit, state = _exit_state(final)
+        yield p_exit, kind, "qz:exit", inner, state, column == 1
+
+
+def _cqz_born_rows(a: complex, b: complex, pol0: int, outer: int, inner: int) -> Iterator[_Row]:
+    weight = abs(a) ** 2
+    s_n = _sin_sq_pi(1.0 / (2 * inner))
+    p_detector = (1.0 - weight) * _sin_sq_pi(1.0 / (2 * outer))
+    alive = 1.0
+    for i in range(1, outer + 1):
+        p_absorb = weight * _sin_sq_pi(i / (2 * outer)) * s_n
+        absorbed = 0.0
+        for _ in range(inner):
+            absorbed += alive * p_absorb
+            alive *= 1.0 - p_absorb
+        yield absorbed, OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i, None, True
+        yield alive * p_detector, OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", i, None, False
+        alive *= 1.0 - p_detector
+    yield alive * weight, OutcomeKind.SUCCESS, "cqz:exit", outer, _joint_state(True, 1 - pol0), False
+    yield alive * (1.0 - weight), OutcomeKind.SUCCESS, "cqz:exit", outer, _joint_state(False, pol0), False
+
+
+def _cqz_coherent_rows(a: complex, b: complex, pol0: int, outer: int, inner: int) -> Iterator[_Row]:
+    # Gate frame: photon columns (design pol, channel pol); amplitudes are
+    # never renormalized, as in _qz_coherent_rows.
+    amps = np.zeros((2, 2), dtype=np.complex128)
+    amps[0, 0] = b
+    amps[1, 0] = a
+    cos_m = math.cos(math.pi / (2 * outer))
+    sin_m = math.sin(math.pi / (2 * outer))
+    cos_n = math.cos(math.pi / (2 * inner))
+    sin_n = math.sin(math.pi / (2 * inner))
+    for i in range(1, outer + 1):
+        rotated = amps.copy()
+        rotated[:, 0] = cos_m * amps[:, 0] - sin_m * amps[:, 1]
+        rotated[:, 1] = sin_m * amps[:, 0] + cos_m * amps[:, 1]
+        amps = rotated
+        # Channel components enter the inner gate; its own channel is the
+        # outer design polarization, read by the detector on exit.
+        inner_design = amps[:, 1].copy()
+        inner_channel = np.zeros(2, dtype=np.complex128)
+        absorbed = 0.0
+        for _ in range(inner):
+            new_design = cos_n * inner_design - sin_n * inner_channel
+            new_channel = sin_n * inner_design + cos_n * inner_channel
+            inner_design, inner_channel = new_design, new_channel
+            absorbed += abs(inner_channel[1]) ** 2
+            inner_channel[1] = 0.0
+        yield absorbed, OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i, None, True
+        yield abs(inner_channel[0]) ** 2, OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", i, None, False
+        amps[:, 1] = inner_design
+    # Map the gate frame back onto (H, V) and deliver the coherent exit state.
+    final = np.zeros((2, 2), dtype=np.complex128)
+    final[:, pol0] = amps[:, 0]
+    final[:, 1 - pol0] = amps[:, 1]
+    p_exit, state = _exit_state(final)
+    yield p_exit, OutcomeKind.SUCCESS, "cqz:exit", outer, state, False
+
+
+def _gate_table(
+    absorber: tuple[complex, complex],
+    polarization: str,
+    outer: int | None,
+    inner: int,
+    model: AbsorberModel,
+) -> tuple[tuple[TrajectoryOutcome, ...], np.ndarray]:
+    """Every observable outcome of one gate traversal, with its probability.
+
+    ``outer`` is None for the single-interferometer gate.  Once a
+    trajectory has survived to a given point, the chance of each next
+    event is fixed, so the recursion a trajectory follows runs once here,
+    with no randomness: per-cycle-Born hazards come from the sin^2
+    weights; the coherent amplitude recursion is left unnormalized, so the
+    squared modulus of each component it removes is the probability of
+    that event.  Absorptions inside one outer cycle of the chained gate
+    share that cycle's row.
+    Rows of probability 0 are left out; every other row is validated as a
+    TrajectoryOutcome.
+    """
+    a, b = _validate_absorber(absorber)
+    if polarization not in _POL_INDEX:
+        raise ValueError(f"polarization must be 'H' or 'V', got {polarization!r}")
+    pol0 = _POL_INDEX[polarization]
+    if outer is None:
+        _validate_cycles(N=inner)
+        builder = _qz_born_rows if model is AbsorberModel.PER_CYCLE_BORN else _qz_coherent_rows
+        rows = builder(a, b, pol0, inner)
+    else:
+        _validate_cycles(M=outer, N=inner)
+        builder = _cqz_born_rows if model is AbsorberModel.PER_CYCLE_BORN else _cqz_coherent_rows
+        rows = builder(a, b, pol0, outer, inner)
+    outcomes, probs = [], []
+    for p, *fields in rows:
+        if p > 0.0:
+            outcomes.append(TrajectoryOutcome(*fields))
+            probs.append(p)
+    return tuple(outcomes), np.array(probs)
+
+
+def _sample_one(table: tuple[tuple[TrajectoryOutcome, ...], np.ndarray], rng: np.random.Generator) -> TrajectoryOutcome:
+    outcomes, probs = table
+    return outcomes[sample_counts(probs, 1, rng).index(1)]
 
 
 def simulate_qz(
@@ -411,63 +559,10 @@ def simulate_qz(
     presence); the orthogonal output is non-counterfactual and is diverted
     into the absorber, recorded as an exit absorption with the pre-discard
     state attached.  A pure-absence absorber therefore shows a
-    deterministic polarization flip and never yields Success.
+    deterministic polarization flip and never yields Success.  The outcome
+    is drawn from the gate's outcome table with one ``rng.random()``.
     """
-    a, b = _validate_absorber(absorber)
-    if polarization not in _POL_INDEX:
-        raise ValueError(f"polarization must be 'H' or 'V', got {polarization!r}")
-    _validate_cycles(N=inner)
-    pol0 = _POL_INDEX[polarization]
-    pol1 = 1 - pol0
-
-    if model is AbsorberModel.PER_CYCLE_BORN:
-        weight = abs(a) ** 2
-        p_cycle = weight * _sin_sq_pi(1.0 / (2 * inner))
-        draws = rng.random(inner)
-        for index, u in enumerate(draws, start=1):
-            if u < p_cycle:
-                return TrajectoryOutcome(
-                    OutcomeKind.ABSORBED_BY_ELECTRON, "qz:channel", index, None, True
-                )
-        if rng.random() < weight:
-            return TrajectoryOutcome(
-                OutcomeKind.SUCCESS, "qz:exit", inner, _joint_state(True, pol0), False
-            )
-        return TrajectoryOutcome(
-            OutcomeKind.ABSORBED_BY_ELECTRON, "qz:exit", inner, _joint_state(False, pol1), True
-        )
-
-    # Coherent model: joint amplitudes indexed (absence/presence, design/channel pol).
-    amps = np.zeros((2, 2), dtype=np.complex128)
-    amps[0, 0] = b
-    amps[1, 0] = a
-    cos_t = math.cos(math.pi / (2 * inner))
-    sin_t = math.sin(math.pi / (2 * inner))
-    for index in range(1, inner + 1):
-        rotated = amps.copy()
-        rotated[:, 0] = cos_t * amps[:, 0] - sin_t * amps[:, 1]
-        rotated[:, 1] = sin_t * amps[:, 0] + cos_t * amps[:, 1]
-        amps = rotated
-        p_absorb = abs(amps[1, 1]) ** 2
-        if rng.random() < p_absorb:
-            return TrajectoryOutcome(
-                OutcomeKind.ABSORBED_BY_ELECTRON, "qz:channel", index, None, True
-            )
-        amps[1, 1] = 0.0
-        amps /= math.sqrt(1.0 - p_absorb)
-    # Exit splitter: measure the photon in the gate frame.
-    p_design = float(abs(amps[0, 0]) ** 2 + abs(amps[1, 0]) ** 2)
-    exits_design = rng.random() < p_design
-    column = 0 if exits_design else 1
-    collapsed = np.zeros((2, 2), dtype=np.complex128)
-    collapsed[:, column] = amps[:, column]
-    norm = np.linalg.norm(collapsed)
-    final = np.zeros((2, 2), dtype=np.complex128)
-    final[:, pol0 if exits_design else pol1] = collapsed[:, column] / norm
-    final_state = StateVector((2, 2), final.reshape(-1))
-    if exits_design:
-        return TrajectoryOutcome(OutcomeKind.SUCCESS, "qz:exit", inner, final_state, False)
-    return TrajectoryOutcome(OutcomeKind.ABSORBED_BY_ELECTRON, "qz:exit", inner, final_state, True)
+    return _sample_one(_gate_table(absorber, polarization, None, inner, model), rng)
 
 
 def simulate_cqz(
@@ -486,82 +581,10 @@ def simulate_cqz(
     with the blocked branch carrying the -1 phase of the quarter-turn
     rotation.  Both exit branches are counterfactual, so survival yields
     Success for either absorber state; ``cycle_index`` counts outer cycles.
+    The outcome is drawn from the gate's outcome table with one
+    ``rng.random()``.
     """
-    a, b = _validate_absorber(absorber)
-    if polarization not in _POL_INDEX:
-        raise ValueError(f"polarization must be 'H' or 'V', got {polarization!r}")
-    _validate_cycles(M=outer, N=inner)
-    pol0 = _POL_INDEX[polarization]
-    pol1 = 1 - pol0
-
-    if model is AbsorberModel.PER_CYCLE_BORN:
-        weight = abs(a) ** 2
-        s_n = _sin_sq_pi(1.0 / (2 * inner))
-        p_detector = (1.0 - weight) * _sin_sq_pi(1.0 / (2 * outer))
-        for i in range(1, outer + 1):
-            p_absorb = weight * _sin_sq_pi(i / (2 * outer)) * s_n
-            draws = rng.random(inner)
-            if np.any(draws < p_absorb):
-                return TrajectoryOutcome(
-                    OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i, None, True
-                )
-            if rng.random() < p_detector:
-                return TrajectoryOutcome(
-                    OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", i, None, False
-                )
-        if rng.random() < weight:
-            final = _joint_state(True, pol1)
-        else:
-            final = _joint_state(False, pol0)
-        return TrajectoryOutcome(OutcomeKind.SUCCESS, "cqz:exit", outer, final, False)
-
-    # Coherent model, gate frame: photon columns (design pol, channel pol).
-    amps = np.zeros((2, 2), dtype=np.complex128)
-    amps[0, 0] = b
-    amps[1, 0] = a
-    cos_m = math.cos(math.pi / (2 * outer))
-    sin_m = math.sin(math.pi / (2 * outer))
-    cos_n = math.cos(math.pi / (2 * inner))
-    sin_n = math.sin(math.pi / (2 * inner))
-    for i in range(1, outer + 1):
-        rotated = amps.copy()
-        rotated[:, 0] = cos_m * amps[:, 0] - sin_m * amps[:, 1]
-        rotated[:, 1] = sin_m * amps[:, 0] + cos_m * amps[:, 1]
-        amps = rotated
-        # Channel components enter the inner gate; its own channel is the
-        # outer design polarization, read by the detector on exit.
-        inner_design = amps[:, 1].copy()
-        inner_channel = np.zeros(2, dtype=np.complex128)
-        for _ in range(inner):
-            new_design = cos_n * inner_design - sin_n * inner_channel
-            new_channel = sin_n * inner_design + cos_n * inner_channel
-            inner_design, inner_channel = new_design, new_channel
-            p_absorb = abs(inner_channel[1]) ** 2
-            if rng.random() < p_absorb:
-                return TrajectoryOutcome(
-                    OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i, None, True
-                )
-            inner_channel[1] = 0.0
-            scale = math.sqrt(1.0 - p_absorb)
-            inner_design /= scale
-            inner_channel /= scale
-            amps[:, 0] /= scale
-        p_detector = float(abs(inner_channel[0]) ** 2)
-        if rng.random() < p_detector:
-            return TrajectoryOutcome(
-                OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", i, None, False
-            )
-        inner_channel[0] = 0.0
-        scale = math.sqrt(1.0 - p_detector)
-        amps[:, 0] /= scale
-        amps[:, 1] = inner_design / scale
-    # Map the gate frame back onto (H, V) and deliver the coherent exit state.
-    final = np.zeros((2, 2), dtype=np.complex128)
-    final[:, pol0] = amps[:, 0]
-    final[:, pol1] = amps[:, 1]
-    return TrajectoryOutcome(
-        OutcomeKind.SUCCESS, "cqz:exit", outer, StateVector((2, 2), final.reshape(-1)), False
-    )
+    return _sample_one(_gate_table(absorber, polarization, outer, inner, model), rng)
 
 
 @dataclass(frozen=True)
@@ -608,11 +631,6 @@ def _report(trials: int, successes: int, absorbed: int, discarded: int, fid: flo
     )
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    # Independent, reproducible per-trial stream from (master seed, index).
-    return np.random.default_rng([seed, index])
-
-
 def gate_statistics(
     gate: str,
     absorber: tuple[complex, complex],
@@ -626,10 +644,12 @@ def gate_statistics(
 ) -> MonteCarloReport:
     """Seeded trajectory campaign over one gate ('qz' or 'cqz').
 
-    ``outer`` is required for the chained gate.  Every Success trajectory
-    is asserted never to have touched the channel.
-    ``conditional_fidelity`` averages the Success final states against
-    ``expected_success_state`` when one is supplied.
+    ``outer`` is required for the chained gate.  The gate's outcome table
+    is built once; trial i takes the row picked by the i-th double of
+    ``default_rng(seed)``.  Every Success row that is sampled is asserted
+    never to have touched the channel.  ``conditional_fidelity`` averages
+    the Success final states against ``expected_success_state`` when one
+    is supplied.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -637,24 +657,23 @@ def gate_statistics(
         raise ValueError(f"gate must be 'qz' or 'cqz', got {gate!r}")
     if gate == "cqz" and outer is None:
         raise ValueError("the chained gate needs an outer cycle count")
+    outcomes, probs = _gate_table(absorber, polarization, outer if gate == "cqz" else None, inner, model)
+    counts = sample_counts(probs, trials, np.random.default_rng(seed))
     successes = absorbed = discarded = 0
     fid_total = 0.0
-    for index in range(trials):
-        rng = _trial_rng(seed, index)
-        if gate == "qz":
-            outcome = simulate_qz(absorber, polarization, inner, model, rng)
-        else:
-            outcome = simulate_cqz(absorber, polarization, outer, inner, model, rng)
+    for outcome, count in zip(outcomes, counts):
+        if count == 0:
+            continue
         if outcome.kind is OutcomeKind.SUCCESS:
             if outcome.photon_entered_channel:
                 raise RuntimeError("counterfactuality bookkeeping violated: Success touched the channel")
-            successes += 1
+            successes += count
             if expected_success_state is not None:
-                fid_total += fidelity(outcome.final_state, expected_success_state)
+                fid_total += count * fidelity(outcome.final_state, expected_success_state)
         elif outcome.kind is OutcomeKind.ABSORBED_BY_ELECTRON:
-            absorbed += 1
+            absorbed += count
         else:
-            discarded += 1
+            discarded += count
     fid = None
     if expected_success_state is not None and successes:
         fid = fid_total / successes
@@ -672,9 +691,12 @@ def simulate_cct(
     Per trial, each counterfactual stage succeeds with its printed
     probability; the first failure aborts the trial, classified as a
     detector discard (outer factors) or an electron absorption (inner
-    factors and the collapse-chain stages).  Successful trials deliver the
-    exact logical output, so the conditional fidelity against the closed
-    form is 1 by construction; it is still measured, not asserted.
+    factors and the collapse-chain stages).  That law is one outcome table
+    with a row per (outcome m, stage, kind) and a success row per m; trial
+    i takes the row picked by the i-th double of ``default_rng(seed)``.
+    Successful trials deliver the exact logical output, so the conditional
+    fidelity against the closed form is 1 by construction; it is still
+    measured, not asserted.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -691,52 +713,57 @@ def simulate_cct(
             ("flip-chain", 1.0, probs.lambda3),
             ("flip-pair", lam4[0], lam4[1]),
         ]
-        phase_stage = ("controlled-z", lam5[0], lam5[1])
-        weights = _protocol.measurement_weights(inp)
-        p0 = float(weights[0] / (weights[0] + weights[1]))
-        branch_fidelity = {
-            m: fidelity(
-                _protocol.run_general_for_outcome(inp, m).psi6m,
-                _protocol.expected_output_general(inp, m),
-            )
-            for m in (0, 1)
-        }
+        p0, transcripts = _protocol.run_general_branches(inp)
+        fid = [
+            fidelity(transcript.psi6m, _protocol.expected_output_general(inp, m))
+            for m, transcript in enumerate(transcripts)
+        ]
+        branches = [
+            (0, p0, base_stages, fid[0]),
+            (1, 1.0 - p0, [*base_stages, ("controlled-z", lam5[0], lam5[1])], fid[1]),
+        ]
     else:
         probs = stage_probabilities_bell(cfg, inp)
         if inp.ell == 1:
             lam7 = _chained_factors(cfg.M, cfg.N, probs.nabla9, probs.nabla10)
         else:
             lam7 = _chained_factors(cfg.M, cfg.N, probs.nabla10, probs.nabla9)
-        base_stages = [
+        stages = [
             ("flip-chain", 1.0, probs.lambda6),
             ("controlled-z", lam7[0], lam7[1]),
         ]
-        phase_stage = None
-        p0 = None
         bell_fidelity = fidelity(_protocol.run_bell(inp).psi6m, _protocol.expected_output_bell(inp))
+        branches = [(None, 1.0, stages, bell_fidelity)]
 
-    successes = absorbed = discarded = 0
+    # Rows (m, stage, kind, fidelity of a success) with their probabilities.
+    rows: list[tuple[int | None, str, OutcomeKind, float | None]] = []
+    table: list[float] = []
+    for m, weight, stages, branch_fidelity in branches:
+        alive = weight
+        for stage, f_discard, f_absorb in stages:
+            rows.append((m, stage, OutcomeKind.DISCARDED_AT_DETECTOR, None))
+            table.append(alive * (1.0 - f_discard))
+            alive *= f_discard
+            rows.append((m, stage, OutcomeKind.ABSORBED_BY_ELECTRON, None))
+            table.append(alive * (1.0 - f_absorb))
+            alive *= f_absorb
+        rows.append((m, "exit", OutcomeKind.SUCCESS, branch_fidelity))
+        table.append(alive)
+
+    counts = sample_counts(table, trials, np.random.default_rng(seed))
+    tally = dict.fromkeys(OutcomeKind, 0)
     fid_total = 0.0
-    for index in range(trials):
-        rng = _trial_rng(seed, index)
-        stages = list(base_stages)
-        if p0 is not None:
-            m = 0 if rng.random() < p0 else 1
-            if m == 1:
-                stages.append(phase_stage)
-        aborted = False
-        for _, f_discard, f_absorb in stages:
-            if rng.random() >= f_discard:
-                discarded += 1
-                aborted = True
-                break
-            if rng.random() >= f_absorb:
-                absorbed += 1
-                aborted = True
-                break
-        if aborted:
-            continue
-        successes += 1
-        fid_total += branch_fidelity[m] if p0 is not None else bell_fidelity
-    fid = fid_total / successes if successes else None
-    return _report(trials, successes, absorbed, discarded, fid, seed)
+    for (_, _, kind, branch_fidelity), count in zip(rows, counts):
+        tally[kind] += count
+        if kind is OutcomeKind.SUCCESS:
+            fid_total += count * branch_fidelity
+    successes = tally[OutcomeKind.SUCCESS]
+    fid_mean = fid_total / successes if successes else None
+    return _report(
+        trials,
+        successes,
+        tally[OutcomeKind.ABSORBED_BY_ELECTRON],
+        tally[OutcomeKind.DISCARDED_AT_DETECTOR],
+        fid_mean,
+        seed,
+    )

@@ -116,6 +116,14 @@ class TestRunCommand:
         assert code == cli.EXIT_CONFIG_ERROR
         assert "alpha/beta" in capsys.readouterr().err
 
+    def test_nan_amplitude_exits_2_without_output(self, tmp_path, capsys):
+        doc = dict(GENERAL_DOC, alpha=[math.nan, 0.0])
+        code = cli.main(["run", "--config", write_config(tmp_path, doc)])
+        assert code == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "alpha/beta" in captured.err
+
     def test_verification_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         from cctsim.protocol import VerificationReport
 

@@ -44,6 +44,13 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="control"):
             general(1.0, 0.0, 0.9, 0.6)
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        with pytest.raises(ValueError, match="target"):
+            general(bad, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            BellInput(0, 1, 1.0, bad, IDENTITY)
+
     def test_bell_field_ranges(self):
         with pytest.raises(ValueError):
             BellInput(2, 1, 1.0, 0.0, IDENTITY)
@@ -304,6 +311,24 @@ class TestOutcomeStatistics:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             outcome_statistics(general(1.0, 0.0, 1.0, 0.0), 0, seed=1)
+
+    def test_matches_sampled_runs_on_one_generator(self):
+        # The prefix runs once, but trial i still reads the i-th double of
+        # default_rng(seed), as run_general does on one shared generator.
+        inp = general(ROOT_HALF, ROOT_HALF, ROOT_HALF, ROOT_HALF, EulerAngles(0.3, math.pi / 2, 0.7))
+        trials = 20_000
+        rng = np.random.default_rng(2024)
+        zeros = sum(run_general(inp, rng).outcome == 0 for _ in range(trials))
+        assert outcome_statistics(inp, trials, seed=2024) == (zeros / trials, (trials - zeros) / trials)
+
+
+class TestBoundedGateCaches:
+    def test_angle_keyed_caches_stay_bounded(self):
+        rng = np.random.default_rng(99)
+        for _ in range(2_000):
+            run_general(random_general_input(rng), rng)
+        assert gates.v1.cache_info().currsize <= 256
+        assert gates.v1.cache_info().maxsize == 256
 
 
 @settings(max_examples=30, deadline=None)

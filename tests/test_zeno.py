@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cctsim import protocol, zeno
+from cctsim import hilbert, protocol, zeno
 from cctsim.gates import EulerAngles
 from cctsim.hilbert import StateVector, fidelity
 from cctsim.protocol import BellInput, GeneralInput
@@ -407,6 +408,111 @@ class TestSimulateCqz:
         assert abs(report.successes / trials - survival) < 4 * se
         # Conditioned on survival the coherent exit state is deterministic.
         assert report.conditional_fidelity == pytest.approx(1.0, abs=1e-9)
+
+
+def _born_cqz_oracle(weight: float, outer: int, inner: int) -> tuple[float, float]:
+    """(absorbed, discarded) probabilities of the per-cycle-Born chained gate,
+    from the sin^2 hazards cycle by cycle."""
+    s_n = math.sin(math.pi / (2 * inner)) ** 2
+    p_detector = (1.0 - weight) * math.sin(math.pi / (2 * outer)) ** 2
+    alive = absorbed = discarded = 0.0
+    alive = 1.0
+    for i in range(1, outer + 1):
+        kept = (1.0 - weight * math.sin(i * math.pi / (2 * outer)) ** 2 * s_n) ** inner
+        absorbed += alive * (1.0 - kept)
+        alive *= kept
+        discarded += alive * p_detector
+        alive *= 1.0 - p_detector
+    return absorbed, discarded
+
+
+def _coherent_cqz_absence_survival(outer: int) -> float:
+    """Absent blocker: the inner gate routes the whole channel amplitude to
+    the detector, so each outer cycle keeps cos of the design amplitude."""
+    h = 1.0
+    for _ in range(outer):
+        h *= math.cos(math.pi / (2 * outer))
+    return h * h
+
+
+class TestCqzAbortKinds:
+    # Every projection is diagonal in the absorber basis, so the coherent
+    # law is the |a|^2 / |b|^2 mixture of the presence branch (absorptions
+    # only) and the absence branch (discards only).
+    @pytest.mark.parametrize("model", list(AbsorberModel))
+    @pytest.mark.parametrize("outer,inner", [(5, 5), (4, 3)])
+    def test_absorbed_and_discarded_frequencies(self, model, outer, inner):
+        presence, absence = 0.6, 0.8
+        weight = presence**2
+        trials = 40_000
+        if model is AbsorberModel.PER_CYCLE_BORN:
+            absorbed, discarded = _born_cqz_oracle(weight, outer, inner)
+        else:
+            absorbed = weight * (1.0 - _coherent_cqz_oracle(outer, inner)[0])
+            discarded = (1.0 - weight) * (1.0 - _coherent_cqz_absence_survival(outer))
+        report = gate_statistics("cqz", (presence, absence), "V", inner, model, trials, 67, outer=outer)
+        for observed, expected in ((report.absorbed, absorbed), (report.discarded, discarded)):
+            se = math.sqrt(expected * (1 - expected) / trials)
+            assert abs(observed / trials - expected) < 4 * se
+
+
+class TestOutcomeTables:
+    def test_probabilities_sum_to_one(self):
+        for gate in ("qz", "cqz"):
+            for model in AbsorberModel:
+                for absorber in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8j), (ROOT_HALF, -ROOT_HALF)):
+                    for polarization in ("H", "V"):
+                        for outer, inner in ((1, 1), (2, 3), (5, 5), (40, 40)):
+                            case = (gate, model, absorber, polarization, outer, inner)
+                            outcomes, probs = zeno._gate_table(
+                                absorber, polarization, outer if gate == "cqz" else None, inner, model
+                            )
+                            assert len(outcomes) == len(probs), case
+                            assert np.all(probs > 0.0), case
+                            assert abs(probs.sum() - 1.0) <= 1e-12, case
+
+    def test_tables_do_not_use_the_closed_forms(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("outcome tables must come from the trajectory recursion")
+
+        for name in ("qz_survival", "cqz_lambda0", "cqz_lambda1", "chained_survival", "_chained_factors",
+                     "_survival_power", "cepi_success", "coherent_qz_success"):
+            monkeypatch.setattr(zeno, name, forbidden)
+        for model in AbsorberModel:
+            zeno._gate_table((0.6, 0.8), "H", None, 5, model)
+            zeno._gate_table((0.6, 0.8), "H", 5, 5, model)
+
+    def test_single_trajectory_views_draw_one_uniform(self):
+        for model in AbsorberModel:
+            view, reference = np.random.default_rng(5), np.random.default_rng(5)
+            simulate_qz((0.6, 0.8), "H", 5, model, view)
+            simulate_cqz((0.6, 0.8), "H", 5, 5, model, view)
+            reference.random(2)
+            assert view.random() == reference.random()
+
+    def test_nan_absorber_rejected(self):
+        with pytest.raises(ValueError):
+            gate_statistics("qz", (math.nan, 1.0), "H", 5, AbsorberModel.PER_CYCLE_BORN, 1000, 1)
+        with pytest.raises(ValueError):
+            gate_statistics("cqz", (1.0, complex(0.0, math.nan)), "H", 5, AbsorberModel.COHERENT, 1000, 1, outer=5)
+
+    def test_block_size_does_not_change_reports(self, monkeypatch):
+        def campaigns():
+            reports = [
+                gate_statistics(gate, (0.6, 0.8), "H", 5, model, 1_000, 71, outer=5,
+                                expected_success_state=StateVector.basis((2, 2), (1, 0)))
+                for gate in ("qz", "cqz")
+                for model in AbsorberModel
+            ]
+            reports.append(simulate_cct(CycleConfig(6, 6, 6), BALANCED, 1_000, 73))
+            reports.append(simulate_cct(CycleConfig(6, 6, 6), BellInput(1, -1, 0.6, 0.8, EulerAngles(0.4, 2.0, 1.3)), 1_000, 79))
+            encoded = [json.dumps(report.as_dict(), sort_keys=True) for report in reports]
+            encoded.append(json.dumps(protocol.outcome_statistics(BALANCED, 1_000, 83)))
+            return encoded
+
+        default = campaigns()
+        monkeypatch.setattr(hilbert, "SAMPLE_BLOCK", 7)
+        assert campaigns() == default
 
 
 class TestSimulateCct:
