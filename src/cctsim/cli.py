@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,6 +106,18 @@ def _check_pair_norm(label: str, c0: complex, c1: complex, errors: list[str]) ->
         errors.append(f"{label}: amplitudes must be finite with |c0|^2 + |c1|^2 = 1, got {total!r}")
 
 
+def _non_finite_fields(value, path: str) -> Iterator[str]:
+    """Paths of the NaN and infinite numbers in a parsed JSON document."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite_fields(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _non_finite_fields(item, f"{path}[{index}]")
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a config document, applying flag overrides."""
     try:
@@ -122,7 +135,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         if value is not None:
             doc[key] = value
 
-    errors: list[str] = []
+    # Reports echo the whole document, so a non-finite number anywhere in it
+    # would make them invalid JSON.
+    errors = [f"{field}: NaN and Infinity are not allowed" for field in _non_finite_fields(doc, "")]
     mode = doc.get("mode")
     if mode not in ("general", "bell"):
         errors.append(f"mode: expected 'general' or 'bell', got {mode!r}")

@@ -259,15 +259,15 @@ def measure(
     return outcome, collapsed, weight
 
 
-def is_unit_pair(c0: complex, c1: complex, tol: float = NORMALIZATION_TOL) -> bool:
-    """True when both amplitudes are finite and |c0|^2 + |c1|^2 is within ``tol`` of 1.
+def is_unit_pair(c0: complex, c1: complex) -> bool:
+    """True when both amplitudes are finite and |c0|^2 + |c1|^2 is within NORMALIZATION_TOL of 1.
 
     Written so that NaN fails: every comparison with NaN is False.
     """
     c0, c1 = complex(c0), complex(c1)
     if not all(math.isfinite(part) for part in (c0.real, c0.imag, c1.real, c1.imag)):
         return False
-    return abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) <= tol
+    return abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) <= NORMALIZATION_TOL
 
 
 def sample_counts(probs: Sequence[float], trials: int, rng: np.random.Generator) -> list[int]:

@@ -537,9 +537,14 @@ def _gate_table(
     return tuple(outcomes), np.array(probs)
 
 
-def _sample_one(table: tuple[tuple[TrajectoryOutcome, ...], np.ndarray], rng: np.random.Generator) -> TrajectoryOutcome:
+_Sampled = TrajectoryOutcome | list[tuple[TrajectoryOutcome, int]]
+
+
+def _sample(table: tuple[tuple[TrajectoryOutcome, ...], np.ndarray], rng: np.random.Generator, size: int | None) -> _Sampled:
     outcomes, probs = table
-    return outcomes[sample_counts(probs, 1, rng).index(1)]
+    if size is None:
+        return outcomes[sample_counts(probs, 1, rng).index(1)]
+    return [(outcome, count) for outcome, count in zip(outcomes, sample_counts(probs, size, rng)) if count]
 
 
 def simulate_qz(
@@ -548,8 +553,9 @@ def simulate_qz(
     inner: int,
     model: AbsorberModel,
     rng: np.random.Generator,
-) -> TrajectoryOutcome:
-    """One traversal of the single-interferometer gate with its exit port.
+    size: int | None = None,
+) -> _Sampled:
+    """Traversals of the single-interferometer gate with its exit port.
 
     ``absorber`` is (presence amplitude, absence amplitude).  The photon
     enters with the gate's design polarization; per cycle it is rotated by
@@ -559,10 +565,14 @@ def simulate_qz(
     presence); the orthogonal output is non-counterfactual and is diverted
     into the absorber, recorded as an exit absorption with the pre-discard
     state attached.  A pure-absence absorber therefore shows a
-    deterministic polarization flip and never yields Success.  The outcome
-    is drawn from the gate's outcome table with one ``rng.random()``.
+    deterministic polarization flip and never yields Success.
+
+    Outcomes are drawn from the gate's outcome table, one ``rng.random()``
+    per traversal.  With ``size`` None this returns one outcome; otherwise
+    it runs ``size`` traversals and returns each outcome that occurred with
+    its count.
     """
-    return _sample_one(_gate_table(absorber, polarization, None, inner, model), rng)
+    return _sample(_gate_table(absorber, polarization, None, inner, model), rng, size)
 
 
 def simulate_cqz(
@@ -572,8 +582,9 @@ def simulate_cqz(
     inner: int,
     model: AbsorberModel,
     rng: np.random.Generator,
-) -> TrajectoryOutcome:
-    """One traversal of the chained gate: M outer cycles nesting an N-cycle gate.
+    size: int | None = None,
+) -> _Sampled:
+    """Traversals of the chained gate: M outer cycles nesting an N-cycle gate.
 
     An absent blocker makes the inner gate route the channel component to
     the detector (discard path); a present blocker makes it a mirror, so
@@ -581,10 +592,9 @@ def simulate_cqz(
     with the blocked branch carrying the -1 phase of the quarter-turn
     rotation.  Both exit branches are counterfactual, so survival yields
     Success for either absorber state; ``cycle_index`` counts outer cycles.
-    The outcome is drawn from the gate's outcome table with one
-    ``rng.random()``.
+    Sampling and ``size`` are as in ``simulate_qz``.
     """
-    return _sample_one(_gate_table(absorber, polarization, outer, inner, model), rng)
+    return _sample(_gate_table(absorber, polarization, outer, inner, model), rng, size)
 
 
 @dataclass(frozen=True)
@@ -644,8 +654,9 @@ def gate_statistics(
 ) -> MonteCarloReport:
     """Seeded trajectory campaign over one gate ('qz' or 'cqz').
 
-    ``outer`` is required for the chained gate.  The gate's outcome table
-    is built once; trial i takes the row picked by the i-th double of
+    ``outer`` is required for the chained gate.  The trials are one
+    ``simulate_qz``/``simulate_cqz`` call: the gate's outcome table is built
+    once and trial i takes the row picked by the i-th double of
     ``default_rng(seed)``.  Every Success row that is sampled is asserted
     never to have touched the channel.  ``conditional_fidelity`` averages
     the Success final states against ``expected_success_state`` when one
@@ -657,13 +668,14 @@ def gate_statistics(
         raise ValueError(f"gate must be 'qz' or 'cqz', got {gate!r}")
     if gate == "cqz" and outer is None:
         raise ValueError("the chained gate needs an outer cycle count")
-    outcomes, probs = _gate_table(absorber, polarization, outer if gate == "cqz" else None, inner, model)
-    counts = sample_counts(probs, trials, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    if gate == "qz":
+        sampled = simulate_qz(absorber, polarization, inner, model, rng, trials)
+    else:
+        sampled = simulate_cqz(absorber, polarization, outer, inner, model, rng, trials)
     successes = absorbed = discarded = 0
     fid_total = 0.0
-    for outcome, count in zip(outcomes, counts):
-        if count == 0:
-            continue
+    for outcome, count in sampled:
         if outcome.kind is OutcomeKind.SUCCESS:
             if outcome.photon_entered_channel:
                 raise RuntimeError("counterfactuality bookkeeping violated: Success touched the channel")

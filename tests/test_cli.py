@@ -124,6 +124,17 @@ class TestRunCommand:
         assert captured.out == ""
         assert "alpha/beta" in captured.err
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_anywhere_is_named(self, tmp_path, capsys, value):
+        # Reports echo the document, so even a field the loader never reads
+        # must be finite for the output to be valid JSON.
+        doc = dict(GENERAL_DOC, note={"scale": [1.0, value]})
+        code = cli.main(["run", "--config", write_config(tmp_path, doc)])
+        assert code == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "note.scale[1]: NaN and Infinity are not allowed" in captured.err
+
     def test_verification_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         from cctsim.protocol import VerificationReport
 

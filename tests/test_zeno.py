@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -489,6 +490,22 @@ class TestOutcomeTables:
             simulate_cqz((0.6, 0.8), "H", 5, 5, model, view)
             reference.random(2)
             assert view.random() == reference.random()
+
+    def test_size_tallies_the_single_trajectory_views(self):
+        # ``size`` traversals read the same doubles as that many one-at-a-time calls.
+        def key(outcome):
+            state = outcome.final_state
+            return outcome.kind, outcome.stage, outcome.cycle_index, None if state is None else state.amps.tobytes()
+
+        for model in AbsorberModel:
+            for simulate, args in ((simulate_qz, ((0.6, 0.8), "H", 5, model)),
+                                   (simulate_cqz, ((0.6, 0.8), "V", 4, 3, model))):
+                single, batch = np.random.default_rng(9), np.random.default_rng(9)
+                one_at_a_time = Counter(key(simulate(*args, single)) for _ in range(500))
+                tallied = simulate(*args, batch, 500)
+                assert sum(count for _, count in tallied) == 500
+                assert {key(outcome): count for outcome, count in tallied} == dict(one_at_a_time)
+                assert single.random() == batch.random()
 
     def test_nan_absorber_rejected(self):
         with pytest.raises(ValueError):
