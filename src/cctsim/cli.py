@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -406,7 +407,9 @@ def _parse_values(raw: str | None) -> tuple[int, ...] | None:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cctsim",
         description="Simulate and verify counterfactual concealed telecomputation protocols.",

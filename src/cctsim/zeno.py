@@ -31,8 +31,10 @@ from . import protocol as _protocol
 from .hilbert import StateVector, fidelity, is_unit_pair, sample_counts
 from .protocol import BellInput, GeneralInput
 
-# Switch products to log-space accumulation above this many factors so
-# sweeps with thousands of cycles stay accurate.
+# Above this many factors a chained product is one numpy log-space sum
+# (_log_space_product), so sweeps with thousands of cycles stay accurate and
+# fast; at or below it the factors are multiplied one by one, whose rounding
+# the golden sweep pins.
 _LOG_SPACE_THRESHOLD = 10_000
 
 
@@ -45,10 +47,7 @@ class CycleConfig:
     K: int
 
     def __post_init__(self) -> None:
-        for name in ("M", "N", "K"):
-            value = getattr(self, name)
-            if int(value) != value or value < 1:
-                raise ValueError(f"cycle count {name} must be a positive integer, got {value!r}")
+        _validate_cycles(M=self.M, N=self.N, K=self.K)
 
     @property
     def theta_m(self) -> float:
@@ -84,6 +83,30 @@ def _cos_sq_pi(y: float) -> float:
     return (1.0 + _cospi(2.0 * y)) / 2.0
 
 
+_QUARTER_TURN_COS = np.array([1.0, 0.0, -1.0, 0.0])
+
+
+def _sin_sq_table(outer: int, cycles: int) -> np.ndarray:
+    """_sin_sq_pi(i / (2 * outer)) for i = 1..cycles, as one array.
+
+    Same semantics as _cospi: the argument i / outer is reduced mod 2 and
+    every quarter turn is exact, also for cycles beyond 2 * outer.
+    """
+    x = np.fmod(np.arange(1, cycles + 1) / outer, 2.0)
+    cos = np.cos(np.pi * x)
+    doubled = 2.0 * x
+    quarter = doubled == np.floor(doubled)
+    cos[quarter] = _QUARTER_TURN_COS[doubled[quarter].astype(np.int64) % 4]
+    return (1.0 - cos) / 2.0
+
+
+def _log_space_product(xs: np.ndarray, n: int) -> float:
+    """prod((1 - xs) ** n), accumulated in log space; 0.0 once any x >= 1."""
+    if np.any(xs >= 1.0):
+        return 0.0
+    return math.exp(n * float(np.sum(np.log1p(-xs))))
+
+
 def _survival_power(x: float, n: int) -> float:
     """(1 - x)^n for a per-cycle loss x in [0, 1]."""
     if x >= 1.0:
@@ -110,48 +133,41 @@ def _validate_weight(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
+def _gate_survival(name: str, cycles: int) -> float:
+    _validate_cycles(**{name: cycles})
+    return _survival_power(_sin_sq_pi(1.0 / (2 * cycles)), cycles)
+
+
 def qz_survival(inner: int) -> float:
     """Probability cos^(2N)(pi/2N) that a blocked interferometer emits its photon unchanged."""
-    _validate_cycles(N=inner)
-    return _survival_power(_sin_sq_pi(1.0 / (2 * inner)), inner)
+    return _gate_survival("N", inner)
 
 
 def cqz_lambda0(outer: int) -> float:
     """Chained-gate survival cos^(2M)(pi/2M) for an absent blocker."""
-    _validate_cycles(M=outer)
-    return _survival_power(_sin_sq_pi(1.0 / (2 * outer)), outer)
+    return _gate_survival("M", outer)
 
 
 def cqz_lambda1(outer: int, inner: int) -> float:
     """Chained-gate survival for a present blocker: the printed M-term product."""
     _validate_cycles(M=outer, N=inner)
-    s_n = _sin_sq_pi(1.0 / (2 * inner))
-    if outer * inner > _LOG_SPACE_THRESHOLD:
-        log_total = 0.0
-        for i in range(1, outer + 1):
-            x = _sin_sq_pi(i / (2 * outer)) * s_n
-            if x >= 1.0:
-                return 0.0
-            log_total += inner * math.log1p(-x)
-        return math.exp(log_total)
-    out = 1.0
-    for i in range(1, outer + 1):
-        out *= _survival_power(_sin_sq_pi(i / (2 * outer)) * s_n, inner)
-    return out
+    return _chained_factors(outer, inner, 0.0, 1.0)[1]
+
+
+def _collapse_success(name: str, inner: int, weight: float) -> float:
+    _validate_cycles(N=inner)
+    _validate_weight(name, weight)
+    return _survival_power(weight * _sin_sq_pi(1.0 / (2 * inner)), inner) * weight
 
 
 def cepi_success(inner: int, nabla0: float) -> float:
     """Superposed-absorber collapse success (1 - nabla0 sin^2 theta_N)^N * nabla0."""
-    _validate_cycles(N=inner)
-    _validate_weight("nabla0", nabla0)
-    return _survival_power(nabla0 * _sin_sq_pi(1.0 / (2 * inner)), inner) * nabla0
+    return _collapse_success("nabla0", inner, nabla0)
 
 
 def dcepi_success(inner: int, nabla1: float) -> float:
     """Dual-rail entangling collapse success; same functional form as cepi_success."""
-    _validate_cycles(N=inner)
-    _validate_weight("nabla1", nabla1)
-    return _survival_power(nabla1 * _sin_sq_pi(1.0 / (2 * inner)), inner) * nabla1
+    return _collapse_success("nabla1", inner, nabla1)
 
 
 def coherent_qz_success(inner: int, nabla: float) -> float:
@@ -204,27 +220,28 @@ def _chained_factors(
     outer_factor = _survival_power(outer_weight * _sin_sq_pi(1.0 / (2 * outer)), cycles)
     s_n = _sin_sq_pi(1.0 / (2 * inner))
     if cycles * inner > _LOG_SPACE_THRESHOLD:
-        log_total = 0.0
-        for i in range(1, cycles + 1):
-            x = inner_weight * _sin_sq_pi(i / (2 * outer)) * s_n
-            if x >= 1.0:
-                return outer_factor, 0.0
-            log_total += inner * math.log1p(-x)
-        return outer_factor, math.exp(log_total)
+        return outer_factor, _log_space_product(inner_weight * _sin_sq_table(outer, cycles) * s_n, inner)
     inner_factor = 1.0
     for i in range(1, cycles + 1):
         inner_factor *= _survival_power(inner_weight * _sin_sq_pi(i / (2 * outer)) * s_n, inner)
     return outer_factor, inner_factor
 
 
+def _chained_pair(
+    outer: int, inner: int, outer_weight: float, inner_weight: float, outer_cycles: int | None = None
+) -> tuple[float, float]:
+    """_chained_factors after validating the cycle counts and weights."""
+    _validate_cycles(M=outer, N=inner)
+    _validate_weight("outer_weight", outer_weight)
+    _validate_weight("inner_weight", inner_weight)
+    return _chained_factors(outer, inner, outer_weight, inner_weight, outer_cycles)
+
+
 def chained_survival(
     outer: int, inner: int, outer_weight: float, inner_weight: float, outer_cycles: int | None = None
 ) -> float:
     """Product of both factors of a chained interferometer stage."""
-    _validate_cycles(M=outer, N=inner)
-    _validate_weight("outer_weight", outer_weight)
-    _validate_weight("inner_weight", inner_weight)
-    f_out, f_in = _chained_factors(outer, inner, outer_weight, inner_weight, outer_cycles)
+    f_out, f_in = _chained_pair(outer, inner, outer_weight, inner_weight, outer_cycles)
     return f_out * f_in
 
 
@@ -247,13 +264,6 @@ class StageProbabilities:
     lambda5: float | None = None
     lambda6: float | None = None
     lambda7: float | None = None
-    nabla0: float | None = None
-    nabla1: float | None = None
-    nabla2: float | None = None
-    nabla3: float | None = None
-    nabla4: float | None = None
-    nabla5: float | None = None
-    nabla6: float | None = None
     nabla7: float | None = None
     nabla8: float | None = None
     nabla9: float | None = None
@@ -279,27 +289,28 @@ class StageProbabilities:
         }
 
 
-def stage_probabilities_general(cfg: CycleConfig, inp: GeneralInput) -> StageProbabilities:
-    """Evaluate every printed stage probability of the general protocol.
+# A stage in the order a run meets it: (name, outer-discard survival,
+# inner-absorption survival).
+_Stage = tuple[str, float, float]
 
-    The controlled-phase stage (lambda5) runs 2M outer cycles at the
-    unchanged M-cycle step size and enters the abortion rate only for the
-    outcome branch m=1: zeta_m = 1 - lambda2*lambda3*lambda4*lambda5^m.
-    """
+
+def _general_stages(cfg: CycleConfig, inp: GeneralInput) -> tuple[StageProbabilities, list[_Stage]]:
+    """Stage probabilities of the general protocol with each stage's factor pair."""
     a2, b2 = abs(inp.alpha) ** 2, abs(inp.beta) ** 2
     g2, d2 = abs(inp.gamma) ** 2, abs(inp.delta) ** 2
     half = inp.angles.theta / 2.0
     c2, s2 = math.cos(half) ** 2, math.sin(half) ** 2
 
-    lam2 = chained_survival(cfg.M, cfg.N, a2 * d2, b2 * d2)
+    pair2 = _chained_pair(cfg.M, cfg.N, a2 * d2, b2 * d2)
     lam3 = dcfo_success(cfg.K, cfg.N, d2 * s2)
     nabla7 = d2 * a2 * c2 + d2 * b2 * s2
     nabla8 = d2 * b2 * c2 + d2 * a2 * s2
-    lam4 = chained_survival(cfg.M, cfg.N, nabla7, nabla8)
-    lam5 = chained_survival(cfg.M, cfg.N, a2 * g2, b2 * g2, outer_cycles=2 * cfg.M)
+    pair4 = _chained_pair(cfg.M, cfg.N, nabla7, nabla8)
+    pair5 = _chained_pair(cfg.M, cfg.N, a2 * g2, b2 * g2, outer_cycles=2 * cfg.M)
+    lam2, lam4, lam5 = (f_out * f_in for f_out, f_in in (pair2, pair4, pair5))
     zeta0 = 1.0 - lam2 * lam3 * lam4
     zeta1 = 1.0 - lam2 * lam3 * lam4 * lam5
-    return StageProbabilities(
+    probs = StageProbabilities(
         lambda0=cqz_lambda0(cfg.M),
         lambda1=cqz_lambda1(cfg.M, cfg.N),
         lambda2=lam2,
@@ -310,6 +321,43 @@ def stage_probabilities_general(cfg: CycleConfig, inp: GeneralInput) -> StagePro
         nabla8=nabla8,
         zeta_m=(zeta0, zeta1),
     )
+    stages = [("toffoli", *pair2), ("flip-chain", 1.0, lam3), ("flip-pair", *pair4), ("controlled-z", *pair5)]
+    return probs, stages
+
+
+def stage_probabilities_general(cfg: CycleConfig, inp: GeneralInput) -> StageProbabilities:
+    """Evaluate every printed stage probability of the general protocol.
+
+    The controlled-phase stage (lambda5) runs 2M outer cycles at the
+    unchanged M-cycle step size and enters the abortion rate only for the
+    outcome branch m=1: zeta_m = 1 - lambda2*lambda3*lambda4*lambda5^m.
+    """
+    return _general_stages(cfg, inp)[0]
+
+
+def _bell_stages(cfg: CycleConfig, inp: BellInput) -> tuple[StageProbabilities, list[_Stage]]:
+    """Stage probabilities of the Bell-type protocol with each stage's factor pair."""
+    nab = abs(inp.c1) ** 2 if inp.ell == 0 else abs(inp.c0) ** 2
+    half = inp.angles.theta / 2.0
+    nabla9 = nab * math.cos(half) ** 2
+    nabla10 = nab * math.sin(half) ** 2
+
+    lam6 = dcfo_success(cfg.K, cfg.N, nab * math.sin(half) ** 2)
+    if inp.ell == 1:
+        pair7 = _chained_pair(cfg.M, cfg.N, nabla9, nabla10)
+    else:
+        pair7 = _chained_pair(cfg.M, cfg.N, nabla10, nabla9)
+    lam7 = pair7[0] * pair7[1]
+    probs = StageProbabilities(
+        lambda0=cqz_lambda0(cfg.M),
+        lambda1=cqz_lambda1(cfg.M, cfg.N),
+        lambda6=lam6,
+        lambda7=lam7,
+        nabla9=nabla9,
+        nabla10=nabla10,
+        zeta=1.0 - lam6 * lam7,
+    )
+    return probs, [("flip-chain", 1.0, lam6), ("controlled-z", *pair7)]
 
 
 def stage_probabilities_bell(cfg: CycleConfig, inp: BellInput) -> StageProbabilities:
@@ -320,25 +368,7 @@ def stage_probabilities_bell(cfg: CycleConfig, inp: BellInput) -> StageProbabili
     Class 1 puts nabla9 on the outer factor and nabla10 on the inner one;
     class 0 swaps them.
     """
-    nab = abs(inp.c1) ** 2 if inp.ell == 0 else abs(inp.c0) ** 2
-    half = inp.angles.theta / 2.0
-    nabla9 = nab * math.cos(half) ** 2
-    nabla10 = nab * math.sin(half) ** 2
-
-    lam6 = dcfo_success(cfg.K, cfg.N, nab * math.sin(half) ** 2)
-    if inp.ell == 1:
-        lam7 = chained_survival(cfg.M, cfg.N, nabla9, nabla10)
-    else:
-        lam7 = chained_survival(cfg.M, cfg.N, nabla10, nabla9)
-    return StageProbabilities(
-        lambda0=cqz_lambda0(cfg.M),
-        lambda1=cqz_lambda1(cfg.M, cfg.N),
-        lambda6=lam6,
-        lambda7=lam7,
-        nabla9=nabla9,
-        nabla10=nabla10,
-        zeta=1.0 - lam6 * lam7,
-    )
+    return _bell_stages(cfg, inp)[0]
 
 
 class AbsorberModel(Enum):
@@ -714,36 +744,16 @@ def simulate_cct(
         raise ValueError(f"trials must be >= 1, got {trials}")
 
     if isinstance(inp, GeneralInput):
-        probs = stage_probabilities_general(cfg, inp)
-        a2, b2 = abs(inp.alpha) ** 2, abs(inp.beta) ** 2
-        g2, d2 = abs(inp.gamma) ** 2, abs(inp.delta) ** 2
-        lam2 = _chained_factors(cfg.M, cfg.N, a2 * d2, b2 * d2)
-        lam4 = _chained_factors(cfg.M, cfg.N, probs.nabla7, probs.nabla8)
-        lam5 = _chained_factors(cfg.M, cfg.N, a2 * g2, b2 * g2, outer_cycles=2 * cfg.M)
-        base_stages = [
-            ("toffoli", lam2[0], lam2[1]),
-            ("flip-chain", 1.0, probs.lambda3),
-            ("flip-pair", lam4[0], lam4[1]),
-        ]
+        _, stages = _general_stages(cfg, inp)
         p0, transcripts = _protocol.run_general_branches(inp)
         fid = [
             fidelity(transcript.psi6m, _protocol.expected_output_general(inp, m))
             for m, transcript in enumerate(transcripts)
         ]
-        branches = [
-            (0, p0, base_stages, fid[0]),
-            (1, 1.0 - p0, [*base_stages, ("controlled-z", lam5[0], lam5[1])], fid[1]),
-        ]
+        # The controlled-phase stage acts on the m=1 branch only.
+        branches = [(0, p0, stages[:-1], fid[0]), (1, 1.0 - p0, stages, fid[1])]
     else:
-        probs = stage_probabilities_bell(cfg, inp)
-        if inp.ell == 1:
-            lam7 = _chained_factors(cfg.M, cfg.N, probs.nabla9, probs.nabla10)
-        else:
-            lam7 = _chained_factors(cfg.M, cfg.N, probs.nabla10, probs.nabla9)
-        stages = [
-            ("flip-chain", 1.0, probs.lambda6),
-            ("controlled-z", lam7[0], lam7[1]),
-        ]
+        _, stages = _bell_stages(cfg, inp)
         bell_fidelity = fidelity(_protocol.run_bell(inp).psi6m, _protocol.expected_output_bell(inp))
         branches = [(None, 1.0, stages, bell_fidelity)]
 

@@ -212,6 +212,20 @@ class TestSweepCommand:
         code = cli.main(["sweep", "--config", write_config(tmp_path, GENERAL_DOC), "--axis", "M", "--values", "3,zero"])
         assert code == cli.EXIT_CONFIG_ERROR
 
+    def test_parser_reused_after_a_usage_error(self, tmp_path, capsys):
+        # The parser is built once per process; a rejected command line must
+        # leave nothing behind for the next call.
+        assert cli.build_parser() is cli.build_parser()
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--config", "unused.json", "--axis", "Q"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        code = cli.main(
+            ["sweep", "--config", write_config(tmp_path, GENERAL_DOC), "--axis", "diag", "--values", "5,10", "--format", "csv"]
+        )
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().out == GOLDEN_SWEEP
+
 
 class TestMonteCarloCommand:
     def test_fixed_seed_is_byte_identical(self, tmp_path):

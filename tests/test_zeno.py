@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -161,6 +162,135 @@ class TestChainedSurvival:
         for i in range(1, 61):
             log_total += 60 * math.log1p(-0.3 * math.sin(i * math.pi / 120) ** 2 * s_n)
         assert direct == pytest.approx(math.exp(log_total), rel=1e-10)
+
+
+class TestLogSpacePrimitives:
+    @pytest.mark.parametrize("outer", [1, 2, 4, 5, 6, 12, 40, 150, 600, 2400])
+    def test_matches_the_scalar_half_angle_form(self, outer):
+        for cycles in (outer, 2 * outer, 3 * outer, 5 * outer + 1):
+            table = zeno._sin_sq_table(outer, cycles)
+            scalar = np.array([zeno._sin_sq_pi(i / (2 * outer)) for i in range(1, cycles + 1)])
+            assert table.shape == (cycles,)
+            # (1 - cos)/2 carries the cosine's absolute rounding, so an ulp
+            # is taken at no less than 0.5.
+            assert np.all(np.abs(table - scalar) <= 2 * np.spacing(np.maximum(scalar, 0.5))), (outer, cycles)
+            # Quarter turns (2i/outer an integer) are exact: sin^2(k pi/4).
+            for i in range(1, cycles + 1):
+                if 2 * i % outer == 0:
+                    exact = (0.0, 0.5, 1.0, 0.5)[(2 * i // outer) % 4]
+                    assert table[i - 1] == scalar[i - 1] == exact, (outer, cycles, i)
+
+    def test_log_space_product(self):
+        xs = np.array([0.25, 0.5, 0.0])
+        assert zeno._log_space_product(xs, 3) == pytest.approx((0.75 * 0.5) ** 3, rel=1e-15)
+        assert zeno._log_space_product(np.array([0.2, 1.0, 0.3]), 7) == 0.0
+        assert zeno._log_space_product(np.zeros(4), 100) == 1.0
+
+
+# The 50-digit reference below is written from the printed products alone.
+ORACLE_CYCLES = (5, 40, 150, 600, 2400)
+ORACLE_RTOL = 1e-9
+ORACLE_FLOOR = 1e-300
+
+
+@pytest.fixture(scope="module")
+def mp():
+    return pytest.importorskip("mpmath")
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_sin_sq_table(mp, outer: int) -> tuple:
+    """sin^2(i pi / 2 outer) for i = 1..3 outer at 50 digits."""
+    with mp.workdps(50):
+        return tuple(mp.sin(mp.pi * i / (2 * outer)) ** 2 for i in range(1, 3 * outer + 1))
+
+
+def _mp_chained(mp, outer, inner, w_out, w_in, cycles_list):
+    """(outer factor, inner factor) of a chained stage at 50 digits, for each
+    outer cycle count in ``cycles_list`` (at most 3 outer)."""
+    with mp.workdps(50):
+        s_m = _mp_sin_sq_table(mp, outer)
+        s_n = mp.sin(mp.pi / (2 * inner)) ** 2
+        logs = [mp.log(1 - w_in * s * s_n) for s in s_m[: max(cycles_list)]]
+        return [((1 - w_out * s_m[0]) ** cycles, mp.exp(inner * mp.fsum(logs[:cycles]))) for cycles in cycles_list]
+
+
+def _mp_survival(mp, outer, inner, w_out, w_in, cycles):
+    """Product of both factors of a chained stage at 50 digits."""
+    ((outer_factor, inner_factor),) = _mp_chained(mp, outer, inner, w_out, w_in, (cycles,))
+    with mp.workdps(50):
+        return outer_factor * inner_factor
+
+
+def _mp_dcfo(mp, chain, inner, weight):
+    with mp.workdps(50):
+        s_k = mp.sin(mp.pi / (2 * chain)) ** 2
+        s_n = mp.sin(mp.pi / (2 * inner)) ** 2
+        return ((1 - weight * (1 - s_k) * s_n) ** inner * (1 - weight * s_k)) ** chain
+
+
+def _assert_close(value, reference, label):
+    if reference < ORACLE_FLOOR:
+        return
+    assert abs(value - float(reference)) <= ORACLE_RTOL * float(reference), (label, value, float(reference))
+
+
+def _assert_zeta_close(mp, value, product, label):
+    """zeta = 1 - product, held relative to the larger of zeta and 1 - zeta."""
+    with mp.workdps(50):
+        reference = float(1 - product)
+        scale = max(reference, float(product))
+    assert abs(value - reference) <= ORACLE_RTOL * scale, (label, value, reference)
+
+
+class TestMpmathOracle:
+    """Closed forms against 50-digit products across the 10^4-factor log-space switch."""
+
+    @pytest.mark.parametrize("outer", ORACLE_CYCLES)
+    @pytest.mark.parametrize("inner", ORACLE_CYCLES)
+    def test_chained_factors(self, mp, outer, inner):
+        cycles_list = (outer, 2 * outer, 3 * outer)
+        refs = _mp_chained(mp, outer, inner, mp.mpf(0.3), mp.mpf(0.7), cycles_list)
+        for cycles, ref in zip(cycles_list, refs):
+            got = zeno._chained_factors(outer, inner, 0.3, 0.7, outer_cycles=cycles)
+            for value, reference, side in zip(got, ref, ("outer", "inner")):
+                _assert_close(value, reference, (outer, inner, cycles, side))
+        _assert_close(cqz_lambda1(outer, inner), _mp_survival(mp, outer, inner, 0, 1, outer), (outer, inner, "lambda1"))
+
+    @pytest.mark.parametrize("chain", ORACLE_CYCLES)
+    @pytest.mark.parametrize("inner", ORACLE_CYCLES)
+    def test_dcfo_success(self, mp, chain, inner):
+        for weight in (0.05, 0.7, 1.0):
+            _assert_close(dcfo_success(chain, inner, weight), _mp_dcfo(mp, chain, inner, mp.mpf(weight)),
+                          (chain, inner, weight))
+
+    @pytest.mark.parametrize("outer", ORACLE_CYCLES)
+    @pytest.mark.parametrize("inner", ORACLE_CYCLES)
+    def test_stage_zetas(self, mp, outer, inner):
+        angles = EulerAngles(0.2, 1.3, 0.4)
+        cfg = CycleConfig(outer, inner, outer)
+        general = GeneralInput(0.6, 0.8j, 0.8, 0.6, angles)
+        zeta0, zeta1 = stage_probabilities_general(cfg, general).zeta_m
+        with mp.workdps(50):
+            a2, b2, g2, d2 = (abs(mp.mpc(amp)) ** 2 for amp in (general.alpha, general.beta, general.gamma, general.delta))
+            c2, s2 = mp.cos(mp.mpf(angles.theta) / 2) ** 2, mp.sin(mp.mpf(angles.theta) / 2) ** 2
+            lam2 = _mp_survival(mp, outer, inner, a2 * d2, b2 * d2, outer)
+            lam3 = _mp_dcfo(mp, outer, inner, d2 * s2)
+            lam4 = _mp_survival(mp, outer, inner, d2 * (a2 * c2 + b2 * s2), d2 * (b2 * c2 + a2 * s2), outer)
+            lam5 = _mp_survival(mp, outer, inner, a2 * g2, b2 * g2, 2 * outer)
+            _assert_zeta_close(mp, zeta0, lam2 * lam3 * lam4, (outer, inner, "zeta0"))
+            _assert_zeta_close(mp, zeta1, lam2 * lam3 * lam4 * lam5, (outer, inner, "zeta1"))
+
+        for ell, c0, c1 in ((1, 0.6, 0.8j), (0, 0.8, 0.6)):
+            zeta = stage_probabilities_bell(cfg, BellInput(ell, 1, c0, c1, angles)).zeta
+            with mp.workdps(50):
+                weight = abs(mp.mpc(c1 if ell == 0 else c0)) ** 2
+                on_outer, on_inner = weight * c2, weight * s2
+                if ell == 0:
+                    on_outer, on_inner = on_inner, on_outer
+                lam6 = _mp_dcfo(mp, outer, inner, weight * s2)
+                lam7 = _mp_survival(mp, outer, inner, on_outer, on_inner, outer)
+                _assert_zeta_close(mp, zeta, lam6 * lam7, (outer, inner, ell, "zeta"))
 
 
 class TestStageProbabilitiesGeneral:
@@ -477,7 +607,7 @@ class TestOutcomeTables:
             raise AssertionError("outcome tables must come from the trajectory recursion")
 
         for name in ("qz_survival", "cqz_lambda0", "cqz_lambda1", "chained_survival", "_chained_factors",
-                     "_survival_power", "cepi_success", "coherent_qz_success"):
+                     "_survival_power", "_log_space_product", "cepi_success", "coherent_qz_success"):
             monkeypatch.setattr(zeno, name, forbidden)
         for model in AbsorberModel:
             zeno._gate_table((0.6, 0.8), "H", None, 5, model)
@@ -569,6 +699,32 @@ class TestSimulateCct:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             simulate_cct(CycleConfig(2, 2, 2), BALANCED, 0, 1)
+
+    @pytest.mark.parametrize(
+        "cfg,inp,seed,chained_calls,counts",
+        [
+            (CycleConfig(6, 6, 6), BALANCED, 73, 4, (752, 3457, 791)),
+            (CycleConfig(150, 150, 5), GeneralInput(0.6, 0.8j, 0.8, 0.6, EulerAngles(0.2, 1.3, 0.4)), 74, 4, (1855, 3112, 33)),
+            (CycleConfig(6, 6, 6), BellInput(1, -1, 0.6, 0.8, EulerAngles(0.4, 2.0, 1.3)), 79, 2, (1645, 3258, 97)),
+            (CycleConfig(5, 2400, 7), BellInput(0, 1, 0.8, 0.6, EulerAngles(0.4, 2.0, 1.3)), 80, 2, (4028, 431, 541)),
+        ],
+    )
+    def test_each_chained_stage_evaluated_once(self, monkeypatch, cfg, inp, seed, chained_calls, counts):
+        # One factor pair per chained stage (lambda2, lambda4, lambda5 or
+        # lambda7) plus lambda1; the (successes, absorbed, discarded) counts
+        # are the ones recorded before the pairs were shared.
+        calls = []
+        original = zeno._chained_factors
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(zeno, "_chained_factors", counting)
+        report = simulate_cct(cfg, inp, 5_000, seed)
+        assert len(calls) == chained_calls
+        assert (report.successes, report.absorbed, report.discarded) == counts
+        assert report.conditional_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 class TestModelConvergence:
