@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, checks, protocol, zeno
 from .gates import EulerAngles
-from .hilbert import is_unit_pair, schmidt_rank
+from .hilbert import schmidt_rank, unit_pair_error
 from .protocol import BellInput, GeneralInput
 from .zeno import CycleConfig
 
@@ -102,9 +102,9 @@ def _take_angles(doc: dict, errors: list[str]) -> EulerAngles:
 
 
 def _check_pair_norm(label: str, c0: complex, c1: complex, errors: list[str]) -> None:
-    if not is_unit_pair(c0, c1):
-        total = abs(c0) ** 2 + abs(c1) ** 2
-        errors.append(f"{label}: amplitudes must be finite with |c0|^2 + |c1|^2 = 1, got {total!r}")
+    error = unit_pair_error(c0, c1)
+    if error:
+        errors.append(f"{label}: {error}")
 
 
 def _non_finite_fields(value, path: str) -> Iterator[str]:

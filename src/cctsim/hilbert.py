@@ -259,15 +259,19 @@ def measure(
     return outcome, collapsed, weight
 
 
-def is_unit_pair(c0: complex, c1: complex) -> bool:
-    """True when both amplitudes are finite and |c0|^2 + |c1|^2 is within NORMALIZATION_TOL of 1.
+def unit_pair_error(c0: complex, c1: complex) -> str | None:
+    """None when both amplitudes are finite and |c0|^2 + |c1|^2 is within
+    NORMALIZATION_TOL of 1; otherwise the diagnostic, for the caller to
+    prefix with the pair's name.
 
     Written so that NaN fails: every comparison with NaN is False.
     """
     c0, c1 = complex(c0), complex(c1)
-    if not all(math.isfinite(part) for part in (c0.real, c0.imag, c1.real, c1.imag)):
-        return False
-    return abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) <= NORMALIZATION_TOL
+    total = abs(c0) ** 2 + abs(c1) ** 2
+    finite = all(math.isfinite(part) for part in (c0.real, c0.imag, c1.real, c1.imag))
+    if finite and abs(total - 1.0) <= NORMALIZATION_TOL:
+        return None
+    return f"amplitudes must be finite with |c0|^2 + |c1|^2 = 1, got {total!r}"
 
 
 def sample_counts(probs: Sequence[float], trials: int, rng: np.random.Generator) -> list[int]:

@@ -32,9 +32,9 @@ from .hilbert import (
     collapse,
     factor_out,
     fidelity,
-    is_unit_pair,
     sample_counts,
     tensor,
+    unit_pair_error,
 )
 
 # Ancilla weight above which the measurement's third level signals a fault.
@@ -46,9 +46,9 @@ class ProtocolFault(RuntimeError):
 
 
 def _check_amplitude_pair(label: str, c0: complex, c1: complex) -> None:
-    if not is_unit_pair(c0, c1):
-        total = abs(c0) ** 2 + abs(c1) ** 2
-        raise ValueError(f"{label} amplitudes must be finite with |c0|^2+|c1|^2 = 1, got {total!r}")
+    error = unit_pair_error(c0, c1)
+    if error:
+        raise ValueError(f"{label} {error}")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ absorption event fired, i.e. the photon was never found in the channel.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
@@ -28,15 +29,8 @@ from enum import Enum
 import numpy as np
 
 from . import protocol as _protocol
-from .hilbert import StateVector, fidelity, is_unit_pair, sample_counts
+from .hilbert import StateVector, fidelity, sample_counts, unit_pair_error
 from .protocol import BellInput, GeneralInput
-
-# Above this many factors a chained product is one numpy log-space sum
-# (_log_space_product), so sweeps with thousands of cycles stay accurate and
-# fast; at or below it the factors are multiplied one by one, whose rounding
-# the golden sweep pins.
-_LOG_SPACE_THRESHOLD = 10_000
-
 
 @dataclass(frozen=True)
 class CycleConfig:
@@ -62,42 +56,42 @@ class CycleConfig:
         return math.pi / (2 * self.K)
 
 
-def _cospi(x: float) -> float:
-    """cos(pi * x), exact at half-integer x (so quarter-turn angles are exact)."""
-    x = math.fmod(x, 2.0)
-    if x < 0.0:
-        x += 2.0
-    doubled = 2.0 * x
-    if doubled == math.floor(doubled):
-        return (1.0, 0.0, -1.0, 0.0)[int(doubled) % 4]
-    return math.cos(math.pi * x)
+def _half_turn_reduced(y: float) -> float:
+    """y reduced to [0, 1/2], where sin^2(pi y) and cos^2(pi y) take all their values."""
+    r = math.fmod(abs(y), 1.0)
+    return min(r, 1.0 - r)
 
 
 def _sin_sq_pi(y: float) -> float:
-    """sin^2(pi * y) via the half-angle identity; exact at quarter turns."""
-    return (1.0 - _cospi(2.0 * y)) / 2.0
+    """sin^2(pi * y) without cancellation; exact at every quarter turn.
+
+    With r = _half_turn_reduced(y), this is sin(pi r)^2 up to a quarter
+    turn and cos(pi (1/2 - r))^2 above it, where 1/2 - r is exact, so
+    small values keep full relative precision.
+    """
+    r = _half_turn_reduced(y)
+    if r == 0.25:
+        return 0.5
+    return math.sin(math.pi * r) ** 2 if r < 0.25 else math.cos(math.pi * (0.5 - r)) ** 2
 
 
 def _cos_sq_pi(y: float) -> float:
-    """cos^2(pi * y) via the half-angle identity; exact at quarter turns."""
-    return (1.0 + _cospi(2.0 * y)) / 2.0
+    """cos^2(pi * y), the mirror image of _sin_sq_pi."""
+    r = _half_turn_reduced(y)
+    if r == 0.25:
+        return 0.5
+    return math.cos(math.pi * r) ** 2 if r < 0.25 else math.sin(math.pi * (0.5 - r)) ** 2
 
 
-_QUARTER_TURN_COS = np.array([1.0, 0.0, -1.0, 0.0])
-
-
+@functools.lru_cache(maxsize=32)
 def _sin_sq_table(outer: int, cycles: int) -> np.ndarray:
-    """_sin_sq_pi(i / (2 * outer)) for i = 1..cycles, as one array.
-
-    Same semantics as _cospi: the argument i / outer is reduced mod 2 and
-    every quarter turn is exact, also for cycles beyond 2 * outer.
-    """
-    x = np.fmod(np.arange(1, cycles + 1) / outer, 2.0)
-    cos = np.cos(np.pi * x)
-    doubled = 2.0 * x
-    quarter = doubled == np.floor(doubled)
-    cos[quarter] = _QUARTER_TURN_COS[doubled[quarter].astype(np.int64) % 4]
-    return (1.0 - cos) / 2.0
+    """_sin_sq_pi(i / (2 * outer)) for i = 1..cycles, as one read-only array."""
+    r = np.fmod(np.arange(1, cycles + 1) / (2 * outer), 1.0)
+    r = np.minimum(r, 1.0 - r)
+    table = np.where(r < 0.25, np.sin(np.pi * r), np.cos(np.pi * (0.5 - r))) ** 2
+    table[r == 0.25] = 0.5
+    table.flags.writeable = False
+    return table
 
 
 def _log_space_product(xs: np.ndarray, n: int) -> float:
@@ -108,18 +102,19 @@ def _log_space_product(xs: np.ndarray, n: int) -> float:
 
 
 def _survival_power(x: float, n: int) -> float:
-    """(1 - x)^n for a per-cycle loss x in [0, 1]."""
+    """(1 - x)^n = exp(n log1p(-x)) for a per-cycle loss x in [0, 1]."""
+    return math.exp(n * math.log1p(-x)) if x < 1.0 else 0.0
+
+
+def _power(x: float, n: int) -> float:
+    """(1 - x)^n as pow(1 - x, n), corrected by the exact rounding error of 1 - x.
+
+    Unlike exp/log this keeps exact rationals exact ((3/4)^2 is 9/16).
+    """
     if x >= 1.0:
         return 0.0
-    if x <= 0.0:
-        return 1.0
-    if n > _LOG_SPACE_THRESHOLD:
-        return math.exp(n * math.log1p(-x))
     base = 1.0 - x
-    out = 1.0
-    for _ in range(n):
-        out *= base
-    return out
+    return base**n * math.exp(n * math.log1p(((1.0 - base) - x) / base))
 
 
 def _validate_cycles(**counts: int) -> None:
@@ -182,24 +177,24 @@ def coherent_qz_success(inner: int, nabla: float) -> float:
     return nabla * qz_survival(inner)
 
 
-def dcfo_stage_success(chain: int, inner: int, nabla: float) -> float:
-    """Per-stage success (1 - nabla cos^2 theta_K sin^2 theta_N)^N (1 - nabla sin^2 theta_K)."""
+def _collapse_chain_losses(chain: int, inner: int, nabla: float) -> tuple[float, float]:
+    """Per-cycle losses (nabla cos^2 theta_K sin^2 theta_N, nabla sin^2 theta_K) of a collapse stage."""
     _validate_cycles(K=chain, N=inner)
     _validate_weight("nabla", nabla)
     y = 1.0 / (2 * chain)
-    first = _survival_power(nabla * _cos_sq_pi(y) * _sin_sq_pi(1.0 / (2 * inner)), inner)
-    return first * (1.0 - nabla * _sin_sq_pi(y))
+    return nabla * _cos_sq_pi(y) * _sin_sq_pi(1.0 / (2 * inner)), nabla * _sin_sq_pi(y)
+
+
+def dcfo_stage_success(chain: int, inner: int, nabla: float) -> float:
+    """Per-stage success (1 - nabla cos^2 theta_K sin^2 theta_N)^N (1 - nabla sin^2 theta_K)."""
+    first, second = _collapse_chain_losses(chain, inner, nabla)
+    return _power(first, inner) * _power(second, 1)
 
 
 def dcfo_success(chain: int, inner: int, nabla: float) -> float:
     """Success of K concatenated collapse stages: dcfo_stage_success^K."""
-    stage = dcfo_stage_success(chain, inner, nabla)
-    if chain > _LOG_SPACE_THRESHOLD:
-        return math.exp(chain * math.log(stage)) if stage > 0.0 else 0.0
-    out = 1.0
-    for _ in range(chain):
-        out *= stage
-    return out
+    first, second = _collapse_chain_losses(chain, inner, nabla)
+    return _power(first, inner * chain) * _power(second, chain)
 
 
 def ddcfo_success(chain: int, inner: int, nabla4: float) -> float:
@@ -217,21 +212,18 @@ def _chained_factors(
     stage runs 2M cycles at the M-cycle step size).
     """
     cycles = outer if outer_cycles is None else outer_cycles
-    outer_factor = _survival_power(outer_weight * _sin_sq_pi(1.0 / (2 * outer)), cycles)
     s_n = _sin_sq_pi(1.0 / (2 * inner))
-    if cycles * inner > _LOG_SPACE_THRESHOLD:
-        return outer_factor, _log_space_product(inner_weight * _sin_sq_table(outer, cycles) * s_n, inner)
-    inner_factor = 1.0
-    for i in range(1, cycles + 1):
-        inner_factor *= _survival_power(inner_weight * _sin_sq_pi(i / (2 * outer)) * s_n, inner)
-    return outer_factor, inner_factor
+    return (
+        _survival_power(outer_weight * _sin_sq_pi(1.0 / (2 * outer)), cycles),
+        _log_space_product(inner_weight * _sin_sq_table(outer, cycles) * s_n, inner),
+    )
 
 
 def _chained_pair(
     outer: int, inner: int, outer_weight: float, inner_weight: float, outer_cycles: int | None = None
 ) -> tuple[float, float]:
     """_chained_factors after validating the cycle counts and weights."""
-    _validate_cycles(M=outer, N=inner)
+    _validate_cycles(M=outer, N=inner, outer_cycles=outer if outer_cycles is None else outer_cycles)
     _validate_weight("outer_weight", outer_weight)
     _validate_weight("inner_weight", inner_weight)
     return _chained_factors(outer, inner, outer_weight, inner_weight, outer_cycles)
@@ -415,9 +407,9 @@ _POL_INDEX = {"H": 0, "V": 1}
 
 def _validate_absorber(absorber: tuple[complex, complex]) -> tuple[complex, complex]:
     a, b = complex(absorber[0]), complex(absorber[1])
-    if not is_unit_pair(a, b):
-        total = abs(a) ** 2 + abs(b) ** 2
-        raise ValueError(f"absorber amplitudes must be finite and normalized, got |a|^2+|b|^2 = {total!r}")
+    error = unit_pair_error(a, b)
+    if error:
+        raise ValueError(f"absorber {error}")
     return a, b
 
 
@@ -448,28 +440,34 @@ def _exit_state(final: np.ndarray) -> tuple[float, StateVector | None]:
     return weight, (StateVector((2, 2), final.reshape(-1) / norm) if weight > 0.0 else None)
 
 
+def _rotation_step(cycles: int) -> tuple[float, float]:
+    """cos and sin of the per-cycle rotation pi/(2 cycles); one cycle is an exact quarter turn."""
+    if cycles == 1:
+        return 0.0, 1.0
+    return math.cos(math.pi / (2 * cycles)), math.sin(math.pi / (2 * cycles))
+
+
 def _qz_coherent_rows(a: complex, b: complex, pol0: int, inner: int) -> Iterator[_Row]:
     # Joint amplitudes indexed (absence/presence, design/channel pol).  They
     # are never renormalized, so each removed component's squared modulus is
-    # the unconditional probability of its event.
-    amps = np.zeros((2, 2), dtype=np.complex128)
-    amps[0, 0] = b
-    amps[1, 0] = a
-    cos_t = math.cos(math.pi / (2 * inner))
-    sin_t = math.sin(math.pi / (2 * inner))
+    # the unconditional probability of its event.  Only the presence row is
+    # ever absorbed: each cycle it keeps cos theta_N of its design amplitude
+    # and loses the rotated-out sin theta_N part.  The absence row is never
+    # absorbed, so its N rotations make one exact quarter turn onto the
+    # channel polarization.
+    cos_t, sin_t = _rotation_step(inner)
+    design = complex(a)
     for index in range(1, inner + 1):
-        rotated = amps.copy()
-        rotated[:, 0] = cos_t * amps[:, 0] - sin_t * amps[:, 1]
-        rotated[:, 1] = sin_t * amps[:, 0] + cos_t * amps[:, 1]
-        amps = rotated
-        yield abs(amps[1, 1]) ** 2, OutcomeKind.ABSORBED_BY_ELECTRON, "qz:channel", index, None, True
-        amps[1, 1] = 0.0
-    # Exit splitter: measure the photon in the gate frame.
-    for column, pol_index, kind in ((0, pol0, OutcomeKind.SUCCESS), (1, 1 - pol0, OutcomeKind.ABSORBED_BY_ELECTRON)):
+        yield abs(sin_t * design) ** 2, OutcomeKind.ABSORBED_BY_ELECTRON, "qz:channel", index, None, True
+        design *= cos_t
+    # Exit splitter: the presence row leaves in the design polarization as
+    # Success, the absence row in the channel polarization.
+    for row, amplitude, pol_index, kind in ((1, design, pol0, OutcomeKind.SUCCESS),
+                                            (0, b, 1 - pol0, OutcomeKind.ABSORBED_BY_ELECTRON)):
         final = np.zeros((2, 2), dtype=np.complex128)
-        final[:, pol_index] = amps[:, column]
+        final[row, pol_index] = amplitude
         p_exit, state = _exit_state(final)
-        yield p_exit, kind, "qz:exit", inner, state, column == 1
+        yield p_exit, kind, "qz:exit", inner, state, row == 0
 
 
 def _cqz_born_rows(a: complex, b: complex, pol0: int, outer: int, inner: int) -> Iterator[_Row]:
@@ -496,29 +494,26 @@ def _cqz_coherent_rows(a: complex, b: complex, pol0: int, outer: int, inner: int
     amps = np.zeros((2, 2), dtype=np.complex128)
     amps[0, 0] = b
     amps[1, 0] = a
-    cos_m = math.cos(math.pi / (2 * outer))
-    sin_m = math.sin(math.pi / (2 * outer))
-    cos_n = math.cos(math.pi / (2 * inner))
-    sin_n = math.sin(math.pi / (2 * inner))
+    cos_m, sin_m = _rotation_step(outer)
+    cos_n, sin_n = _rotation_step(inner)
     for i in range(1, outer + 1):
         rotated = amps.copy()
         rotated[:, 0] = cos_m * amps[:, 0] - sin_m * amps[:, 1]
         rotated[:, 1] = sin_m * amps[:, 0] + cos_m * amps[:, 1]
         amps = rotated
         # Channel components enter the inner gate; its own channel is the
-        # outer design polarization, read by the detector on exit.
-        inner_design = amps[:, 1].copy()
-        inner_channel = np.zeros(2, dtype=np.complex128)
+        # outer design polarization, read by the detector on exit.  As in
+        # _qz_coherent_rows, the presence component loses its rotated-out
+        # part to absorption each inner cycle, and the absence component
+        # makes one exact quarter turn onto the detector.
+        design = complex(amps[1, 1])
         absorbed = 0.0
         for _ in range(inner):
-            new_design = cos_n * inner_design - sin_n * inner_channel
-            new_channel = sin_n * inner_design + cos_n * inner_channel
-            inner_design, inner_channel = new_design, new_channel
-            absorbed += abs(inner_channel[1]) ** 2
-            inner_channel[1] = 0.0
+            absorbed += abs(sin_n * design) ** 2
+            design *= cos_n
         yield absorbed, OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i, None, True
-        yield abs(inner_channel[0]) ** 2, OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", i, None, False
-        amps[:, 1] = inner_design
+        yield abs(amps[0, 1]) ** 2, OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", i, None, False
+        amps[:, 1] = 0.0, design
     # Map the gate frame back onto (H, V) and deliver the coherent exit state.
     final = np.zeros((2, 2), dtype=np.complex128)
     final[:, pol0] = amps[:, 0]

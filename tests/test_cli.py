@@ -27,8 +27,8 @@ GENERAL_DOC = {
 # Schema-stable golden rows: column order and 17-significant-digit floats.
 GOLDEN_SWEEP = """\
 axis,value,lambda2,lambda3,lambda4,lambda5,zeta0,zeta1
-diag,5,0.67354905475526827,0.72127311781217218,0.69651496110899702,0.29672068821864611,0.66162409788893528,0.89959686944899964
-diag,10,0.7099580408301831,0.72263377240724913,0.73757248738484871,0.3265290709120125,0.6215960638411373,0.87644011429659807
+diag,5,0.67354905475526805,0.72127311781217252,0.69651496110899691,0.29672068821864589,0.66162409788893528,0.89959686944899975
+diag,10,0.70995804083018454,0.72263377240724735,0.7375724873848486,0.32652907091201311,0.62159606384113752,0.87644011429659796
 """
 
 
@@ -161,6 +161,36 @@ class TestSweepCommand:
         )
         assert code == cli.EXIT_OK
         assert capsys.readouterr().out == GOLDEN_SWEEP
+
+    def test_golden_cells_match_a_50_digit_oracle(self):
+        # Each golden cell lies within 2 ulp of the printed products taken at
+        # 50 digits.  The stage weights are formed in double precision as the
+        # protocol forms them, so the bound measures the products alone.
+        mp = pytest.importorskip("mpmath")
+        a2, b2, g2, d2 = (abs(complex(*GENERAL_DOC[key])) ** 2 for key in ("alpha", "beta", "gamma", "delta"))
+        half = GENERAL_DOC["angles"]["theta"] / 2.0
+        c2, s2 = math.cos(half) ** 2, math.sin(half) ** 2
+        for line in GOLDEN_SWEEP.splitlines()[1:]:
+            _, value, *cells = line.split(",")
+            d = int(value)
+            with mp.workdps(50):
+                step = mp.pi / (2 * d)
+
+                def chained(w_out, w_in, cycles):
+                    product = (1 - mp.mpf(w_out) * mp.sin(step) ** 2) ** cycles
+                    for i in range(1, cycles + 1):
+                        product *= (1 - mp.mpf(w_in) * mp.sin(i * step) ** 2 * mp.sin(step) ** 2) ** d
+                    return product
+
+                w3 = mp.mpf(d2 * s2)
+                lam2 = chained(a2 * d2, b2 * d2, d)
+                lam3 = ((1 - w3 * mp.cos(step) ** 2 * mp.sin(step) ** 2) ** d * (1 - w3 * mp.sin(step) ** 2)) ** d
+                lam4 = chained(d2 * a2 * c2 + d2 * b2 * s2, d2 * b2 * c2 + d2 * a2 * s2, d)
+                lam5 = chained(a2 * g2, b2 * g2, 2 * d)
+                references = (lam2, lam3, lam4, lam5, 1 - lam2 * lam3 * lam4, 1 - lam2 * lam3 * lam4 * lam5)
+                for column, cell, reference in zip(cli.SWEEP_COLUMNS_GENERAL[2:], cells, references):
+                    ulps = abs(mp.mpf(cell) - reference) / math.ulp(float(reference))
+                    assert ulps <= 2, (value, column, cell, float(ulps))
 
     def test_bell_columns(self, tmp_path, capsys):
         code = cli.main(

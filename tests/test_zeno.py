@@ -151,7 +151,7 @@ class TestChainedSurvival:
             assert chained_survival(outer, inner, 0.0, 1.0) == cqz_lambda1(outer, inner)
 
     def test_log_space_path_matches_direct(self):
-        # Same stage evaluated just under and far over the log-space switch.
+        # Same stage at 60 x 60 and at 600 x 600 factors.
         direct = chained_survival(60, 60, 0.2, 0.3)
         assert 0.0 < direct < 1.0
         big = chained_survival(600, 600, 0.2, 0.3)
@@ -164,6 +164,12 @@ class TestChainedSurvival:
         assert direct == pytest.approx(math.exp(log_total), rel=1e-10)
 
 
+    @pytest.mark.parametrize("outer_cycles", [0, -3, 2.5])
+    def test_outer_cycles_validated(self, outer_cycles):
+        with pytest.raises(ValueError):
+            chained_survival(5, 5, 0.5, 0.5, outer_cycles=outer_cycles)
+
+
 class TestLogSpacePrimitives:
     @pytest.mark.parametrize("outer", [1, 2, 4, 5, 6, 12, 40, 150, 600, 2400])
     def test_matches_the_scalar_half_angle_form(self, outer):
@@ -171,14 +177,42 @@ class TestLogSpacePrimitives:
             table = zeno._sin_sq_table(outer, cycles)
             scalar = np.array([zeno._sin_sq_pi(i / (2 * outer)) for i in range(1, cycles + 1)])
             assert table.shape == (cycles,)
-            # (1 - cos)/2 carries the cosine's absolute rounding, so an ulp
-            # is taken at no less than 0.5.
+            # numpy's and math's sin/cos may round differently, so an ulp is
+            # taken at no less than 0.5.
             assert np.all(np.abs(table - scalar) <= 2 * np.spacing(np.maximum(scalar, 0.5))), (outer, cycles)
             # Quarter turns (2i/outer an integer) are exact: sin^2(k pi/4).
             for i in range(1, cycles + 1):
                 if 2 * i % outer == 0:
                     exact = (0.0, 0.5, 1.0, 0.5)[(2 * i // outer) % 4]
                     assert table[i - 1] == scalar[i - 1] == exact, (outer, cycles, i)
+
+    def test_small_angles_keep_relative_precision(self, mp):
+        for outer in (2, 7, 150, 2400, 10**6):
+            y = 1.0 / (2 * outer)
+            with mp.workdps(50):
+                reference = mp.sin(mp.pi * mp.mpf(y)) ** 2
+            for value in (zeno._sin_sq_pi(y), zeno._sin_sq_table(outer, 1)[0]):
+                assert abs(mp.mpf(value) - reference) <= 2 * math.ulp(float(reference)), (outer, value)
+        with mp.workdps(50):
+            reference = mp.cos(mp.pi / 10) ** 2
+        assert abs(mp.mpf(zeno._cos_sq_pi(0.1)) - reference) <= math.ulp(float(reference))
+
+    def test_sin_sq_table_is_shared_and_read_only(self):
+        table = zeno._sin_sq_table(5, 10)
+        assert zeno._sin_sq_table(5, 10) is table
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+    def test_power_keeps_exact_rationals(self, mp):
+        assert zeno._power(0.25, 2) == 0.5625
+        assert zeno._power(0.5, 3) == 0.125
+        assert zeno._power(0.0, 7) == 1.0
+        assert zeno._power(1.0, 3) == 0.0
+        # 1 - 0.1 rounds; the correction restores the exact power.
+        for n in (1, 10, 1_000, 5_000):
+            with mp.workdps(50):
+                reference = (1 - mp.mpf(0.1)) ** n
+            assert abs(mp.mpf(zeno._power(0.1, n)) - reference) <= 4 * math.ulp(float(reference)), n
 
     def test_log_space_product(self):
         xs = np.array([0.25, 0.5, 0.0])
@@ -189,7 +223,7 @@ class TestLogSpacePrimitives:
 
 # The 50-digit reference below is written from the printed products alone.
 ORACLE_CYCLES = (5, 40, 150, 600, 2400)
-ORACLE_RTOL = 1e-9
+ORACLE_RTOL = 1e-12
 ORACLE_FLOOR = 1e-300
 
 
@@ -244,7 +278,7 @@ def _assert_zeta_close(mp, value, product, label):
 
 
 class TestMpmathOracle:
-    """Closed forms against 50-digit products across the 10^4-factor log-space switch."""
+    """Closed forms against 50-digit products, from 25 to 3 * 2400^2 factors."""
 
     @pytest.mark.parametrize("outer", ORACLE_CYCLES)
     @pytest.mark.parametrize("inner", ORACLE_CYCLES)
@@ -602,12 +636,24 @@ class TestOutcomeTables:
                             assert np.all(probs > 0.0), case
                             assert abs(probs.sum() - 1.0) <= 1e-12, case
 
+    @pytest.mark.parametrize("model", list(AbsorberModel))
+    @pytest.mark.parametrize("cycles", [1, 2, 5, 40])
+    def test_pure_absence_never_succeeds_where_impossible(self, model, cycles):
+        # Without a blocker the single gate always flips, and one outer cycle
+        # of the chained gate is a quarter turn that leaves nothing to exit.
+        for outer in (None, 1):
+            for polarization in ("H", "V"):
+                outcomes, probs = zeno._gate_table((0.0, 1.0), polarization, outer, cycles, model)
+                assert all(outcome.kind is not OutcomeKind.SUCCESS for outcome in outcomes), (outer, polarization)
+                assert abs(probs.sum() - 1.0) <= 1e-12
+
     def test_tables_do_not_use_the_closed_forms(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("outcome tables must come from the trajectory recursion")
 
         for name in ("qz_survival", "cqz_lambda0", "cqz_lambda1", "chained_survival", "_chained_factors",
-                     "_survival_power", "_log_space_product", "cepi_success", "coherent_qz_success"):
+                     "_survival_power", "_log_space_product", "cepi_success", "coherent_qz_success",
+                     "_power", "_sin_sq_table", "_cos_sq_pi", "_collapse_chain_losses"):
             monkeypatch.setattr(zeno, name, forbidden)
         for model in AbsorberModel:
             zeno._gate_table((0.6, 0.8), "H", None, 5, model)
