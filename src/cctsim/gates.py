@@ -7,7 +7,10 @@ state which slice of the register they act on.
 
 Matrices are assembled as explicit sums of |out><in| blocks over basis
 labels rather than compiled from primitive gates, so each constructor can
-be audited against its intended basis action line by line.
+be audited against its intended basis action line by line.  The
+angle-keyed local operations (v11, v13, tilde_v1) write their 2x2 blocks
+into fixed index pairs of an identity matrix, which gives the same entries
+as the sum of kron(block, projector) terms without building it.
 """
 
 from __future__ import annotations
@@ -92,9 +95,13 @@ def rotation_z(varphi: float) -> Operator:
     return Operator((2,), _rz(varphi))
 
 
+def _euler(angles: EulerAngles) -> np.ndarray:
+    return _rz(angles.phi) @ _ry(angles.theta) @ _rz(angles.varphi)
+
+
 def euler_unitary(angles: EulerAngles) -> Operator:
     """General single-qubit unitary rotation_z(phi) . rotation_y(theta) . rotation_z(varphi)."""
-    return rotation_z(angles.phi) @ rotation_y(angles.theta) @ rotation_z(angles.varphi)
+    return Operator((2,), _euler(angles))
 
 
 def u_m(angles: EulerAngles, m: int) -> Operator:
@@ -115,12 +122,23 @@ def controlled_unitary(u: Operator) -> Operator:
     return Operator((2, 2), entries)
 
 
+def _blocks_on_b(c_dim: int, blocks: dict[int, np.ndarray]) -> np.ndarray:
+    """Matrix on B (x) C acting as ``blocks[c]`` on B where C = c, identity elsewhere.
+
+    Writes each 2x2 block into the rows and columns of |0, c> and |1, c>
+    (indices c and c_dim + c) of an identity matrix: at every entry, the
+    value of sum_c kron(block_c, |c><c|) plus the identity where no block sits.
+    """
+    entries = np.eye(2 * c_dim, dtype=np.complex128)
+    for c, block in blocks.items():
+        entries[c::c_dim, c::c_dim] = block
+    return entries
+
+
 @lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def v11(angles: EulerAngles) -> Operator:
     """On B (x) C: apply rotation_z(varphi).X to B when C=1, identity when C is 0 or 2."""
-    b1 = _rz(angles.varphi) @ _X
-    entries = np.kron(_I2, _proj(3, 0)) + np.kron(b1, _proj(3, 1)) + np.kron(_I2, _proj(3, 2))
-    return Operator((2, 3), entries)
+    return Operator((2, 3), _blocks_on_b(3, {1: _rz(angles.varphi) @ _X}))
 
 
 @lru_cache(maxsize=None)
@@ -139,8 +157,7 @@ def v12() -> Operator:
 def v13(angles: EulerAngles) -> Operator:
     """On B (x) C: apply rotation_z(phi).rotation_y(theta) to B when C is 1 or 2."""
     b2 = _rz(angles.phi) @ _ry(angles.theta)
-    entries = np.kron(_I2, _proj(3, 0)) + np.kron(b2, _proj(3, 1)) + np.kron(b2, _proj(3, 2))
-    return Operator((2, 3), entries)
+    return Operator((2, 3), _blocks_on_b(3, {1: b2, 2: b2}))
 
 
 @lru_cache(maxsize=None)
@@ -153,7 +170,7 @@ def v14() -> Operator:
 @lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def v1(angles: EulerAngles) -> Operator:
     """Bob's composite local operation on B (x) C: v14 . v13 . v12 . v11."""
-    return v14() @ v13(angles) @ v12() @ v11(angles)
+    return Operator((2, 3), v14().entries @ v13(angles).entries @ v12().entries @ v11(angles).entries)
 
 
 @lru_cache(maxsize=None)
@@ -245,9 +262,8 @@ def tilde_v1(angles: EulerAngles, ell: int) -> Operator:
     """Bell-variant local operation on B (x) C: X^(1-ell) U X^ell on B when C=1."""
     if ell not in (0, 1):
         raise ValueError(f"class index must be 0 or 1, got {ell}")
-    block = _x_power(1 - ell) @ euler_unitary(angles).entries @ _x_power(ell)
-    entries = np.kron(_I2, _proj(2, 0)) + np.kron(block, _proj(2, 1))
-    return Operator((2, 2), entries)
+    block = _x_power(1 - ell) @ _euler(angles) @ _x_power(ell)
+    return Operator((2, 2), _blocks_on_b(2, {1: block}))
 
 
 @lru_cache(maxsize=None)

@@ -8,14 +8,18 @@ protocol layer fixes that order as A (Alice's target qubit), B (Bob's
 control qubit), C (ancilla) and never permutes it.
 
 All values are immutable after construction and safe to share between
-threads.  Randomness enters only through explicitly passed generators.
+threads.  An Operator also keeps the plans ``apply`` builds for it (one per
+register shape and target list); a plan is a pure function of the
+operator's entries, so two threads that build the same plan build equal
+ones.  Randomness enters only through explicitly passed generators.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +60,21 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     @classmethod
+    def _trusted(cls, dims: tuple[int, ...], amps: np.ndarray) -> StateVector:
+        """State from checked ``dims`` and a freshly built 1-D complex128 array
+        of matching size, without revalidating either.
+
+        For arrays this package has just computed; the state takes ownership
+        of ``amps`` and makes it read-only.  Public construction validates.
+        """
+        state = object.__new__(cls)
+        amps.setflags(write=False)
+        fields = state.__dict__
+        fields["dims"] = dims
+        fields["amps"] = amps
+        return state
+
+    @classmethod
     def basis(cls, dims: Iterable[int], labels: Sequence[int]) -> StateVector:
         """Computational basis ket |labels> over the given dims."""
         dims = _check_dims(dims)
@@ -64,19 +83,13 @@ class StateVector:
         return cls(dims, amps)
 
     @classmethod
-    def from_terms(
-        cls,
-        dims: Iterable[int],
-        terms: Mapping[tuple[int, ...], complex],
-        normalize: bool = False,
-    ) -> StateVector:
+    def from_terms(cls, dims: Iterable[int], terms: Mapping[tuple[int, ...], complex]) -> StateVector:
         """State assembled from a {basis labels: amplitude} mapping."""
         dims = _check_dims(dims)
         amps = np.zeros(math.prod(dims), dtype=np.complex128)
         for labels, amp in terms.items():
             amps[int(np.ravel_multi_index(tuple(labels), dims))] += amp
-        state = cls(dims, amps)
-        return state.normalized() if normalize else state
+        return cls(dims, amps)
 
     def index_of(self, labels: Sequence[int]) -> int:
         return int(np.ravel_multi_index(tuple(labels), self.dims))
@@ -91,10 +104,12 @@ class StateVector:
         return abs(self.squared_norm() - 1.0) <= tol
 
     def normalized(self) -> StateVector:
-        norm = np.linalg.norm(self.amps)
+        # np.linalg.norm's own sum for complex vectors, without its dispatch.
+        re, im = self.amps.real, self.amps.imag
+        norm = math.sqrt(re.dot(re) + im.dot(im))
         if norm <= NORMALIZATION_TOL:
             raise ValueError("cannot normalize a (near-)zero state vector")
-        return StateVector(self.dims, self.amps / norm)
+        return StateVector._trusted(self.dims, self.amps / norm)
 
 
 @dataclass(frozen=True)
@@ -107,6 +122,8 @@ class Operator:
 
     dims: tuple[int, ...]
     entries: np.ndarray
+    # apply's plans for this operator, keyed by (state dims, targets).
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dims = _check_dims(self.dims)
@@ -159,7 +176,7 @@ class Operator:
 def tensor(a: StateVector | Operator, b: StateVector | Operator):
     """Kronecker product of two states or two operators; dims concatenate."""
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(a.dims + b.dims, np.kron(a.amps, b.amps))
+        return StateVector._trusted(a.dims + b.dims, np.kron(a.amps, b.amps))
     if isinstance(a, Operator) and isinstance(b, Operator):
         return Operator(a.dims + b.dims, np.kron(a.entries, b.entries))
     raise TypeError("tensor requires two StateVectors or two Operators")
@@ -169,41 +186,125 @@ def apply(op: Operator, state: StateVector, targets: Sequence[int]) -> StateVect
     """Apply ``op`` to the listed subsystems of ``state``, identity elsewhere.
 
     ``targets`` are subsystem indices in the order matching ``op.dims``.
+    The first call for a given register and targets validates them and
+    stores a plan on ``op``; later calls with the same operator run that
+    plan directly.
     """
-    targets = [int(t) for t in targets]
-    n = len(state.dims)
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"repeated target index in {targets}")
-    if any(t < 0 or t >= n for t in targets):
-        raise ValueError(f"target index out of range for {n} subsystems: {targets}")
-    target_dims = tuple(state.dims[t] for t in targets)
-    if op.dims != target_dims:
-        raise ValueError(f"operator dims {op.dims} do not match targeted subsystem dims {target_dims}")
+    key = (state.dims, tuple(targets))
+    plan = op._plans.get(key)
+    if plan is None:
+        plan = op._plans[key] = _apply_plan(op, *key)
+    return StateVector._trusted(state.dims, plan(state.amps))
 
-    k = len(targets)
-    block = math.prod(target_dims)
+
+def _apply_plan(op: Operator, dims: tuple[int, ...], targets: tuple[int, ...]):
+    """Function from a register's amplitudes to ``op``'s output amplitudes.
+
+    A signed permutation becomes one gather over the whole register; any
+    other operator keeps a matrix product.  For finite amplitudes the
+    gather gives the product's values (a zero may change sign).
+    """
+    targets, layout = _layout(op.dims, dims, targets)
+    permutation = _signed_permutation(op.entries)
+    if permutation is not None:
+        index, negated = _register_gather(*permutation, dims, targets)
+        if negated is None:
+            return lambda amps: amps[index]
+
+        def signed_gather(amps: np.ndarray) -> np.ndarray:
+            out = amps[index]
+            np.negative(out, out=out, where=negated)
+            return out
+
+        return signed_gather
+
+    entries = op.entries
+    block = entries.shape[0]
     # Contiguous blocks in register order reduce to a plain matrix product.
-    if targets == list(range(n - k, n)):
-        out = (state.amps.reshape(-1, block) @ op.entries.T).reshape(-1)
-        return StateVector(state.dims, out)
-    if targets == list(range(k)):
-        out = (op.entries @ state.amps.reshape(block, -1)).reshape(-1)
-        return StateVector(state.dims, out)
-    psi = state.amps.reshape(state.dims)
-    moved = np.moveaxis(psi, targets, range(k))
-    op_tensor = op.entries.reshape(op.dims + op.dims)
-    contracted = np.tensordot(op_tensor, moved, axes=(tuple(range(k, 2 * k)), tuple(range(k))))
-    result = np.moveaxis(contracted, range(k), targets)
-    return StateVector(state.dims, result.reshape(-1))
+    if layout == "last":
+        transposed = entries.T
+        return lambda amps: (amps.reshape(-1, block) @ transposed).reshape(-1)
+    if layout == "first":
+        return lambda amps: (entries @ amps.reshape(block, -1)).reshape(-1)
+    k = len(targets)
+    op_tensor = entries.reshape(op.dims + op.dims)
+    axes = (tuple(range(k, 2 * k)), tuple(range(k)))
+
+    def contract(amps: np.ndarray) -> np.ndarray:
+        moved = np.moveaxis(amps.reshape(dims), targets, range(k))
+        return np.moveaxis(np.tensordot(op_tensor, moved, axes=axes), range(k), targets).reshape(-1)
+
+    return contract
+
+
+@lru_cache(maxsize=256)
+def _layout(op_dims: tuple[int, ...], dims: tuple[int, ...], targets: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
+    """Checked targets and where they sit: the "last" or "first" subsystems in
+    register order, or "general"."""
+    targets = tuple(int(t) for t in targets)
+    n, k = len(dims), len(targets)
+    if len(set(targets)) != k:
+        raise ValueError(f"repeated target index in {list(targets)}")
+    if any(t < 0 or t >= n for t in targets):
+        raise ValueError(f"target index out of range for {n} subsystems: {list(targets)}")
+    target_dims = tuple(dims[t] for t in targets)
+    if op_dims != target_dims:
+        raise ValueError(f"operator dims {op_dims} do not match targeted subsystem dims {target_dims}")
+    if targets == tuple(range(n - k, n)):
+        return targets, "last"
+    if targets == tuple(range(k)):
+        return targets, "first"
+    return targets, "general"
+
+
+def _signed_permutation(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """(source column of each row, mask of rows holding -1, or None if no row
+    does) when every row and column holds exactly one nonzero entry and that
+    entry is exactly +1 or -1; otherwise None.
+    """
+    size = entries.shape[0]
+    if np.count_nonzero(entries) != size:
+        return None
+    rows, cols = np.nonzero(entries)
+    values = entries[rows, cols]
+    if np.any(rows != np.arange(size)) or np.any(np.bincount(cols, minlength=size) != 1):
+        return None
+    if not np.all((values == 1.0) | (values == -1.0)):
+        return None
+    negated = values == -1.0
+    return cols, (negated if negated.any() else None)
+
+
+def _register_gather(
+    cols: np.ndarray, negated: np.ndarray | None, dims: tuple[int, ...], targets: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Lift a signed permutation on ``targets`` to the whole register.
+
+    Returns the source index of every output amplitude and, if any, the
+    mask of outputs to negate.
+    """
+    target_dims = tuple(dims[t] for t in targets)
+    digits = list(np.unravel_index(np.arange(math.prod(dims)), dims))
+    row = np.ravel_multi_index([digits[t] for t in targets], target_dims)
+    for t, digit in zip(targets, np.unravel_index(cols[row], target_dims)):
+        digits[t] = digit
+    index = np.ravel_multi_index(digits, dims)
+    return index, (None if negated is None else negated[row])
+
+
+def _by_outcome(state: StateVector, subsystem: int) -> np.ndarray:
+    """View of the amplitudes as (before, outcome of ``subsystem``, after)."""
+    n = len(state.dims)
+    if subsystem < 0 or subsystem >= n:
+        raise ValueError(f"subsystem index {subsystem} out of range for {n} subsystems")
+    dims = state.dims
+    return state.amps.reshape(math.prod(dims[:subsystem]), dims[subsystem], -1)
 
 
 def born_probabilities(state: StateVector, subsystem: int) -> np.ndarray:
     """Marginal outcome probabilities for measuring one subsystem."""
-    n = len(state.dims)
-    if subsystem < 0 or subsystem >= n:
-        raise ValueError(f"subsystem index {subsystem} out of range for {n} subsystems")
-    psi = np.moveaxis(state.amps.reshape(state.dims), subsystem, 0)
-    flat = psi.reshape(state.dims[subsystem], -1)
+    split = _by_outcome(state, subsystem)
+    flat = split.transpose(1, 0, 2).reshape(split.shape[1], -1)
     return np.einsum("ij,ij->i", flat, flat.conj()).real
 
 
@@ -213,19 +314,20 @@ def collapse(state: StateVector, subsystem: int, outcome: int) -> tuple[StateVec
     Returns the collapsed full-register state and the Born weight of the
     branch.  Raises if the branch carries (near-)zero weight.
     """
-    probs = born_probabilities(state, subsystem)
+    return _collapse(state, subsystem, outcome, born_probabilities(state, subsystem))
+
+
+def _collapse(state: StateVector, subsystem: int, outcome: int, probs: np.ndarray) -> tuple[StateVector, float]:
+    """collapse, given ``probs = born_probabilities(state, subsystem)``."""
     if outcome < 0 or outcome >= probs.size:
         raise ValueError(f"outcome {outcome} out of range for dimension {probs.size}")
     weight = float(probs[outcome])
     if weight <= NORMALIZATION_TOL:
         raise ValueError(f"cannot collapse onto outcome {outcome} with Born weight {weight}")
-    psi = np.moveaxis(state.amps.reshape(state.dims), subsystem, 0).copy()
-    mask = np.zeros(psi.shape[0], dtype=bool)
-    mask[outcome] = True
-    psi[~mask] = 0.0
-    psi = np.moveaxis(psi, 0, subsystem)
-    collapsed = StateVector(state.dims, psi.reshape(-1) / np.sqrt(weight))
-    return collapsed, weight
+    split = _by_outcome(state, subsystem)
+    kept = np.zeros(split.shape, dtype=np.complex128)
+    kept[:, outcome] = split[:, outcome]
+    return StateVector._trusted(state.dims, kept.reshape(-1) / np.sqrt(weight)), weight
 
 
 def factor_out(state: StateVector, subsystem: int, outcome: int, tol: float = NORMALIZATION_TOL) -> StateVector:
@@ -234,9 +336,10 @@ def factor_out(state: StateVector, subsystem: int, outcome: int, tol: float = NO
     residual = float(probs.sum() - probs[outcome])
     if residual > tol:
         raise ValueError(f"subsystem {subsystem} is not in basis state {outcome}: residual weight {residual}")
-    psi = np.moveaxis(state.amps.reshape(state.dims), subsystem, 0)
-    remaining = tuple(d for i, d in enumerate(state.dims) if i != subsystem)
-    return StateVector(remaining, psi[outcome].reshape(-1)).normalized()
+    remaining = state.dims[:subsystem] + state.dims[subsystem + 1 :]
+    if not remaining:
+        raise ValueError("cannot factor out the only subsystem of a register")
+    return StateVector._trusted(remaining, _by_outcome(state, subsystem)[:, outcome].flatten()).normalized()
 
 
 def measure(
@@ -255,7 +358,7 @@ def measure(
     u = rng.random() * total
     outcome = int(np.searchsorted(np.cumsum(probs), u, side="right"))
     outcome = min(outcome, probs.size - 1)
-    collapsed, weight = collapse(state, subsystem, outcome)
+    collapsed, weight = _collapse(state, subsystem, outcome, probs)
     return outcome, collapsed, weight
 
 

@@ -27,18 +27,20 @@ from .gates import EulerAngles
 from .hilbert import (
     FIDELITY_TOL,
     StateVector,
+    _collapse,
     apply,
     born_probabilities,
-    collapse,
     factor_out,
     fidelity,
     sample_counts,
-    tensor,
     unit_pair_error,
 )
 
 # Ancilla weight above which the measurement's third level signals a fault.
 ANCILLA_LEAK_TOL = 1e-12
+# Registers A, B, C of the general and the Bell-type protocol.
+_GENERAL_DIMS = (2, 2, 3)
+_BELL_DIMS = (2, 2, 2)
 
 
 class ProtocolFault(RuntimeError):
@@ -146,8 +148,16 @@ class VerificationReport:
         return cls(tuple(stage_fidelities), worst, worst >= 1.0 - FIDELITY_TOL)
 
 
-def _qubit(c0: complex, c1: complex) -> StateVector:
-    return StateVector((2,), np.array([c0, c1], dtype=np.complex128))
+def _state(dims: tuple[int, ...], at: np.ndarray, values: list[complex]) -> StateVector:
+    """State with ``values`` at the flat indices ``at`` and zeros elsewhere."""
+    amps = np.zeros(math.prod(dims), dtype=np.complex128)
+    amps[at] = values
+    return StateVector._trusted(dims, amps)
+
+
+def _at(dims: tuple[int, ...], *labels: tuple[int, ...]) -> np.ndarray:
+    """Flat indices of basis labels over ``dims``."""
+    return np.ravel_multi_index(tuple(zip(*labels)), dims)
 
 
 def _general_prefix(inp: GeneralInput) -> tuple[tuple[StateVector, ...], np.ndarray]:
@@ -156,7 +166,11 @@ def _general_prefix(inp: GeneralInput) -> tuple[tuple[StateVector, ...], np.ndar
     Returns the stage states and the Born weights of the three ancilla
     outcomes, after checking that level 2 carries no weight.
     """
-    psi0 = tensor(tensor(_qubit(inp.alpha, inp.beta), _qubit(inp.gamma, inp.delta)), StateVector.basis((3,), (0,)))
+    target = np.array([inp.alpha, inp.beta], dtype=np.complex128)
+    control = np.array([inp.gamma, inp.delta], dtype=np.complex128)
+    amps = np.zeros(12, dtype=np.complex128)
+    amps[::3] = np.multiply.outer(target, control).reshape(-1)  # |a, b, 0> sits at a*6 + b*3
+    psi0 = StateVector._trusted(_GENERAL_DIMS, amps)
     psi1 = apply(gates.cnot_qutrit(), psi0, [1, 2])
     psi2 = apply(gates.toffoli(), psi1, [0, 1, 2])
     psi3 = apply(gates.v1(inp.angles), psi2, [1, 2])
@@ -173,9 +187,9 @@ def _zero_probability(probs: np.ndarray) -> float:
     return float(probs[0] / (probs[0] + probs[1]))
 
 
-def _finish_general(stages: tuple[StateVector, ...], m: int, weight: float) -> Transcript:
+def _finish_general(stages: tuple[StateVector, ...], probs: np.ndarray, m: int) -> Transcript:
     psi0, psi1, psi2, psi3, psi4, pre = stages
-    collapsed, _ = collapse(pre, 2, m)
+    collapsed, weight = _collapse(pre, 2, m, probs)
     psi5m = factor_out(collapsed, 2, m)
     psi6m = apply(gates.q3(m), psi5m, [0, 1])
     return Transcript(
@@ -207,7 +221,7 @@ def run_general(inp: GeneralInput, rng: np.random.Generator) -> Transcript:
     """
     stages, probs = _general_prefix(inp)
     m = 0 if rng.random() < _zero_probability(probs) else 1
-    return _finish_general(stages, m, float(probs[m]))
+    return _finish_general(stages, probs, m)
 
 
 def run_general_for_outcome(inp: GeneralInput, m: int) -> Transcript:
@@ -219,7 +233,7 @@ def run_general_for_outcome(inp: GeneralInput, m: int) -> Transcript:
     if m not in (0, 1):
         raise ValueError(f"measurement outcome must be 0 or 1, got {m}")
     stages, probs = _general_prefix(inp)
-    return _finish_general(stages, m, float(probs[m]))
+    return _finish_general(stages, probs, m)
 
 
 def run_general_branches(inp: GeneralInput) -> tuple[float, tuple[Transcript, Transcript]]:
@@ -229,17 +243,15 @@ def run_general_branches(inp: GeneralInput) -> tuple[float, tuple[Transcript, Tr
     """
     stages, probs = _general_prefix(inp)
     return _zero_probability(probs), (
-        _finish_general(stages, 0, float(probs[0])),
-        _finish_general(stages, 1, float(probs[1])),
+        _finish_general(stages, probs, 0),
+        _finish_general(stages, probs, 1),
     )
 
 
 def bell_initial_state(inp: BellInput) -> StateVector:
     """Two-qubit input state c0|0 ell> + sign*c1|1 1-ell> on A (x) B."""
-    return StateVector.from_terms(
-        (2, 2),
-        {(0, inp.ell): inp.c0, (1, 1 - inp.ell): inp.sign * inp.c1},
-    )
+    # |0 ell> sits at ell and |1 1-ell> at 3 - ell.
+    return _state((2, 2), [inp.ell, 3 - inp.ell], [inp.c0, inp.sign * inp.c1])
 
 
 def run_bell(inp: BellInput) -> Transcript:
@@ -250,7 +262,9 @@ def run_bell(inp: BellInput) -> Transcript:
     controlled flip that disentangles the ancilla.  No measurement occurs;
     the ancilla must come back separable in |0>.
     """
-    psi0 = tensor(bell_initial_state(inp), StateVector.basis((2,), (0,)))
+    amps = np.zeros(8, dtype=np.complex128)
+    amps[::2] = bell_initial_state(inp).amps  # |a, b, 0> sits at a*4 + b*2
+    psi0 = StateVector._trusted(_BELL_DIMS, amps)
     psi1 = apply(gates.cnot(), psi0, [1, 2])
     psi2 = apply(gates.tilde_v1(inp.angles, inp.ell), psi1, [1, 2])
     psi3 = apply(gates.tilde_q1(), psi2, [0, 1, 2])
@@ -279,7 +293,7 @@ def expected_output_general(inp: GeneralInput, m: int) -> StateVector:
     cols = np.empty((2, 2), dtype=np.complex128)
     cols[:, 0] = inp.gamma * psi_a
     cols[:, 1] = inp.delta * (gates.u_m(inp.angles, m).entries @ psi_a)
-    return StateVector((2, 2), cols.reshape(-1)).normalized()
+    return StateVector._trusted((2, 2), cols.reshape(-1)).normalized()
 
 
 def expected_output_bell(inp: BellInput) -> StateVector:
@@ -287,7 +301,15 @@ def expected_output_bell(inp: BellInput) -> StateVector:
     u = gates.euler_unitary(inp.angles).entries
     cols = bell_initial_state(inp).amps.reshape(2, 2).copy()
     cols[:, 1] = u @ cols[:, 1]
-    return StateVector((2, 2), cols.reshape(-1)).normalized()
+    return StateVector._trusted((2, 2), cols.reshape(-1)).normalized()
+
+
+# Flat indices of the closed-form amplitude lists, in the order written below.
+_PSI1_AT = _at(_GENERAL_DIMS, (0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1))
+_PSI2_AT = _at(_GENERAL_DIMS, (0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 0, 1))
+_PSI3_AT = _at(_GENERAL_DIMS, (0, 0, 0), (1, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 2), (1, 1, 2))
+_PSI4_AT = _at(_GENERAL_DIMS, (0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1), (1, 1, 2), (0, 1, 2))
+_OUTPUT_AT = _at((2, 2), (0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def _closed_form_stages(inp: GeneralInput, m: int) -> dict[str, StateVector]:
@@ -307,57 +329,23 @@ def _closed_form_stages(inp: GeneralInput, m: int) -> dict[str, StateVector]:
     e_pm = e_mp.conjugate()
     sign_m = (-1.0) ** m
 
-    psi1 = StateVector.from_terms(
-        (2, 2, 3),
-        {(0, 0, 0): a * g, (1, 0, 0): b * g, (0, 1, 1): a * d, (1, 1, 1): b * d},
-    )
-    psi2 = StateVector.from_terms(
-        (2, 2, 3),
-        {(0, 0, 0): g * a, (1, 0, 0): g * b, (0, 1, 1): d * a, (1, 0, 1): d * b},
-    )
-    psi3 = StateVector.from_terms(
-        (2, 2, 3),
-        {
-            (0, 0, 0): g * a,
-            (1, 0, 0): g * b,
-            (0, 0, 1): d * a * e_mm * c,
-            (0, 1, 1): d * a * e_mp * s,
-            (1, 0, 2): d * b * e_pp * c,
-            (1, 1, 2): -d * b * e_pm * s,
-        },
-    )
-    psi4 = StateVector.from_terms(
-        (2, 2, 3),
-        {
-            (0, 0, 0): g * a,
-            (1, 0, 0): g * b,
-            (0, 1, 1): d * a * e_mm * c,
-            (1, 1, 1): d * a * e_mp * s,
-            (1, 1, 2): d * b * e_pp * c,
-            (0, 1, 2): -d * b * e_pm * s,
-        },
-    )
-    psi5m = StateVector.from_terms(
-        (2, 2),
-        {
-            (0, 0): g * a,
-            (1, 0): g * b,
-            (0, 1): d * a * e_mm * c + (-sign_m) * d * b * e_pm * s,
-            (1, 1): d * a * e_mp * s + sign_m * d * b * e_pp * c,
-        },
-        normalize=True,
-    )
-    psi6m = StateVector.from_terms(
-        (2, 2),
-        {
-            (0, 0): g * a,
-            (1, 0): g * b,
-            (0, 1): d * a * e_mm * c + (-sign_m) * d * b * e_pm * s,
-            (1, 1): sign_m * d * a * e_mp * s + d * b * e_pp * c,
-        },
-        normalize=True,
-    )
-    return {"psi1": psi1, "psi2": psi2, "psi3": psi3, "psi4": psi4, "psi5m": psi5m, "psi6m": psi6m}
+    psi1 = _state(_GENERAL_DIMS, _PSI1_AT, [a * g, b * g, a * d, b * d])
+    psi2 = _state(_GENERAL_DIMS, _PSI2_AT, [g * a, g * b, d * a, d * b])
+    # psi4 carries psi3's six amplitudes on new labels.
+    branches = [g * a, g * b, d * a * e_mm * c, d * a * e_mp * s, d * b * e_pp * c, -d * b * e_pm * s]
+    psi3 = _state(_GENERAL_DIMS, _PSI3_AT, branches)
+    psi4 = _state(_GENERAL_DIMS, _PSI4_AT, branches)
+    out01 = d * a * e_mm * c + (-sign_m) * d * b * e_pm * s
+    psi5m = _state((2, 2), _OUTPUT_AT, [g * a, g * b, out01, d * a * e_mp * s + sign_m * d * b * e_pp * c])
+    psi6m = _state((2, 2), _OUTPUT_AT, [g * a, g * b, out01, sign_m * d * a * e_mp * s + d * b * e_pp * c])
+    return {
+        "psi1": psi1,
+        "psi2": psi2,
+        "psi3": psi3,
+        "psi4": psi4,
+        "psi5m": psi5m.normalized(),
+        "psi6m": psi6m.normalized(),
+    }
 
 
 def verify_general(transcript: Transcript, inp: GeneralInput) -> VerificationReport:

@@ -83,15 +83,33 @@ def _cos_sq_pi(y: float) -> float:
     return math.cos(math.pi * r) ** 2 if r < 0.25 else math.sin(math.pi * (0.5 - r)) ** 2
 
 
-@functools.lru_cache(maxsize=32)
+# Longest sin^2 table that _sin_sq_table caches; a sweep to a few thousand
+# cycles stays far below it.
+_SIN_SQ_CACHE_LIMIT = 1 << 16
+
+
 def _sin_sq_table(outer: int, cycles: int) -> np.ndarray:
-    """_sin_sq_pi(i / (2 * outer)) for i = 1..cycles, as one read-only array."""
+    """_sin_sq_pi(i / (2 * outer)) for i = 1..cycles, as one read-only array.
+
+    Tables of at most _SIN_SQ_CACHE_LIMIT entries are cached and shared;
+    longer ones are built on every call, so the cache holds at most
+    32 * 8 * _SIN_SQ_CACHE_LIMIT bytes (16 MiB).
+    """
+    if cycles > _SIN_SQ_CACHE_LIMIT:
+        return _build_sin_sq_table(outer, cycles)
+    return _cached_sin_sq_table(outer, cycles)
+
+
+def _build_sin_sq_table(outer: int, cycles: int) -> np.ndarray:
     r = np.fmod(np.arange(1, cycles + 1) / (2 * outer), 1.0)
     r = np.minimum(r, 1.0 - r)
     table = np.where(r < 0.25, np.sin(np.pi * r), np.cos(np.pi * (0.5 - r))) ** 2
     table[r == 0.25] = 0.5
     table.flags.writeable = False
     return table
+
+
+_cached_sin_sq_table = functools.lru_cache(maxsize=32)(_build_sin_sq_table)
 
 
 def _log_space_product(xs: np.ndarray, n: int) -> float:

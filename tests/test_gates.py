@@ -185,6 +185,41 @@ class TestLocalOperationFactors:
         assert np.array_equal(gates.v1(ANGLES).entries, composed.entries)
 
 
+def _projector(dim, k):
+    out = np.zeros((dim, dim))
+    out[k, k] = 1.0
+    return out
+
+
+def _on_b_where_c(c_dim, blocks):
+    """sum over c of kron(block_c, |c><c|), the identity block where none is given."""
+    return sum(np.kron(blocks.get(c, np.eye(2)), _projector(c_dim, c)) for c in range(c_dim))
+
+
+class TestAngleGatesMatchTheirKronDefinitions:
+    def test_random_angle_triples(self):
+        # The angle gates write their 2x2 blocks into index pairs; they must
+        # equal the kron-of-projectors sums over the rotation constructors.
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        rng = np.random.default_rng(4242)
+        for phi, theta, varphi in rng.uniform(-2 * math.pi, 2 * math.pi, size=(1000, 3)):
+            angles = EulerAngles(float(phi), float(theta), float(varphi))
+            rz_phi = gates.rotation_z(angles.phi).entries
+            ry = gates.rotation_y(angles.theta).entries
+            rz_varphi = gates.rotation_z(angles.varphi).entries
+            euler = rz_phi @ ry @ rz_varphi
+            v11 = _on_b_where_c(3, {1: rz_varphi @ x})
+            v13 = _on_b_where_c(3, {1: rz_phi @ ry, 2: rz_phi @ ry})
+            v1 = gates.v14().entries @ v13 @ gates.v12().entries @ v11
+            assert np.array_equal(gates.euler_unitary(angles).entries, euler)
+            assert np.array_equal(gates.v11(angles).entries, v11)
+            assert np.array_equal(gates.v13(angles).entries, v13)
+            assert np.array_equal(gates.v1(angles).entries, v1)
+            for ell in (0, 1):
+                block = np.linalg.matrix_power(x, 1 - ell) @ euler @ np.linalg.matrix_power(x, ell)
+                assert np.array_equal(gates.tilde_v1(angles, ell).entries, _on_b_where_c(2, {1: block}))
+
+
 class TestGlobalFlips:
     def test_q1_rows(self):
         maps(gates.q1(), (2, 2, 3), (0, 1, 1), (1, 1, 1))

@@ -123,6 +123,52 @@ class TestApply:
         with pytest.raises(ValueError, match="repeated"):
             apply(gates.cnot(), ket((2, 2), (0, 0)), [0, 0])
 
+    def test_rejected_targets_are_rejected_every_time(self):
+        op = Operator((2,), [[0, 1], [1, 0]])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="out of range"):
+                apply(op, ket((2, 2), (0, 0)), [2])
+        assert not op._plans
+
+    def test_one_plan_per_register_and_targets(self):
+        op = Operator((2,), [[0, 1], [1, 0]])
+        state = _random_state((2, 3, 2), 1)
+        first = apply(op, state, [0])
+        assert np.array_equal(apply(op, state, [0]).amps, first.amps)
+        apply(op, state, [2])
+        apply(op, _random_state((2,), 2), [0])
+        assert len(op._plans) == 3
+
+    @pytest.mark.parametrize(
+        "dims,targets",
+        [((2, 3, 2), [0, 1]), ((2, 3, 2), [2, 1]), ((3, 2, 2), [2, 0]), ((2, 2, 3), [1, 2]), ((2, 3), [0, 1])],
+    )
+    def test_signed_permutations_match_the_tensor_contraction(self, dims, targets):
+        # Gathers (with and without negated rows) against a contraction
+        # written out in the test, on every target placement.
+        op_dims = tuple(dims[t] for t in targets)
+        size = math.prod(op_dims)
+        rng = np.random.default_rng(size + targets[0])
+        entries = np.eye(size)[rng.permutation(size)] * rng.choice((1.0, -1.0), size=size)[:, None]
+        for signs in (np.abs(entries), entries):
+            op = Operator(op_dims, signs)
+            state = _random_state(dims, 3)
+            psi = np.moveaxis(state.amps.reshape(dims), targets, range(len(targets)))
+            contracted = np.tensordot(op.entries.reshape(op_dims + op_dims), psi, axes=len(targets))
+            expected = np.moveaxis(contracted, range(len(targets)), targets).reshape(-1)
+            out = apply(op, state, targets)
+            assert np.array_equal(out.amps, expected)
+            assert not out.amps.flags.writeable
+            assert out.amps is not state.amps
+
+    def test_non_permutations_keep_the_matrix_product(self):
+        # Entries that are not exactly +-1 take the dense path even when they
+        # round to a permutation within the unitarity tolerance.
+        near = Operator((2,), [[0, 1 - 1e-16 * 2], [1, 0]])
+        state = _random_state((2, 2), 4)
+        expected = (state.amps.reshape(2, 2) @ near.entries.T).reshape(-1)
+        assert np.array_equal(apply(near, state, [1]).amps, expected)
+
     @settings(max_examples=40, deadline=None)
     @given(
         phi=st.floats(-10, 10),
@@ -135,6 +181,38 @@ class TestApply:
         state = StateVector((2, 2), np.array([0.5, 0.5j, -0.5, 0.5]))
         out = apply(unitary, state, [target])
         assert abs(out.squared_norm() - 1.0) < 1e-12
+
+
+def _random_state(dims, seed):
+    rng = np.random.default_rng(seed)
+    size = math.prod(dims)
+    return StateVector(dims, rng.normal(size=size) + 1j * rng.normal(size=size)).normalized()
+
+
+class TestMeasurementWithoutMovedAxes:
+    @pytest.mark.parametrize("subsystem", [0, 1, 2])
+    def test_every_subsystem_matches_the_moved_axis_form(self, subsystem):
+        dims = (2, 3, 2)
+        state = _random_state(dims, subsystem)
+        moved = np.moveaxis(state.amps.reshape(dims), subsystem, 0)
+        rows = moved.reshape(dims[subsystem], -1)
+        probs = born_probabilities(state, subsystem)
+        assert np.array_equal(probs, np.einsum("ij,ij->i", rows, rows.conj()).real)
+        for outcome in range(dims[subsystem]):
+            collapsed, weight = collapse(state, subsystem, outcome)
+            kept = np.zeros_like(moved)
+            kept[outcome] = moved[outcome]
+            expected = np.moveaxis(kept, 0, subsystem).reshape(-1) / np.sqrt(weight)
+            assert weight == probs[outcome]
+            assert np.array_equal(collapsed.amps, expected)
+            reduced = factor_out(collapsed, subsystem, outcome)
+            assert reduced.dims == dims[:subsystem] + dims[subsystem + 1 :]
+            column = expected.reshape(dims).take(outcome, axis=subsystem).reshape(-1)
+            assert np.array_equal(reduced.amps, column / np.linalg.norm(column))
+
+    def test_the_only_subsystem_cannot_be_factored_out(self):
+        with pytest.raises(ValueError, match="only subsystem"):
+            factor_out(ket((2,), (1,)), 0, 1)
 
 
 class TestMeasure:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -157,6 +158,102 @@ class TestGeneralProtocol:
         assert fidelity(transcript.psi6m, expected) == pytest.approx(1.0, abs=1e-12)
 
 
+def _dense_embedding(entries, dims, targets):
+    """kron(I, entries, I) over the whole register, for a contiguous run of targets."""
+    first, k = targets[0], len(targets)
+    assert list(targets) == list(range(first, first + k))
+    left = math.prod(dims[:first])
+    right = math.prod(dims[first + k :])
+    return np.kron(np.kron(np.eye(left), entries), np.eye(right))
+
+
+class TestApplyAgainstDenseReference:
+    def test_every_protocol_step_matches(self, monkeypatch):
+        # Gates whose entries are all 0 or +-1 must give the dense product's
+        # values exactly; every other gate within 1e-14.
+        fast_apply = protocol.apply
+        worst = {True: 0.0, False: 0.0}
+        steps = {True: 0, False: 0}
+        fixed_gates = {}
+
+        def compared(op, state, targets):
+            out = fast_apply(op, state, targets)
+            key = (op.entries.tobytes(), state.dims, tuple(targets))
+            dense = fixed_gates.get(key)
+            signed_permutation = dense is not None or bool(np.all(np.isin(op.entries, (0.0, 1.0, -1.0))))
+            if dense is None:
+                dense = _dense_embedding(op.entries, state.dims, targets)
+                if signed_permutation:
+                    fixed_gates[key] = dense
+            steps[signed_permutation] += 1
+            error = float(np.max(np.abs(out.amps - dense @ state.amps)))
+            worst[signed_permutation] = max(worst[signed_permutation], error)
+            return out
+
+        monkeypatch.setattr(protocol, "apply", compared)
+        rng = np.random.default_rng(8128)
+        runs = 1000
+        for _ in range(runs):
+            run_general(random_general_input(rng), rng)
+            run_bell(random_bell_input(rng))
+        # General: five flips and q3 against v1 and the Hadamard; Bell: four flips against tilde_v1.
+        assert steps == {True: runs * (6 + 4), False: runs * (2 + 1)}
+        assert worst[True] == 0.0
+        assert worst[False] <= 1e-14
+
+
+class TestLayerBoundaries:
+    """Runs cross protocol.apply and the gates constructors by module
+    attribute, the boundaries the benchmark's tracer wraps."""
+
+    @staticmethod
+    def _wrap(monkeypatch):
+        applied, built = [], []
+        traced_apply = protocol.apply
+
+        def apply_wrapper(op, state, targets):
+            applied.append(op)
+            return traced_apply(op, state, targets)
+
+        monkeypatch.setattr(protocol, "apply", apply_wrapper)
+        for attr, value in list(vars(gates).items()):
+            if attr.startswith("_") or inspect.isclass(value) or not callable(value):
+                continue
+            if getattr(value, "__module__", None) != gates.__name__:
+                continue
+
+            def gate_wrapper(*args, _constructor=value, _name=attr, **kwargs):
+                op = _constructor(*args, **kwargs)
+                built.append((_name, op))
+                return op
+
+            monkeypatch.setattr(gates, attr, gate_wrapper)
+        return applied, built
+
+    @staticmethod
+    def _check_run(run, applied, built, calls, names):
+        applied.clear()
+        built.clear()
+        run()
+        assert len(applied) == calls
+        assert names <= {name for name, _ in built}
+        # Every applied operator is one a gates constructor returned in this run.
+        assert all(any(op is made for _, made in built) for op in applied)
+
+    def test_general_run_makes_eight_apply_calls(self, monkeypatch, rng):
+        applied, built = self._wrap(monkeypatch)
+        names = {"cnot_qutrit", "toffoli", "v1", "q1", "q2", "v2", "hadamard_on_qutrit", "q3"}
+        for _ in range(10):
+            inp = random_general_input(rng)
+            self._check_run(lambda: run_general(inp, rng), applied, built, 8, names)
+
+    def test_bell_run_makes_five_apply_calls(self, monkeypatch, rng):
+        applied, built = self._wrap(monkeypatch)
+        for _ in range(10):
+            inp = random_bell_input(rng)
+            self._check_run(lambda: run_bell(inp), applied, built, 5, {"cnot", "tilde_v1", "tilde_q1", "tilde_q2"})
+
+
 class TestProtocolFaults:
     def test_ancilla_leak_is_detected(self, rng, monkeypatch):
         # Without the ancilla relabeling, amplitude survives on level 2 at
@@ -258,6 +355,19 @@ class TestBellProtocol:
         assert np.array_equal(first.psi6m.amps, second.psi6m.amps)
         for (_, a), (_, b) in zip(first.stages(), second.stages()):
             assert np.array_equal(a.amps, b.amps)
+
+    def test_transcript_is_replayable(self, rng):
+        # Each stored stage reproduces bitwise from its predecessor under the
+        # published operator sequence, for both classes.
+        for _ in range(4):
+            for ell in (0, 1):
+                inp = dataclasses.replace(random_bell_input(rng), ell=ell)
+                t = run_bell(inp)
+                assert np.array_equal(apply(gates.cnot(), t.psi0, [1, 2]).amps, t.psi1.amps)
+                assert np.array_equal(apply(gates.tilde_v1(inp.angles, ell), t.psi1, [1, 2]).amps, t.psi2.amps)
+                assert np.array_equal(apply(gates.tilde_q1(), t.psi2, [0, 1, 2]).amps, t.psi3.amps)
+                assert np.array_equal(apply(gates.tilde_q2(ell), t.psi3, [0, 1, 2]).amps, t.psi4.amps)
+                assert np.array_equal(apply(gates.cnot(), t.psi4, [1, 2]).amps, t.final_abc.amps)
 
     def test_verify_bell_reports(self, rng):
         inp = random_bell_input(rng)

@@ -203,6 +203,38 @@ class TestLogSpacePrimitives:
         with pytest.raises(ValueError):
             table[0] = 1.0
 
+    def test_long_tables_are_built_but_not_cached(self):
+        cache = zeno._cached_sin_sq_table
+        longest = zeno._SIN_SQ_CACHE_LIMIT
+        assert longest == 1 << 16
+        cache.cache_clear()
+        outer = 10**6 + 3
+        long_table = zeno._sin_sq_table(outer, longest + 1)
+        assert cache.cache_info().currsize == 0
+        assert zeno._sin_sq_table(outer, longest + 1) is not long_table
+        for k in range(3):
+            zeno.cqz_lambda1(10**6 + k, 3)
+        assert cache.cache_info().currsize == 0
+        # The uncached table has the cached path's bits.
+        assert np.array_equal(long_table, cache(outer, longest + 1))
+        assert not long_table.flags.writeable
+        cache.cache_clear()
+
+    def test_cycle_sweep_tables_hit_the_cache(self):
+        # The benchmark's sweeps reach 2400 cycles; their longest tables
+        # (2M outer cycles of the controlled-phase stage) stay cached.
+        cache = zeno._cached_sin_sq_table
+        cache.cache_clear()
+        inp = protocol.random_general_input(np.random.default_rng(3))
+        cfg = CycleConfig(2400, 2400, 2400)
+        first = zeno.stage_probabilities_general(cfg, inp)
+        misses = cache.cache_info().misses
+        assert cache.cache_info().currsize == misses > 0
+        assert zeno.stage_probabilities_general(cfg, inp) == first
+        assert cache.cache_info().misses == misses
+        assert cache.cache_info().hits >= misses
+        assert zeno._sin_sq_table(2400, 4800) is zeno._sin_sq_table(2400, 4800)
+
     def test_power_keeps_exact_rationals(self, mp):
         assert zeno._power(0.25, 2) == 0.5625
         assert zeno._power(0.5, 3) == 0.125
