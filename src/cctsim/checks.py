@@ -15,12 +15,13 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import gates, protocol, zeno
 from .gates import EulerAngles
-from .hilbert import FIDELITY_TOL, Operator, StateVector, born_probabilities, fidelity, schmidt_rank
+from .hilbert import FIDELITY_TOL, Operator, StateVector, apply, born_probabilities, fidelity, schmidt_rank
 
 
 @dataclass(frozen=True)
@@ -195,9 +196,7 @@ def check_bell_determinism() -> str:
                 )
                 oracle = protocol.expected_output_bell(inp)
                 controlled = gates.controlled_unitary(gates.euler_unitary(angles))
-                from .hilbert import apply as _apply
-
-                matrix_route = _apply(controlled, protocol.bell_initial_state(inp), [0, 1])
+                matrix_route = apply(controlled, protocol.bell_initial_state(inp), [0, 1])
                 fid = fidelity(first.psi6m, oracle)
                 fid_matrix = fidelity(first.psi6m, matrix_route)
                 _require(fid >= 1.0 - FIDELITY_TOL, f"output fidelity {fid} below tolerance for {inp}")
@@ -227,8 +226,6 @@ def check_probability_pins() -> str:
     # Independent rational route for the two-cycle chained product:
     # quarter-turn squared sines are exactly 1/2 and 1, so
     # (1 - 1/2*1/2)^2 * (1 - 1*1/2)^2 = (3/4)^2 * (1/2)^2 = 9/64.
-    from fractions import Fraction
-
     sin_sq = {1: Fraction(1, 2), 2: Fraction(1, 1)}
     rational = (1 - sin_sq[1] * Fraction(1, 2)) ** 2 * (1 - sin_sq[2] * Fraction(1, 2)) ** 2
     _require(rational == Fraction(9, 64), f"rational cross-check drifted: {rational}")

@@ -32,12 +32,18 @@ class EulerAngles:
 
     The single-qubit unitary parameterized here is
     rotation_z(phi) @ rotation_y(theta) @ rotation_z(varphi); no range
-    normalization is applied.
+    normalization is applied, but each angle must be finite.
     """
 
     phi: float
     theta: float
     varphi: float
+
+    def __post_init__(self) -> None:
+        for name in ("phi", "theta", "varphi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"Euler angle {name} must be finite, got {value!r}")
 
 
 _I2 = np.eye(2, dtype=np.complex128)
@@ -76,11 +82,6 @@ def _rz(varphi: float) -> np.ndarray:
 @lru_cache(maxsize=None)
 def pauli_x() -> Operator:
     return Operator((2,), _X)
-
-
-@lru_cache(maxsize=None)
-def pauli_z() -> Operator:
-    return Operator((2,), _Z)
 
 
 @lru_cache(maxsize=_ANGLE_CACHE_SIZE)

@@ -55,6 +55,8 @@ class StateVector:
         expected = math.prod(dims)
         if amps.size != expected:
             raise ValueError(f"expected {expected} amplitudes for dims {dims}, got {amps.size}")
+        if not np.isfinite(amps).all():
+            raise ValueError(f"amplitudes must be finite, got {amps!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
@@ -107,8 +109,8 @@ class StateVector:
         # np.linalg.norm's own sum for complex vectors, without its dispatch.
         re, im = self.amps.real, self.amps.imag
         norm = math.sqrt(re.dot(re) + im.dot(im))
-        if norm <= NORMALIZATION_TOL:
-            raise ValueError("cannot normalize a (near-)zero state vector")
+        if not NORMALIZATION_TOL < norm < math.inf:  # NaN fails too
+            raise ValueError(f"cannot normalize a state vector of norm {norm!r}")
         return StateVector._trusted(self.dims, self.amps / norm)
 
 
@@ -144,26 +146,15 @@ class Operator:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    def adjoint(self) -> Operator:
-        return Operator(self.dims, self.entries.conj().T)
-
     def unitarity_defect(self) -> float:
         """Max-norm of adjoint*self minus the identity."""
         gram = self.entries.conj().T @ self.entries
         return float(np.max(np.abs(gram - np.eye(self.size))))
 
-    def is_unitary(self, tol: float = NORMALIZATION_TOL) -> bool:
-        return self.unitarity_defect() < tol
-
-    def is_permutation(self, tol: float = NORMALIZATION_TOL) -> bool:
-        """True if every entry is 0 or 1 and each row/column has a single 1."""
-        entries = self.entries
-        near_one = np.abs(entries - 1.0) <= tol
-        near_zero = np.abs(entries) <= tol
-        if not np.all(near_one | near_zero):
-            return False
-        ones = near_one.astype(int)
-        return bool(np.all(ones.sum(axis=0) == 1) and np.all(ones.sum(axis=1) == 1))
+    def is_permutation(self) -> bool:
+        """True if every entry is exactly 0 or 1 and each row and column holds a single 1."""
+        permutation = _signed_permutation(self.entries)
+        return permutation is not None and permutation[1] is None
 
     def __matmul__(self, other: Operator) -> Operator:
         if not isinstance(other, Operator):
@@ -200,61 +191,61 @@ def apply(op: Operator, state: StateVector, targets: Sequence[int]) -> StateVect
 def _apply_plan(op: Operator, dims: tuple[int, ...], targets: tuple[int, ...]):
     """Function from a register's amplitudes to ``op``'s output amplitudes.
 
-    A signed permutation becomes one gather over the whole register; any
-    other operator keeps a matrix product.  For finite amplitudes the
-    gather gives the product's values (a zero may change sign).
+    Both plans read the register index of ``targets``: a signed permutation
+    becomes one gather, any other operator multiplies the amplitudes of each
+    row of the index by its matrix.  For finite amplitudes the gather gives
+    the product's values (a zero may change sign).
     """
-    targets, layout = _layout(op.dims, dims, targets)
+    index = _register_index(dims, targets)
+    target_dims = tuple(dims[int(t)] for t in targets)
+    if op.dims != target_dims:
+        raise ValueError(f"operator dims {op.dims} do not match targeted subsystem dims {target_dims}")
     permutation = _signed_permutation(op.entries)
     if permutation is not None:
-        index, negated = _register_gather(*permutation, dims, targets)
+        cols, negated = permutation
+        gather = np.empty(index.size, dtype=index.dtype)
+        gather[index] = index[:, cols]
         if negated is None:
-            return lambda amps: amps[index]
+            return lambda amps: amps[gather]
+        mask = np.empty(index.size, dtype=bool)
+        mask[index] = negated
 
         def signed_gather(amps: np.ndarray) -> np.ndarray:
-            out = amps[index]
-            np.negative(out, out=out, where=negated)
+            out = amps[gather]
+            np.negative(out, out=out, where=mask)
             return out
 
         return signed_gather
 
-    entries = op.entries
-    block = entries.shape[0]
-    # Contiguous blocks in register order reduce to a plain matrix product.
-    if layout == "last":
-        transposed = entries.T
-        return lambda amps: (amps.reshape(-1, block) @ transposed).reshape(-1)
-    if layout == "first":
-        return lambda amps: (entries @ amps.reshape(block, -1)).reshape(-1)
-    k = len(targets)
-    op_tensor = entries.reshape(op.dims + op.dims)
-    axes = (tuple(range(k, 2 * k)), tuple(range(k)))
+    transposed = op.entries.T
 
-    def contract(amps: np.ndarray) -> np.ndarray:
-        moved = np.moveaxis(amps.reshape(dims), targets, range(k))
-        return np.moveaxis(np.tensordot(op_tensor, moved, axes=axes), range(k), targets).reshape(-1)
+    def product(amps: np.ndarray) -> np.ndarray:
+        out = np.empty_like(amps)
+        out[index] = amps[index] @ transposed
+        return out
 
-    return contract
+    return product
 
 
 @lru_cache(maxsize=256)
-def _layout(op_dims: tuple[int, ...], dims: tuple[int, ...], targets: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
-    """Checked targets and where they sit: the "last" or "first" subsystems in
-    register order, or "general"."""
+def _register_index(dims: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
+    """Flat index of every (setting of the other subsystems, target basis state).
+
+    Rows run over the subsystems not in ``targets`` in register order, columns
+    over the targets' basis states, mixed-radix in the order listed.  Raises on
+    repeated or out-of-range targets.
+    """
     targets = tuple(int(t) for t in targets)
     n, k = len(dims), len(targets)
     if len(set(targets)) != k:
         raise ValueError(f"repeated target index in {list(targets)}")
     if any(t < 0 or t >= n for t in targets):
         raise ValueError(f"target index out of range for {n} subsystems: {list(targets)}")
-    target_dims = tuple(dims[t] for t in targets)
-    if op_dims != target_dims:
-        raise ValueError(f"operator dims {op_dims} do not match targeted subsystem dims {target_dims}")
-    if targets == tuple(range(n - k, n)):
-        return targets, "last"
-    if targets == tuple(range(k)):
-        return targets, "first"
-    return targets, "general"
+    others = [i for i in range(n) if i not in targets]
+    block = math.prod(dims[t] for t in targets)
+    index = np.arange(math.prod(dims)).reshape(dims).transpose(others + list(targets)).reshape(-1, block)
+    index.setflags(write=False)
+    return index
 
 
 def _signed_permutation(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
@@ -275,29 +266,11 @@ def _signed_permutation(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     return cols, (negated if negated.any() else None)
 
 
-def _register_gather(
-    cols: np.ndarray, negated: np.ndarray | None, dims: tuple[int, ...], targets: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Lift a signed permutation on ``targets`` to the whole register.
-
-    Returns the source index of every output amplitude and, if any, the
-    mask of outputs to negate.
-    """
-    target_dims = tuple(dims[t] for t in targets)
-    digits = list(np.unravel_index(np.arange(math.prod(dims)), dims))
-    row = np.ravel_multi_index([digits[t] for t in targets], target_dims)
-    for t, digit in zip(targets, np.unravel_index(cols[row], target_dims)):
-        digits[t] = digit
-    index = np.ravel_multi_index(digits, dims)
-    return index, (None if negated is None else negated[row])
-
-
 def _by_outcome(state: StateVector, subsystem: int) -> np.ndarray:
     """View of the amplitudes as (before, outcome of ``subsystem``, after)."""
-    n = len(state.dims)
-    if subsystem < 0 or subsystem >= n:
-        raise ValueError(f"subsystem index {subsystem} out of range for {n} subsystems")
     dims = state.dims
+    if subsystem < 0 or subsystem >= len(dims):
+        raise ValueError(f"subsystem index {subsystem} out of range for {len(dims)} subsystems")
     return state.amps.reshape(math.prod(dims[:subsystem]), dims[subsystem], -1)
 
 
@@ -414,10 +387,7 @@ def _bipartition_matrix(state: StateVector, left: Iterable[int]) -> np.ndarray:
         raise ValueError(f"bipartition indices out of range: {left}")
     if not left or len(left) == n:
         raise ValueError("bipartition must be a proper nonempty subset of subsystems")
-    right = [i for i in range(n) if i not in left]
-    psi = state.amps.reshape(state.dims).transpose(left + right)
-    d_left = math.prod(state.dims[i] for i in left)
-    return psi.reshape(d_left, -1)
+    return state.amps[_register_index(state.dims, tuple(i for i in range(n) if i not in left))]
 
 
 def schmidt_coefficients(state: StateVector, left: Iterable[int]) -> np.ndarray:

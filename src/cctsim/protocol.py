@@ -114,10 +114,6 @@ class Transcript:
     psi5m: StateVector | None = None
     final_abc: StateVector | None = None
 
-    @property
-    def is_bell(self) -> bool:
-        return self.outcome is None
-
     def stages(self) -> tuple[tuple[str, StateVector], ...]:
         labeled = [
             ("psi0", self.psi0),
@@ -144,7 +140,9 @@ class VerificationReport:
 
     @classmethod
     def from_stages(cls, stage_fidelities: list[tuple[str, float]]) -> VerificationReport:
-        worst = min(f for _, f in stage_fidelities)
+        values = [f for _, f in stage_fidelities]
+        # min() would drop a NaN that is not the first element.
+        worst = math.nan if any(math.isnan(f) for f in values) else min(values)
         return cls(tuple(stage_fidelities), worst, worst >= 1.0 - FIDELITY_TOL)
 
 

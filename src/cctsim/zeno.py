@@ -163,7 +163,6 @@ def cqz_lambda0(outer: int) -> float:
 
 def cqz_lambda1(outer: int, inner: int) -> float:
     """Chained-gate survival for a present blocker: the printed M-term product."""
-    _validate_cycles(M=outer, N=inner)
     return _chained_factors(outer, inner, 0.0, 1.0)[1]
 
 
@@ -225,11 +224,15 @@ def _chained_factors(
 ) -> tuple[float, float]:
     """Outer-discard and inner-absorption survival factors of a chained stage.
 
-    The rotation step stays pi/(2*outer) even when the stage runs
-    ``outer_cycles`` != outer outer cycles (the doubled controlled-phase
-    stage runs 2M cycles at the M-cycle step size).
+    Validates the cycle counts and weights.  The rotation step stays
+    pi/(2*outer) even when the stage runs ``outer_cycles`` != outer outer
+    cycles (the doubled controlled-phase stage runs 2M cycles at the M-cycle
+    step size).
     """
     cycles = outer if outer_cycles is None else outer_cycles
+    _validate_cycles(M=outer, N=inner, outer_cycles=cycles)
+    _validate_weight("outer_weight", outer_weight)
+    _validate_weight("inner_weight", inner_weight)
     s_n = _sin_sq_pi(1.0 / (2 * inner))
     return (
         _survival_power(outer_weight * _sin_sq_pi(1.0 / (2 * outer)), cycles),
@@ -237,21 +240,11 @@ def _chained_factors(
     )
 
 
-def _chained_pair(
-    outer: int, inner: int, outer_weight: float, inner_weight: float, outer_cycles: int | None = None
-) -> tuple[float, float]:
-    """_chained_factors after validating the cycle counts and weights."""
-    _validate_cycles(M=outer, N=inner, outer_cycles=outer if outer_cycles is None else outer_cycles)
-    _validate_weight("outer_weight", outer_weight)
-    _validate_weight("inner_weight", inner_weight)
-    return _chained_factors(outer, inner, outer_weight, inner_weight, outer_cycles)
-
-
 def chained_survival(
     outer: int, inner: int, outer_weight: float, inner_weight: float, outer_cycles: int | None = None
 ) -> float:
     """Product of both factors of a chained interferometer stage."""
-    f_out, f_in = _chained_pair(outer, inner, outer_weight, inner_weight, outer_cycles)
+    f_out, f_in = _chained_factors(outer, inner, outer_weight, inner_weight, outer_cycles)
     return f_out * f_in
 
 
@@ -311,12 +304,12 @@ def _general_stages(cfg: CycleConfig, inp: GeneralInput) -> tuple[StageProbabili
     half = inp.angles.theta / 2.0
     c2, s2 = math.cos(half) ** 2, math.sin(half) ** 2
 
-    pair2 = _chained_pair(cfg.M, cfg.N, a2 * d2, b2 * d2)
+    pair2 = _chained_factors(cfg.M, cfg.N, a2 * d2, b2 * d2)
     lam3 = dcfo_success(cfg.K, cfg.N, d2 * s2)
     nabla7 = d2 * a2 * c2 + d2 * b2 * s2
     nabla8 = d2 * b2 * c2 + d2 * a2 * s2
-    pair4 = _chained_pair(cfg.M, cfg.N, nabla7, nabla8)
-    pair5 = _chained_pair(cfg.M, cfg.N, a2 * g2, b2 * g2, outer_cycles=2 * cfg.M)
+    pair4 = _chained_factors(cfg.M, cfg.N, nabla7, nabla8)
+    pair5 = _chained_factors(cfg.M, cfg.N, a2 * g2, b2 * g2, outer_cycles=2 * cfg.M)
     lam2, lam4, lam5 = (f_out * f_in for f_out, f_in in (pair2, pair4, pair5))
     zeta0 = 1.0 - lam2 * lam3 * lam4
     zeta1 = 1.0 - lam2 * lam3 * lam4 * lam5
@@ -354,9 +347,9 @@ def _bell_stages(cfg: CycleConfig, inp: BellInput) -> tuple[StageProbabilities, 
 
     lam6 = dcfo_success(cfg.K, cfg.N, nab * math.sin(half) ** 2)
     if inp.ell == 1:
-        pair7 = _chained_pair(cfg.M, cfg.N, nabla9, nabla10)
+        pair7 = _chained_factors(cfg.M, cfg.N, nabla9, nabla10)
     else:
-        pair7 = _chained_pair(cfg.M, cfg.N, nabla10, nabla9)
+        pair7 = _chained_factors(cfg.M, cfg.N, nabla10, nabla9)
     lam7 = pair7[0] * pair7[1]
     probs = StageProbabilities(
         lambda0=cqz_lambda0(cfg.M),

@@ -77,6 +77,15 @@ def test_flip_gates_are_permutations(name, factory):
         assert column[nonzero[0]] == pytest.approx(1.0, abs=1e-12)
 
 
+class TestEulerAngles:
+    @pytest.mark.parametrize("name", ["phi", "theta", "varphi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_is_named(self, name, bad):
+        fields = {"phi": 0.1, "theta": 0.3, "varphi": 0.1, name: bad}
+        with pytest.raises(ValueError, match=f"Euler angle {name} must be finite"):
+            EulerAngles(**fields)
+
+
 class TestRotations:
     def test_rotation_y_pins(self):
         assert np.allclose(gates.rotation_y(0.0).entries, np.eye(2))

@@ -47,6 +47,21 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector((2,), np.zeros(2)).normalized()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.nan, 1.0)])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            StateVector((2,), [bad, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            StateVector.from_terms((2, 2), {(0, 1): bad})
+
+    def test_normalized_rejects_a_nan_or_overflowing_norm(self):
+        state = StateVector._trusted((2,), np.array([math.nan, 0.0], dtype=np.complex128))
+        with pytest.raises(ValueError, match="nan"):
+            state.normalized()
+        # Finite amplitudes whose norm overflows would otherwise normalize to zeros.
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="inf"):
+            StateVector((2,), [1e200, 1e200]).normalized()
+
 
 class TestTensor:
     def test_basis_case(self):
@@ -141,23 +156,35 @@ class TestApply:
 
     @pytest.mark.parametrize(
         "dims,targets",
-        [((2, 3, 2), [0, 1]), ((2, 3, 2), [2, 1]), ((3, 2, 2), [2, 0]), ((2, 2, 3), [1, 2]), ((2, 3), [0, 1])],
+        [
+            ((2, 3, 2), [0, 1]),
+            ((2, 3, 2), [2, 1]),
+            ((3, 2, 2), [2, 0]),
+            ((2, 2, 3), [1, 2]),
+            ((2, 3), [0, 1]),
+            ((2, 3, 2), [1]),
+        ],
     )
     def test_signed_permutations_match_the_tensor_contraction(self, dims, targets):
-        # Gathers (with and without negated rows) against a contraction
-        # written out in the test, on every target placement.
+        # Gathers (with and without negated rows) exactly and a dense random
+        # unitary within 1e-14, against a contraction written out in the
+        # test, on every target placement.
         op_dims = tuple(dims[t] for t in targets)
         size = math.prod(op_dims)
         rng = np.random.default_rng(size + targets[0])
         entries = np.eye(size)[rng.permutation(size)] * rng.choice((1.0, -1.0), size=size)[:, None]
-        for signs in (np.abs(entries), entries):
-            op = Operator(op_dims, signs)
+        unitary, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+        for matrix, tol in ((np.abs(entries), 0.0), (entries, 0.0), (unitary, 1e-14)):
+            op = Operator(op_dims, matrix)
             state = _random_state(dims, 3)
             psi = np.moveaxis(state.amps.reshape(dims), targets, range(len(targets)))
             contracted = np.tensordot(op.entries.reshape(op_dims + op_dims), psi, axes=len(targets))
             expected = np.moveaxis(contracted, range(len(targets)), targets).reshape(-1)
             out = apply(op, state, targets)
-            assert np.array_equal(out.amps, expected)
+            if tol:
+                assert np.max(np.abs(out.amps - expected)) <= tol
+            else:
+                assert np.array_equal(out.amps, expected)
             assert not out.amps.flags.writeable
             assert out.amps is not state.amps
 
@@ -294,6 +321,12 @@ class TestSchmidt:
         coefficients = schmidt_coefficients(bell, {0})
         assert coefficients == pytest.approx([1 / math.sqrt(2)] * 2, abs=1e-12)
 
+    def test_split_bipartition_matches_the_transposed_amplitudes(self):
+        dims = (2, 3, 2)
+        state = _random_state(dims, 6)
+        matrix = state.amps.reshape(dims).transpose(0, 2, 1).reshape(4, 3)
+        assert np.array_equal(schmidt_coefficients(state, {0, 2}), np.linalg.svd(matrix, compute_uv=False))
+
     def test_bad_bipartitions(self):
         state = ket((2, 2), (0, 0))
         with pytest.raises(ValueError):
@@ -311,6 +344,12 @@ class TestOperator:
     def test_permutation_detection(self):
         assert gates.cnot().is_permutation()
         assert not gates.hadamard_on_qutrit().is_permutation()
+
+    def test_permutation_detection_is_exact(self):
+        assert not Operator((2,), [[0, 1 - 2e-16], [1, 0]]).is_permutation()
+        # A signed permutation is not a 0/1 permutation.
+        assert not gates.q3(1).is_permutation()
+        assert gates.q3(0).is_permutation()
 
     def test_compose_requires_matching_dims(self):
         with pytest.raises(ValueError):

@@ -303,6 +303,14 @@ class TestVerifyGeneral:
         with pytest.raises(ValueError):
             verify_general(run_bell(binp), random_general_input(rng))
 
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_a_nan_stage_fails_the_report(self, at):
+        fidelities = [("psi1", 1.0), ("psi2", 0.9999999999999998), ("psi3", 1.0), ("psi4", 1.0)]
+        fidelities[at] = (fidelities[at][0], math.nan)
+        report = protocol.VerificationReport.from_stages(fidelities)
+        assert math.isnan(report.worst_fidelity)
+        assert not report.passed
+
 
 class TestExpectedOutputGeneral:
     def test_delta_zero(self):
