@@ -93,10 +93,14 @@ def check_gate_unitarity_and_permutations() -> str:
         worst = max(worst, defect)
         _require(defect < 1e-12, f"{name} fails unitarity: defect {defect:.3e}")
     permutations = [
+        ("v12", gates.v12()),
+        ("v14", gates.v14()),
         ("q1", gates.q1()),
         ("q2", gates.q2()),
         ("v2", gates.v2()),
         ("toffoli", gates.toffoli()),
+        ("cnot", gates.cnot()),
+        ("cnot_qutrit", gates.cnot_qutrit()),
         ("tilde_q1", gates.tilde_q1()),
         ("tilde_q2_l0", gates.tilde_q2(0)),
         ("tilde_q2_l1", gates.tilde_q2(1)),

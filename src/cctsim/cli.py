@@ -86,6 +86,14 @@ def _take_int(doc: dict, field: str, errors: list[str], minimum: int, default: i
     return value
 
 
+def _take_choice(doc: dict, field: str, choices: tuple[int, int], errors: list[str]) -> int:
+    value = doc.get(field)
+    if not isinstance(value, int) or isinstance(value, bool) or value not in choices:
+        errors.append(f"{field}: expected {choices[0]} or {choices[1]}, got {value!r}")
+        return choices[0]
+    return value
+
+
 def _take_angles(doc: dict, errors: list[str]) -> EulerAngles:
     raw = doc.get("angles")
     if not isinstance(raw, dict):
@@ -153,14 +161,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         _check_pair_norm("alpha/beta", alpha, beta, errors)
         _check_pair_norm("gamma/delta", gamma, delta, errors)
     else:
-        ell = doc.get("ell")
-        if ell not in (0, 1):
-            errors.append(f"ell: expected 0 or 1, got {ell!r}")
-            ell = 0
-        sign = doc.get("sign")
-        if sign not in (1, -1):
-            errors.append(f"sign: expected 1 or -1, got {sign!r}")
-            sign = 1
+        ell = _take_choice(doc, "ell", (0, 1), errors)
+        sign = _take_choice(doc, "sign", (1, -1), errors)
         c0 = _take_complex(doc, "c0", errors)
         c1 = _take_complex(doc, "c1", errors)
         _check_pair_norm("c0/c1", c0, c1, errors)

@@ -5,17 +5,17 @@ B is Bob's control qubit, C is the ancilla (a qutrit in the general
 protocol, a qubit in the Bell-type variant).  Multi-register constructors
 state which slice of the register they act on.
 
-Matrices are assembled as explicit sums of |out><in| blocks over basis
-labels rather than compiled from primitive gates, so each constructor can
-be audited against its intended basis action line by line.  The
-angle-keyed local operations (v11, v13, tilde_v1) write their 2x2 blocks
-into fixed index pairs of an identity matrix, which gives the same entries
-as the sum of kron(block, projector) terms without building it.
+Each matrix is made in one of two ways, so a constructor reads as its
+intended action: a basis rule sending each basis ket's labels to its image's
+(the fixed flips and relabellings), or controlled 2x2 blocks written into an
+identity matrix (controlled_unitary, v11, v13, tilde_v1), which gives the
+entries of sum_c kron(block_c, |c><c|) without building that sum.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,26 +47,26 @@ class EulerAngles:
 
 
 _I2 = np.eye(2, dtype=np.complex128)
-_I3 = np.eye(3, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-# X restricted to the {|0>,|1>} subspace of a qutrit, identity on |2>.
-_X01_QUTRIT = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=np.complex128)
 # Entries kept per angle-keyed constructor: a campaign over many distinct
 # angles must not hold one operator per angle for the life of the process.
 _ANGLE_CACHE_SIZE = 256
 
 
-def _proj(dim: int, k: int) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    out[k, k] = 1.0
-    return out
+def _check_bit(value: int, what: str) -> None:
+    """Reject anything but the integer 0 or 1.  True and 1.0 compare equal to 1, so
+    constructors cached on such a label use typed caches to reach this check."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value not in (0, 1):
+        raise ValueError(f"{what} must be 0 or 1, got {value}")
 
 
-def _ketbra(dim: int, out_label: int, in_label: int) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    out[out_label, in_label] = 1.0
-    return out
+def _basis_gate(dims: tuple[int, ...], rule) -> Operator:
+    """Operator over ``dims`` sending each basis ket |labels> to |rule(*labels)>."""
+    entries = np.zeros((math.prod(dims),) * 2, dtype=np.complex128)
+    for col, labels in enumerate(itertools.product(*map(range, dims))):
+        entries[np.ravel_multi_index(rule(*labels), dims), col] = 1.0
+    return Operator(dims, entries)
 
 
 def _ry(theta: float) -> np.ndarray:
@@ -107,8 +107,7 @@ def euler_unitary(angles: EulerAngles) -> Operator:
 
 def u_m(angles: EulerAngles, m: int) -> Operator:
     """Outcome-dependent unitary: theta is negated when the ancilla read m=1."""
-    if m not in (0, 1):
-        raise ValueError(f"measurement outcome must be 0 or 1, got {m}")
+    _check_bit(m, "measurement outcome")
     signed = EulerAngles(angles.phi, (-1) ** m * angles.theta, angles.varphi)
     return euler_unitary(signed)
 
@@ -119,8 +118,7 @@ def controlled_unitary(u: Operator) -> Operator:
         raise ValueError(f"control block must be a single-qubit operator, got dims {u.dims}")
     if u.unitarity_defect() >= NORMALIZATION_TOL:
         warnings.warn("controlled_unitary called with a non-unitary block", stacklevel=2)
-    entries = np.kron(_I2, _proj(2, 0)) + np.kron(u.entries, _proj(2, 1))
-    return Operator((2, 2), entries)
+    return Operator((2, 2), _blocks_on_b(2, {1: u.entries}))
 
 
 def _blocks_on_b(c_dim: int, blocks: dict[int, np.ndarray]) -> np.ndarray:
@@ -145,13 +143,7 @@ def v11(angles: EulerAngles) -> Operator:
 @lru_cache(maxsize=None)
 def v12() -> Operator:
     """On B (x) C: swap C between 1 and 2 when B=1; identity when B=0."""
-    entries = (
-        np.kron(_proj(2, 0), _I3)
-        + np.kron(_proj(2, 1), _proj(3, 0))
-        + np.kron(_proj(2, 1), _ketbra(3, 2, 1))
-        + np.kron(_proj(2, 1), _ketbra(3, 1, 2))
-    )
-    return Operator((2, 3), entries)
+    return _basis_gate((2, 3), lambda b, c: (b, 3 - c if b and c else c))
 
 
 @lru_cache(maxsize=_ANGLE_CACHE_SIZE)
@@ -164,8 +156,7 @@ def v13(angles: EulerAngles) -> Operator:
 @lru_cache(maxsize=None)
 def v14() -> Operator:
     """On B (x) C: flip B when C=2, identity when C is 0 or 1."""
-    entries = np.kron(_I2, _proj(3, 0) + _proj(3, 1)) + np.kron(_X, _proj(3, 2))
-    return Operator((2, 3), entries)
+    return _basis_gate((2, 3), lambda b, c: (b ^ (c == 2), c))
 
 
 @lru_cache(maxsize=_ANGLE_CACHE_SIZE)
@@ -177,39 +168,25 @@ def v1(angles: EulerAngles) -> Operator:
 @lru_cache(maxsize=None)
 def q1() -> Operator:
     """On A (x) B (x) C: flip A exactly when (B, C) is (1,1) or (1,2)."""
-    keep = [(0, 0), (0, 1), (1, 0), (0, 2)]
-    flip = [(1, 1), (1, 2)]
-    entries = sum(np.kron(_I2, np.kron(_proj(2, b), _proj(3, c))) for b, c in keep)
-    entries = entries + sum(np.kron(_X, np.kron(_proj(2, b), _proj(3, c))) for b, c in flip)
-    return Operator((2, 2, 3), entries)
+    return _basis_gate((2, 2, 3), lambda a, b, c: (a ^ (b == 1 and c > 0), b, c))
 
 
 @lru_cache(maxsize=None)
 def q2() -> Operator:
     """On A (x) B (x) C: flip B exactly when (A, C) is (0,1) or (1,2)."""
-    entries = (
-        np.kron(_proj(2, 0) + _proj(2, 1), np.kron(_I2, _proj(3, 0)))
-        + np.kron(_proj(2, 1), np.kron(_I2, _proj(3, 1)))
-        + np.kron(_proj(2, 0), np.kron(_I2, _proj(3, 2)))
-        + np.kron(_proj(2, 0), np.kron(_X, _proj(3, 1)))
-        + np.kron(_proj(2, 1), np.kron(_X, _proj(3, 2)))
-    )
-    return Operator((2, 2, 3), entries)
+    return _basis_gate((2, 2, 3), lambda a, b, c: (a, b ^ (c == a + 1), c))
 
 
 @lru_cache(maxsize=None)
 def v2() -> Operator:
     """On B (x) C: relabel the ancilla cyclically (1->0, 2->1, 0->2) when B=1."""
-    cycle = _ketbra(3, 0, 1) + _ketbra(3, 1, 2) + _ketbra(3, 2, 0)
-    entries = np.kron(_proj(2, 0), _I3) + np.kron(_proj(2, 1), cycle)
-    return Operator((2, 3), entries)
+    return _basis_gate((2, 3), lambda b, c: (b, (c - b) % 3))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def q3(m: int) -> Operator:
     """Outcome correction on A (x) B: identity for m=0, (Z (x) X) Zc (I (x) X) for m=1."""
-    if m not in (0, 1):
-        raise ValueError(f"measurement outcome must be 0 or 1, got {m}")
+    _check_bit(m, "measurement outcome")
     if m == 0:
         return Operator.identity((2, 2))
     zc = np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128)
@@ -220,12 +197,7 @@ def q3(m: int) -> Operator:
 @lru_cache(maxsize=None)
 def toffoli() -> Operator:
     """On A (x) B (x) C: flip B exactly when A=1 and C=1 (C values 0 and 2 inert)."""
-    entries = np.zeros((12, 12), dtype=np.complex128)
-    for a in (0, 1):
-        for c in (0, 1, 2):
-            b_part = _X if (a == 1 and c == 1) else _I2
-            entries += np.kron(_proj(2, a), np.kron(b_part, _proj(3, c)))
-    return Operator((2, 2, 3), entries)
+    return _basis_gate((2, 2, 3), lambda a, b, c: (a, b ^ (a == 1 and c == 1), c))
 
 
 @lru_cache(maxsize=None)
@@ -243,26 +215,23 @@ def hadamard_on_qutrit() -> Operator:
 @lru_cache(maxsize=None)
 def cnot() -> Operator:
     """Controlled flip on two qubits, control first: |0><0| (x) I + |1><1| (x) X."""
-    entries = np.kron(_proj(2, 0), _I2) + np.kron(_proj(2, 1), _X)
-    return Operator((2, 2), entries)
+    return _basis_gate((2, 2), lambda c, t: (c, t ^ c))
 
 
 @lru_cache(maxsize=None)
 def cnot_qutrit() -> Operator:
     """Controlled flip on B (x) C with a qutrit target: swaps C's 0 and 1 when B=1."""
-    entries = np.kron(_proj(2, 0), _I3) + np.kron(_proj(2, 1), _X01_QUTRIT)
-    return Operator((2, 3), entries)
+    return _basis_gate((2, 3), lambda b, c: (b, 1 - c if b and c < 2 else c))
 
 
 def _x_power(exponent: int) -> np.ndarray:
     return _X if exponent % 2 else _I2
 
 
-@lru_cache(maxsize=_ANGLE_CACHE_SIZE)
+@lru_cache(maxsize=_ANGLE_CACHE_SIZE, typed=True)
 def tilde_v1(angles: EulerAngles, ell: int) -> Operator:
     """Bell-variant local operation on B (x) C: X^(1-ell) U X^ell on B when C=1."""
-    if ell not in (0, 1):
-        raise ValueError(f"class index must be 0 or 1, got {ell}")
+    _check_bit(ell, "class index")
     block = _x_power(1 - ell) @ _euler(angles) @ _x_power(ell)
     return Operator((2, 2), _blocks_on_b(2, {1: block}))
 
@@ -270,20 +239,11 @@ def tilde_v1(angles: EulerAngles, ell: int) -> Operator:
 @lru_cache(maxsize=None)
 def tilde_q1() -> Operator:
     """On A (x) B (x) C (all qubits): flip A exactly when (B, C) = (1, 1)."""
-    keep = [(0, 0), (0, 1), (1, 0)]
-    entries = sum(np.kron(_I2, np.kron(_proj(2, b), _proj(2, c))) for b, c in keep)
-    entries = entries + np.kron(_X, np.kron(_proj(2, 1), _proj(2, 1)))
-    return Operator((2, 2, 2), entries)
+    return _basis_gate((2, 2, 2), lambda a, b, c: (a ^ (b & c), b, c))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def tilde_q2(ell: int) -> Operator:
     """On A (x) B (x) C: when C=1 apply X^(1-ell) to B if A=1 and X^ell if A=0."""
-    if ell not in (0, 1):
-        raise ValueError(f"class index must be 0 or 1, got {ell}")
-    entries = (
-        np.kron(_proj(2, 0) + _proj(2, 1), np.kron(_I2, _proj(2, 0)))
-        + np.kron(_proj(2, 1), np.kron(_x_power(1 - ell), _proj(2, 1)))
-        + np.kron(_proj(2, 0), np.kron(_x_power(ell), _proj(2, 1)))
-    )
-    return Operator((2, 2, 2), entries)
+    _check_bit(ell, "class index")
+    return _basis_gate((2, 2, 2), lambda a, b, c: (a, b ^ (c & (a ^ ell)), c))

@@ -83,8 +83,7 @@ class BellInput:
     angles: EulerAngles
 
     def __post_init__(self) -> None:
-        if self.ell not in (0, 1):
-            raise ValueError(f"class index must be 0 or 1, got {self.ell}")
+        gates._check_bit(self.ell, "class index")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         _check_amplitude_pair("(c0, c1)", self.c0, self.c1)
@@ -228,8 +227,7 @@ def run_general_for_outcome(inp: GeneralInput, m: int) -> Transcript:
     The transcript is identical to a sampled run that realized ``m``; the
     recorded probability is the true Born weight of that branch.
     """
-    if m not in (0, 1):
-        raise ValueError(f"measurement outcome must be 0 or 1, got {m}")
+    gates._check_bit(m, "measurement outcome")
     stages, probs = _general_prefix(inp)
     return _finish_general(stages, probs, m)
 
@@ -285,8 +283,7 @@ def run_bell(inp: BellInput) -> Transcript:
 
 def expected_output_general(inp: GeneralInput, m: int) -> StateVector:
     """Closed-form output gamma*(I psiA)|0>_B + delta*(U_m psiA)|1>_B, normalized."""
-    if m not in (0, 1):
-        raise ValueError(f"measurement outcome must be 0 or 1, got {m}")
+    gates._check_bit(m, "measurement outcome")
     psi_a = np.array([inp.alpha, inp.beta], dtype=np.complex128)
     cols = np.empty((2, 2), dtype=np.complex128)
     cols[:, 0] = inp.gamma * psi_a

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -651,16 +651,7 @@ class MonteCarloReport:
             raise ValueError("outcome counts must sum to the number of trials")
 
     def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "absorbed": self.absorbed,
-            "discarded": self.discarded,
-            "abort_rate_estimate": self.abort_rate_estimate,
-            "standard_error": self.standard_error,
-            "conditional_fidelity": self.conditional_fidelity,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _report(trials: int, successes: int, absorbed: int, discarded: int, fid: float | None, seed: int) -> MonteCarloReport:

@@ -73,6 +73,18 @@ class TestConfigLoading:
         joined = "\n".join(err.value.errors)
         assert "mode" in joined and "M" in joined and "alpha" in joined
 
+    @pytest.mark.parametrize("field", ["ell", "sign"])
+    @pytest.mark.parametrize("value", [True, False, 1.0, 0.0, -1.0])
+    def test_bell_class_and_sign_must_be_integers(self, tmp_path, capsys, field, value):
+        # JSON true is a Python bool, and 1.0 == 1: neither is an integer label.
+        doc = dict(bell_doc(), **{field: value})
+        code = cli.main(["run", "--config", write_config(tmp_path, doc)])
+        assert code == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = "expected 0 or 1" if field == "ell" else "expected 1 or -1"
+        assert f"{field}: {expected}, got {value!r}" in captured.err
+
     def test_missing_file(self):
         with pytest.raises(cli.ConfigError):
             cli.load_config("/nonexistent/config.json")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -43,14 +44,36 @@ ALL_CONSTRUCTORS = [
 ]
 
 PERMUTATION_GATES = [
+    ("v12", gates.v12),
+    ("v14", gates.v14),
     ("q1", gates.q1),
     ("q2", gates.q2),
     ("v2", gates.v2),
     ("toffoli", gates.toffoli),
+    ("cnot", gates.cnot),
+    ("cnot_qutrit", gates.cnot_qutrit),
     ("tilde_q1", gates.tilde_q1),
     ("tilde_q2_l0", lambda: gates.tilde_q2(0)),
     ("tilde_q2_l1", lambda: gates.tilde_q2(1)),
 ]
+
+# SHA-256 of entries.tobytes() for every rule-built gate and one controlled
+# block, zero signs included: a change to any basis rule or to the block
+# writer shows up here even where the values stay unitary.
+PINNED_ENTRY_DIGESTS = {
+    "v12": "0e66b768958cd1dd582a2ea8a311be3c101871dd5440c88cf225c30d7b865495",
+    "v14": "a5538e2e3190f800d18cdf6ee0cd6602686f9b30f9ab566144791671978bf707",
+    "q1": "ef0051fcaf261f8fc827c03f50bedf90787470d24ac11287188ba92813aecf21",
+    "q2": "d585cac80c0a245dc973bd59f26fa98a81e320858ade0e6b01caa160e1385cf9",
+    "v2": "8b194339e69160eb184a0126772c0ad88b3f891a53d94c735aafc1d844aee63e",
+    "toffoli": "76c2b8a948aa01c3ac0cae5f46cd294b40a1c9dd666d007055047bacd6fea4ac",
+    "cnot": "8147eeddb2b56869f494b2194eb43a7926d1bb5edb4d4f35c6fa9e9633dd4bf8",
+    "cnot_qutrit": "0ac16f707bc12ebb71dc7d1a17d2ccb423d24230295dca2b2073c2c763450378",
+    "tilde_q1": "034510c1965eec9aae6231b0330761db6249fffb02cd989b7fb921b39917da9c",
+    "tilde_q2_l0": "29e1073ad9ed9994326e1f8bc00c910b045ad186e6a350fdbc5642c0cac100b0",
+    "tilde_q2_l1": "d98fd9ebb51ea7220aa28ca51944be08f3934d8e08e23fbe14d656f3256979b7",
+    "controlled_unitary": "366a166fe639b5893c0214a670805f39284405a0a599b5e252f35478f8679308",
+}
 
 
 def maps(op, dims, src, dst, amplitude=1.0):
@@ -75,6 +98,12 @@ def test_flip_gates_are_permutations(name, factory):
         nonzero = np.flatnonzero(np.abs(column) > 1e-12)
         assert nonzero.size == 1
         assert column[nonzero[0]] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ENTRY_DIGESTS))
+def test_entries_match_their_pinned_digest(name):
+    entries = dict(ALL_CONSTRUCTORS)[name]().entries
+    assert hashlib.sha256(entries.tobytes()).hexdigest() == PINNED_ENTRY_DIGESTS[name]
 
 
 class TestEulerAngles:
@@ -145,6 +174,22 @@ class TestOutcomeUnitary:
     def test_m_out_of_range(self):
         with pytest.raises(ValueError):
             gates.u_m(ANGLES, 2)
+
+    @pytest.mark.parametrize("m", [True, False, 1.0, 0.0, 2, -1, None])
+    def test_outcome_must_be_the_integer_0_or_1(self, m):
+        with pytest.raises(ValueError, match="measurement outcome must be 0 or 1"):
+            gates.u_m(ANGLES, m)
+        # q3 is cached: an entry for the integer 0 or 1 must not answer for
+        # True or 1.0, which compare equal to it (by keyword they also share a key).
+        gates.q3(m=0)
+        gates.q3(m=1)
+        for call in (lambda: gates.q3(m), lambda: gates.q3(m=m)):
+            with pytest.raises(ValueError, match="measurement outcome must be 0 or 1"):
+                call()
+
+    def test_numpy_integer_outcome_is_accepted(self):
+        assert np.array_equal(gates.u_m(ANGLES, np.int64(1)).entries, gates.u_m(ANGLES, 1).entries)
+        assert np.array_equal(gates.q3(np.int64(1)).entries, gates.q3(1).entries)
 
 
 class TestControlledUnitary:
@@ -319,6 +364,18 @@ class TestBellVariantGates:
         maps(gates.tilde_q2(1), (2, 2, 2), (1, 0, 1), (1, 0, 1))
         maps(gates.tilde_q2(1), (2, 2, 2), (0, 0, 1), (0, 1, 1))
         maps(gates.tilde_q2(0), (2, 2, 2), (1, 0, 1), (1, 1, 1))
+
+    @pytest.mark.parametrize("ell", [True, False, 1.0, 0.0])
+    def test_tilde_constructors_reject_non_integer_class(self, ell):
+        for label in (0, 1):  # cached entries for the integer labels must not answer for these
+            gates.tilde_v1(ANGLES, label)
+            gates.tilde_q2(ell=label)
+        with pytest.raises(ValueError, match="class index must be 0 or 1"):
+            gates.tilde_v1(ANGLES, ell)
+        with pytest.raises(ValueError, match="class index must be 0 or 1"):
+            gates.tilde_q2(ell)
+        with pytest.raises(ValueError, match="class index must be 0 or 1"):
+            gates.tilde_q2(ell=ell)
 
     def test_tilde_constructors_reject_bad_class(self):
         with pytest.raises(ValueError):

@@ -60,6 +60,13 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             BellInput(0, 1, 0.9, 0.6, IDENTITY)
 
+    @pytest.mark.parametrize("ell", [True, 1.0, 0.0])
+    def test_bell_class_must_be_an_integer(self, ell):
+        # An unchecked 1.0 would fail later, in run_bell, with a numpy IndexError.
+        with pytest.raises(ValueError, match="class index must be 0 or 1"):
+            BellInput(ell, 1, 0.6, 0.8, IDENTITY)
+        assert BellInput(np.int64(1), 1, 0.6, 0.8, IDENTITY).ell == 1
+
 
 class TestGeneralProtocol:
     def test_identity_angles_returns_product_input(self, rng):
@@ -336,6 +343,22 @@ class TestExpectedOutputGeneral:
     def test_rejects_bad_outcome(self):
         with pytest.raises(ValueError):
             expected_output_general(general(1.0, 0.0, 1.0, 0.0), 2)
+
+    @pytest.mark.parametrize("m", [True, 1.0, 2])
+    def test_forced_outcome_must_be_the_integer_0_or_1(self, m):
+        # Unchecked, True fails inside numpy with a TypeError and 1.0 with an IndexError.
+        inp = general(0.6, 0.8, ROOT_HALF, ROOT_HALF)
+        with pytest.raises(ValueError, match="measurement outcome must be 0 or 1"):
+            run_general_for_outcome(inp, m)
+        with pytest.raises(ValueError, match="measurement outcome must be 0 or 1"):
+            expected_output_general(inp, m)
+
+    def test_numpy_integer_outcome_is_accepted(self):
+        inp = general(0.6, 0.8, ROOT_HALF, ROOT_HALF)
+        replay = run_general_for_outcome(inp, np.int64(1))
+        assert replay.outcome == 1
+        assert np.array_equal(replay.psi6m.amps, run_general_for_outcome(inp, 1).psi6m.amps)
+        assert np.array_equal(expected_output_general(inp, np.int64(1)).amps, expected_output_general(inp, 1).amps)
 
 
 class TestBellProtocol:
