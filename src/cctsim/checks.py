@@ -13,6 +13,7 @@ from __future__ import annotations
 import inspect
 import math
 import time
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,55 +58,82 @@ def _balanced_bell(ell: int) -> protocol.BellInput:
     return protocol.BellInput(ell, 1, s, s, EulerAngles(0.3, math.pi / 2.0, 0.7))
 
 
+# Angles at which the gates check builds every angle-dependent constructor.
+GATE_ANGLES = EulerAngles(0.4, 1.3, 2.1)
+
+
+def _fixed_gate(name: str) -> Callable[[], Operator]:
+    """Zero-argument factory for ``gates.<name>()``, named like the constructor."""
+
+    def factory() -> Operator:
+        return getattr(gates, name)()
+
+    factory.__name__ = name
+    return factory
+
+
+# Every gate constructor the gates check covers, as (name, zero-argument
+# factory).  Each factory looks its constructor up on ``gates`` when called,
+# so ``verify --sabotage <constructor>`` reaches the gate it names.
+GATE_CONSTRUCTORS: tuple[tuple[str, Callable[[], Operator]], ...] = (
+    ("rotation_y", lambda: gates.rotation_y(GATE_ANGLES.theta)),
+    ("rotation_z", lambda: gates.rotation_z(GATE_ANGLES.phi)),
+    ("euler_unitary", lambda: gates.euler_unitary(GATE_ANGLES)),
+    ("u_m0", lambda: gates.u_m(GATE_ANGLES, 0)),
+    ("u_m1", lambda: gates.u_m(GATE_ANGLES, 1)),
+    ("controlled_unitary", lambda: gates.controlled_unitary(gates.euler_unitary(GATE_ANGLES))),
+    ("v11", lambda: gates.v11(GATE_ANGLES)),
+    ("v12", _fixed_gate("v12")),
+    ("v13", lambda: gates.v13(GATE_ANGLES)),
+    ("v14", _fixed_gate("v14")),
+    ("v1", lambda: gates.v1(GATE_ANGLES)),
+    ("q1", _fixed_gate("q1")),
+    ("q2", _fixed_gate("q2")),
+    ("v2", _fixed_gate("v2")),
+    ("q3_0", lambda: gates.q3(0)),
+    ("q3_1", lambda: gates.q3(1)),
+    ("toffoli", _fixed_gate("toffoli")),
+    ("hadamard_on_qutrit", _fixed_gate("hadamard_on_qutrit")),
+    ("cnot", _fixed_gate("cnot")),
+    ("cnot_qutrit", _fixed_gate("cnot_qutrit")),
+    ("tilde_v1_l0", lambda: gates.tilde_v1(GATE_ANGLES, 0)),
+    ("tilde_v1_l1", lambda: gates.tilde_v1(GATE_ANGLES, 1)),
+    ("tilde_q1", _fixed_gate("tilde_q1")),
+    ("tilde_q2_l0", lambda: gates.tilde_q2(0)),
+    ("tilde_q2_l1", lambda: gates.tilde_q2(1)),
+)
+# The flip gates among them: 0/1 permutation matrices.
+_FLIP_GATES = (
+    "v12", "v14", "q1", "q2", "v2", "toffoli", "cnot", "cnot_qutrit", "tilde_q1", "tilde_q2_l0", "tilde_q2_l1",
+)
+PERMUTATION_GATES: tuple[tuple[str, Callable[[], Operator]], ...] = tuple(
+    (name, factory) for name, factory in GATE_CONSTRUCTORS if name in _FLIP_GATES
+)
+
+
+def _factored_gates(angles: EulerAngles) -> tuple[tuple[str, Operator, str, Operator], ...]:
+    """(name, gate, how its factor product reads, that product) for each gate
+    that is built without multiplying out its factors."""
+    x, one = gates.pauli_x(), Operator.identity((2,))
+    u = gates.euler_unitary(angles)
+    factors = gates.v14() @ gates.v13(angles) @ gates.v12() @ gates.v11(angles)
+    return (
+        ("v1", gates.v1(angles), "v14 . v13 . v12 . v11", factors),
+        ("tilde_v1_l0", gates.tilde_v1(angles, 0), "controlled_unitary(X . U)", gates.controlled_unitary(x @ u @ one)),
+        ("tilde_v1_l1", gates.tilde_v1(angles, 1), "controlled_unitary(U . X)", gates.controlled_unitary(one @ u @ x)),
+    )
+
+
 def check_gate_unitarity_and_permutations() -> str:
-    """Criterion 1: every constructor unitary; the flip gates are 0/1 permutations."""
-    angles = EulerAngles(0.4, 1.3, 2.1)
-    named: list[tuple[str, Operator]] = [
-        ("rotation_y", gates.rotation_y(1.3)),
-        ("rotation_z", gates.rotation_z(0.4)),
-        ("euler_unitary", gates.euler_unitary(angles)),
-        ("u_m0", gates.u_m(angles, 0)),
-        ("u_m1", gates.u_m(angles, 1)),
-        ("controlled_unitary", gates.controlled_unitary(gates.euler_unitary(angles))),
-        ("v11", gates.v11(angles)),
-        ("v12", gates.v12()),
-        ("v13", gates.v13(angles)),
-        ("v14", gates.v14()),
-        ("v1", gates.v1(angles)),
-        ("q1", gates.q1()),
-        ("q2", gates.q2()),
-        ("v2", gates.v2()),
-        ("q3_0", gates.q3(0)),
-        ("q3_1", gates.q3(1)),
-        ("toffoli", gates.toffoli()),
-        ("hadamard_on_qutrit", gates.hadamard_on_qutrit()),
-        ("cnot", gates.cnot()),
-        ("cnot_qutrit", gates.cnot_qutrit()),
-        ("tilde_v1_l0", gates.tilde_v1(angles, 0)),
-        ("tilde_v1_l1", gates.tilde_v1(angles, 1)),
-        ("tilde_q1", gates.tilde_q1()),
-        ("tilde_q2_l0", gates.tilde_q2(0)),
-        ("tilde_q2_l1", gates.tilde_q2(1)),
-    ]
+    """Criterion 1: every constructor unitary; the flip gates are 0/1 permutations;
+    v1 and tilde_v1 equal their factor products entry for entry."""
     worst = 0.0
-    for name, op in named:
-        defect = op.unitarity_defect()
+    for name, factory in GATE_CONSTRUCTORS:
+        defect = factory().unitarity_defect()
         worst = max(worst, defect)
         _require(defect < 1e-12, f"{name} fails unitarity: defect {defect:.3e}")
-    permutations = [
-        ("v12", gates.v12()),
-        ("v14", gates.v14()),
-        ("q1", gates.q1()),
-        ("q2", gates.q2()),
-        ("v2", gates.v2()),
-        ("toffoli", gates.toffoli()),
-        ("cnot", gates.cnot()),
-        ("cnot_qutrit", gates.cnot_qutrit()),
-        ("tilde_q1", gates.tilde_q1()),
-        ("tilde_q2_l0", gates.tilde_q2(0)),
-        ("tilde_q2_l1", gates.tilde_q2(1)),
-    ]
-    for name, op in permutations:
+    for name, factory in PERMUTATION_GATES:
+        op = factory()
         _require(op.is_permutation(), f"{name} is not a 0/1 permutation matrix")
         for col in range(op.size):
             column = op.entries[:, col]
@@ -113,7 +141,14 @@ def check_gate_unitarity_and_permutations() -> str:
                 int(np.count_nonzero(np.abs(column) > 1e-12)) == 1,
                 f"{name} column {col} does not hold exactly one unit entry",
             )
-    return f"{len(named)} constructors unitary (worst defect {worst:.2e}); {len(permutations)} permutation gates verified over every basis column"
+    factored = _factored_gates(GATE_ANGLES)
+    for name, op, reads, product in factored:
+        _require(np.array_equal(op.entries, product.entries), f"{name} differs from {reads} at {GATE_ANGLES}")
+    return (
+        f"{len(GATE_CONSTRUCTORS)} constructors unitary (worst defect {worst:.2e}); "
+        f"{len(PERMUTATION_GATES)} permutation gates verified over every basis column; "
+        f"{len(factored)} composite gates equal their factor products"
+    )
 
 
 def check_protocol_fidelity() -> str:

@@ -9,7 +9,13 @@ Each matrix is made in one of two ways, so a constructor reads as its
 intended action: a basis rule sending each basis ket's labels to its image's
 (the fixed flips and relabellings), or controlled 2x2 blocks written into an
 identity matrix (controlled_unitary, v11, v13, tilde_v1), which gives the
-entries of sum_c kron(block_c, |c><c|) without building that sum.
+entries of sum_c kron(block_c, |c><c|) without building that sum.  v1 is a single
+product: v13's block written where v14 and v12 move it, times v11.
+
+The angle gates (rotation_y, rotation_z, euler_unitary, u_m, v11, v13, v1,
+tilde_v1) hand their freshly built matrices to ``Operator._trusted``: their
+dims are literals and their entries are complex128 by construction, so the
+public constructor's copy and checks would find nothing to reject.
 """
 
 from __future__ import annotations
@@ -49,15 +55,24 @@ class EulerAngles:
 _I2 = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+# Identities on B (x) C for a qubit and a qutrit ancilla: a copy costs a
+# fraction of a new np.eye.
+_IDENTITY_ON_BC = {c_dim: np.eye(2 * c_dim, dtype=np.complex128) for c_dim in (2, 3)}
 # Entries kept per angle-keyed constructor: a campaign over many distinct
 # angles must not hold one operator per angle for the life of the process.
 _ANGLE_CACHE_SIZE = 256
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bools and floats, although
+    True and 1.0 compare equal to 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_bit(value: int, what: str) -> None:
-    """Reject anything but the integer 0 or 1.  True and 1.0 compare equal to 1, so
-    constructors cached on such a label use typed caches to reach this check."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value not in (0, 1):
+    """Reject anything but the integer 0 or 1.  Constructors cached on such a
+    label use typed caches so that True and 1.0 reach this check."""
+    if not _is_integer(value) or value not in (0, 1):
         raise ValueError(f"{what} must be 0 or 1, got {value}")
 
 
@@ -69,14 +84,23 @@ def _basis_gate(dims: tuple[int, ...], rule) -> Operator:
     return Operator(dims, entries)
 
 
+# _ry and _rz write their four entries into a new array, which costs about
+# half of np.array from a nested list and stores the same values.
 def _ry(theta: float) -> np.ndarray:
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    entries = np.empty((2, 2), dtype=np.complex128)
+    entries[0, 0] = entries[1, 1] = c
+    entries[0, 1] = -s
+    entries[1, 0] = s
+    return entries
 
 
 def _rz(varphi: float) -> np.ndarray:
     phase = cmath.exp(1j * varphi / 2.0)
-    return np.array([[phase.conjugate(), 0], [0, phase]], dtype=np.complex128)
+    entries = np.zeros((2, 2), dtype=np.complex128)
+    entries[0, 0] = phase.conjugate()
+    entries[1, 1] = phase
+    return entries
 
 
 @lru_cache(maxsize=None)
@@ -87,13 +111,13 @@ def pauli_x() -> Operator:
 @lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def rotation_y(theta: float) -> Operator:
     """Rotation about y: [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]]."""
-    return Operator((2,), _ry(theta))
+    return Operator._trusted((2,), _ry(theta))
 
 
 @lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def rotation_z(varphi: float) -> Operator:
     """Rotation about z: diag(e^{-i v/2}, e^{+i v/2})."""
-    return Operator((2,), _rz(varphi))
+    return Operator._trusted((2,), _rz(varphi))
 
 
 def _euler(angles: EulerAngles) -> np.ndarray:
@@ -102,7 +126,7 @@ def _euler(angles: EulerAngles) -> np.ndarray:
 
 def euler_unitary(angles: EulerAngles) -> Operator:
     """General single-qubit unitary rotation_z(phi) . rotation_y(theta) . rotation_z(varphi)."""
-    return Operator((2,), _euler(angles))
+    return Operator._trusted((2,), _euler(angles))
 
 
 def u_m(angles: EulerAngles, m: int) -> Operator:
@@ -128,16 +152,25 @@ def _blocks_on_b(c_dim: int, blocks: dict[int, np.ndarray]) -> np.ndarray:
     (indices c and c_dim + c) of an identity matrix: at every entry, the
     value of sum_c kron(block_c, |c><c|) plus the identity where no block sits.
     """
-    entries = np.eye(2 * c_dim, dtype=np.complex128)
+    entries = _IDENTITY_ON_BC[c_dim].copy()
     for c, block in blocks.items():
         entries[c::c_dim, c::c_dim] = block
     return entries
 
 
+def _v11_entries(angles: EulerAngles) -> np.ndarray:
+    # rotation_z(varphi).X is rotation_z(varphi) with its columns swapped.
+    return _blocks_on_b(3, {1: _rz(angles.varphi)[:, ::-1]})
+
+
+def _v13_block(angles: EulerAngles) -> np.ndarray:
+    return _rz(angles.phi) @ _ry(angles.theta)
+
+
 @lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def v11(angles: EulerAngles) -> Operator:
     """On B (x) C: apply rotation_z(varphi).X to B when C=1, identity when C is 0 or 2."""
-    return Operator((2, 3), _blocks_on_b(3, {1: _rz(angles.varphi) @ _X}))
+    return Operator._trusted((2, 3), _v11_entries(angles))
 
 
 @lru_cache(maxsize=None)
@@ -149,8 +182,8 @@ def v12() -> Operator:
 @lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def v13(angles: EulerAngles) -> Operator:
     """On B (x) C: apply rotation_z(phi).rotation_y(theta) to B when C is 1 or 2."""
-    b2 = _rz(angles.phi) @ _ry(angles.theta)
-    return Operator((2, 3), _blocks_on_b(3, {1: b2, 2: b2}))
+    b2 = _v13_block(angles)
+    return Operator._trusted((2, 3), _blocks_on_b(3, {1: b2, 2: b2}))
 
 
 @lru_cache(maxsize=None)
@@ -161,8 +194,19 @@ def v14() -> Operator:
 
 @lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def v1(angles: EulerAngles) -> Operator:
-    """Bob's composite local operation on B (x) C: v14 . v13 . v12 . v11."""
-    return Operator((2, 3), v14().entries @ v13(angles).entries @ v12().entries @ v11(angles).entries)
+    """Bob's composite local operation on B (x) C: v14 . v13 . v12 . v11.
+
+    One 6x6 product W . v11.  W = v14 . v13 . v12 moves v13's block between
+    two permutations, so it is that block written at fixed positions, equal in
+    value to the three-factor product: rows |b, 1> take it from columns
+    |0, 1> and |1, 2>, rows |b, 2> (B flipped) from columns |0, 2> and |1, 1>.
+    """
+    b2 = _v13_block(angles)
+    w = np.zeros((6, 6), dtype=np.complex128)
+    w[0, 0] = w[3, 3] = 1.0
+    w[1::3, 1::4] = b2
+    w[2::3, 2:5:2] = b2[::-1]
+    return Operator._trusted((2, 3), w @ _v11_entries(angles))
 
 
 @lru_cache(maxsize=None)
@@ -224,16 +268,15 @@ def cnot_qutrit() -> Operator:
     return _basis_gate((2, 3), lambda b, c: (b, 1 - c if b and c < 2 else c))
 
 
-def _x_power(exponent: int) -> np.ndarray:
-    return _X if exponent % 2 else _I2
-
-
 @lru_cache(maxsize=_ANGLE_CACHE_SIZE, typed=True)
 def tilde_v1(angles: EulerAngles, ell: int) -> Operator:
-    """Bell-variant local operation on B (x) C: X^(1-ell) U X^ell on B when C=1."""
+    """Bell-variant local operation on B (x) C: X^(1-ell) U X^ell on B when C=1.
+
+    X on the left swaps the rows of U, X on the right its columns.
+    """
     _check_bit(ell, "class index")
-    block = _x_power(1 - ell) @ _euler(angles) @ _x_power(ell)
-    return Operator((2, 2), _blocks_on_b(2, {1: block}))
+    u = _euler(angles)
+    return Operator._trusted((2, 2), _blocks_on_b(2, {1: u[:, ::-1] if ell else u[::-1]}))
 
 
 @lru_cache(maxsize=None)

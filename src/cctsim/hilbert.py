@@ -138,6 +138,23 @@ class Operator:
         object.__setattr__(self, "entries", entries)
 
     @classmethod
+    def _trusted(cls, dims: tuple[int, ...], entries: np.ndarray) -> Operator:
+        """Operator from checked ``dims`` and a freshly built square complex128
+        array of matching size, without revalidating either.
+
+        For matrices this package has just computed; the operator takes
+        ownership of ``entries``, makes it read-only and starts with no plans.
+        Public construction validates.
+        """
+        op = object.__new__(cls)
+        entries.setflags(write=False)
+        fields = op.__dict__
+        fields["dims"] = dims
+        fields["entries"] = entries
+        fields["_plans"] = {}
+        return op
+
+    @classmethod
     def identity(cls, dims: Iterable[int]) -> Operator:
         dims = _check_dims(dims)
         return cls(dims, np.eye(math.prod(dims), dtype=np.complex128))

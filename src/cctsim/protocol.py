@@ -84,7 +84,7 @@ class BellInput:
 
     def __post_init__(self) -> None:
         gates._check_bit(self.ell, "class index")
-        if self.sign not in (1, -1):
+        if not gates._is_integer(self.sign) or self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         _check_amplitude_pair("(c0, c1)", self.c0, self.c1)
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from cctsim import checks, cli
+from cctsim import checks, cli, gates
+from cctsim.hilbert import Operator
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -309,6 +311,15 @@ class TestMonteCarloCommand:
         assert document["results"]["report"]["seed"] == 77
 
 
+# Every gates constructor the gates check's table calls.  v11 to v14 and
+# euler_unitary are among them because the table calls them itself: v1 and
+# tilde_v1 are built without them.
+TABLE_GATES = (
+    "rotation_y", "rotation_z", "euler_unitary", "u_m", "controlled_unitary", "v11", "v12", "v13", "v14", "v1", "q1",
+    "q2", "v2", "q3", "toffoli", "hadamard_on_qutrit", "cnot", "cnot_qutrit", "tilde_v1", "tilde_q1", "tilde_q2",
+)
+
+
 class TestVerifyCommand:
     @pytest.fixture
     def fast_checks(self, monkeypatch):
@@ -334,6 +345,43 @@ class TestVerifyCommand:
         text = capsys.readouterr().out
         assert "FAIL" in text
         assert "q1" in text  # the failed invariant names the broken gate
+
+    def test_unitary_fault_in_a_factor_of_v1_is_caught(self, fast_checks, capsys, monkeypatch):
+        # Negating v11's C=1 rows keeps it unitary, and runs never call v11:
+        # only the comparison of v1 with its factor product sees the fault.
+        healthy = gates.v11
+
+        def negated_rows(angles):
+            entries = healthy(angles).entries.copy()
+            entries[[1, 4]] *= -1
+            return Operator((2, 3), entries)
+
+        monkeypatch.setattr(gates, "v11", negated_rows)
+        assert cli.main(["verify"]) == cli.EXIT_VERIFY_FAILED
+        assert "v1 differs from v14 . v13 . v12 . v11" in capsys.readouterr().out
+
+    def test_table_reaches_every_sabotage_target(self):
+        reached = set()
+        with pytest.MonkeyPatch.context() as mp:
+            for attr, value in list(vars(gates).items()):
+                if attr.startswith("_") or inspect.isclass(value) or not callable(value):
+                    continue
+                if getattr(value, "__module__", None) != gates.__name__:
+                    continue
+
+                def recorded(*args, _attr=attr, _value=value, **kwargs):
+                    reached.add(_attr)
+                    return _value(*args, **kwargs)
+
+                mp.setattr(gates, attr, recorded)
+            for _, factory in checks.GATE_CONSTRUCTORS:
+                factory()
+        assert reached == set(TABLE_GATES)
+
+    @pytest.mark.parametrize("gate", TABLE_GATES)
+    def test_every_table_gate_sabotaged_fails_verify(self, fast_checks, capsys, gate):
+        assert cli.main(["verify", "--sabotage", gate]) == cli.EXIT_VERIFY_FAILED
+        assert "FAIL" in capsys.readouterr().out
 
     def test_unknown_sabotage_target_rejected(self, fast_checks, capsys):
         code = cli.main(["verify", "--sabotage", "not_a_gate"])

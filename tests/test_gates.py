@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -9,53 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cctsim import gates
+from cctsim import checks, gates
 from cctsim.gates import EulerAngles
-from cctsim.hilbert import StateVector, apply
+from cctsim.hilbert import Operator, StateVector, apply
 
-ANGLES = EulerAngles(0.4, 1.3, 2.1)
-
-ALL_CONSTRUCTORS = [
-    ("rotation_y", lambda: gates.rotation_y(1.3)),
-    ("rotation_z", lambda: gates.rotation_z(0.4)),
-    ("euler_unitary", lambda: gates.euler_unitary(ANGLES)),
-    ("u_m0", lambda: gates.u_m(ANGLES, 0)),
-    ("u_m1", lambda: gates.u_m(ANGLES, 1)),
-    ("controlled_unitary", lambda: gates.controlled_unitary(gates.euler_unitary(ANGLES))),
-    ("v11", lambda: gates.v11(ANGLES)),
-    ("v12", gates.v12),
-    ("v13", lambda: gates.v13(ANGLES)),
-    ("v14", gates.v14),
-    ("v1", lambda: gates.v1(ANGLES)),
-    ("q1", gates.q1),
-    ("q2", gates.q2),
-    ("v2", gates.v2),
-    ("q3_0", lambda: gates.q3(0)),
-    ("q3_1", lambda: gates.q3(1)),
-    ("toffoli", gates.toffoli),
-    ("hadamard_on_qutrit", gates.hadamard_on_qutrit),
-    ("cnot", gates.cnot),
-    ("cnot_qutrit", gates.cnot_qutrit),
-    ("tilde_v1_l0", lambda: gates.tilde_v1(ANGLES, 0)),
-    ("tilde_v1_l1", lambda: gates.tilde_v1(ANGLES, 1)),
-    ("tilde_q1", gates.tilde_q1),
-    ("tilde_q2_l0", lambda: gates.tilde_q2(0)),
-    ("tilde_q2_l1", lambda: gates.tilde_q2(1)),
-]
-
-PERMUTATION_GATES = [
-    ("v12", gates.v12),
-    ("v14", gates.v14),
-    ("q1", gates.q1),
-    ("q2", gates.q2),
-    ("v2", gates.v2),
-    ("toffoli", gates.toffoli),
-    ("cnot", gates.cnot),
-    ("cnot_qutrit", gates.cnot_qutrit),
-    ("tilde_q1", gates.tilde_q1),
-    ("tilde_q2_l0", lambda: gates.tilde_q2(0)),
-    ("tilde_q2_l1", lambda: gates.tilde_q2(1)),
-]
+ANGLES = checks.GATE_ANGLES
+# One table of constructors for the gates check and these tests.
+ALL_CONSTRUCTORS = checks.GATE_CONSTRUCTORS
+PERMUTATION_GATES = checks.PERMUTATION_GATES
 
 # SHA-256 of entries.tobytes() for every rule-built gate and one controlled
 # block, zero signs included: a change to any basis rule or to the block
@@ -104,6 +66,97 @@ def test_flip_gates_are_permutations(name, factory):
 def test_entries_match_their_pinned_digest(name):
     entries = dict(ALL_CONSTRUCTORS)[name]().entries
     assert hashlib.sha256(entries.tobytes()).hexdigest() == PINNED_ENTRY_DIGESTS[name]
+
+
+def test_constructor_table_names():
+    assert [name for name, _ in ALL_CONSTRUCTORS] == [
+        "rotation_y", "rotation_z", "euler_unitary", "u_m0", "u_m1", "controlled_unitary",
+        "v11", "v12", "v13", "v14", "v1", "q1", "q2", "v2", "q3_0", "q3_1", "toffoli",
+        "hadamard_on_qutrit", "cnot", "cnot_qutrit", "tilde_v1_l0", "tilde_v1_l1",
+        "tilde_q1", "tilde_q2_l0", "tilde_q2_l1",
+    ]
+    assert [name for name, _ in PERMUTATION_GATES] == [
+        "v12", "v14", "q1", "q2", "v2", "toffoli", "cnot", "cnot_qutrit",
+        "tilde_q1", "tilde_q2_l0", "tilde_q2_l1",
+    ]
+
+
+def test_table_factories_look_their_constructor_up_when_called(monkeypatch):
+    marker = Operator((2, 3), np.eye(6))
+    monkeypatch.setattr(gates, "v12", lambda: marker)
+    monkeypatch.setattr(gates, "v11", lambda angles: marker)
+    table = dict(ALL_CONSTRUCTORS)
+    assert table["v12"]() is marker
+    assert table["v11"]() is marker
+
+
+# Every triple of angles whose sines and cosines are exact zeros and ones.
+EDGE_ANGLES = [
+    EulerAngles(*t)
+    for t in itertools.product((0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2, 2 * math.pi), repeat=3)
+]
+
+
+def _edge_and_random_angles() -> list[EulerAngles]:
+    """1000 seeded random triples plus EDGE_ANGLES."""
+    rows = np.random.default_rng(1010).uniform(-2 * math.pi, 2 * math.pi, size=(1000, 3))
+    return [EulerAngles(*map(float, row)) for row in rows] + EDGE_ANGLES
+
+
+def _angle_gates(angles: EulerAngles) -> list:
+    return [
+        gates.rotation_y(angles.theta),
+        gates.rotation_z(angles.phi),
+        gates.euler_unitary(angles),
+        gates.u_m(angles, 0),
+        gates.u_m(angles, 1),
+        gates.v11(angles),
+        gates.v13(angles),
+        gates.v1(angles),
+        gates.tilde_v1(angles, 0),
+        gates.tilde_v1(angles, 1),
+    ]
+
+
+class TestTrustedAngleGates:
+    """The angle gates skip the public constructor's copy and checks; what
+    those would have guaranteed must still hold."""
+
+    def test_entries_are_read_only_complex_and_sized_by_dims(self):
+        built = {}
+        for angles in _edge_and_random_angles():
+            for op in _angle_gates(angles):
+                built[id(op)] = op  # holds every operator, so no id is reused
+        for op in built.values():
+            size = math.prod(op.dims)
+            assert op.entries.dtype == np.complex128
+            assert op.entries.shape == (size, size)
+            assert not op.entries.flags.writeable
+            assert type(op._plans) is dict
+        # Each operator has its own plan table.
+        assert len({id(op._plans) for op in built.values()}) == len(built)
+
+    def test_composites_equal_their_factor_products_at_edge_angles(self):
+        # Random angles are covered by TestAngleGatesMatchTheirKronDefinitions.
+        x, one = gates.pauli_x(), Operator.identity((2,))
+        for angles in EDGE_ANGLES:
+            product = gates.v14() @ gates.v13(angles) @ gates.v12() @ gates.v11(angles)
+            assert np.array_equal(gates.v1(angles).entries, product.entries), angles
+            u = gates.euler_unitary(angles)
+            for ell, block in ((0, x @ u @ one), (1, one @ u @ x)):
+                expected = gates.controlled_unitary(block).entries
+                assert np.array_equal(gates.tilde_v1(angles, ell).entries, expected), (angles, ell)
+
+    def test_public_operator_still_copies_and_checks_its_input(self):
+        source = np.eye(2, dtype=np.complex128)
+        op = Operator((2,), source)
+        source[0, 0] = 5.0
+        assert op.entries[0, 0] == 1.0
+        assert source.flags.writeable
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            Operator((2,), np.eye(3))
+        with pytest.raises(ValueError, match="expected a 6x6 matrix"):
+            Operator((2, 3), np.eye(4))
 
 
 class TestEulerAngles:
@@ -208,8 +261,6 @@ class TestControlledUnitary:
         assert np.allclose(out.amps, expected.amps, atol=1e-15)
 
     def test_warns_on_non_unitary_block(self):
-        from cctsim.hilbert import Operator
-
         with pytest.warns(UserWarning):
             gates.controlled_unitary(Operator((2,), [[1, 0], [0, 0.5]]))
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cctsim import gates, protocol
 from cctsim.gates import EulerAngles
-from cctsim.hilbert import StateVector, apply, born_probabilities, fidelity, schmidt_rank, tensor
+from cctsim.hilbert import Operator, StateVector, apply, born_probabilities, fidelity, schmidt_rank, tensor
 from cctsim.protocol import (
     BellInput,
     GeneralInput,
@@ -59,6 +59,16 @@ class TestInputValidation:
             BellInput(0, 0, 1.0, 0.0, IDENTITY)
         with pytest.raises(ValueError):
             BellInput(0, 1, 0.9, 0.6, IDENTITY)
+
+    @pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, 2])
+    def test_bell_sign_must_be_the_integer_plus_or_minus_one(self, sign):
+        # True and 1.0 compare equal to 1, and -1.0 to -1.
+        with pytest.raises(ValueError, match=r"sign must be \+1 or -1"):
+            BellInput(0, sign, 0.6, 0.8, IDENTITY)
+
+    @pytest.mark.parametrize("sign", [1, -1, np.int64(-1)])
+    def test_bell_sign_accepts_integers(self, sign):
+        assert BellInput(0, sign, 0.6, 0.8, IDENTITY).sign == sign
 
     @pytest.mark.parametrize("ell", [True, 1.0, 0.0])
     def test_bell_class_must_be_an_integer(self, ell):
@@ -259,6 +269,39 @@ class TestLayerBoundaries:
         for _ in range(10):
             inp = random_bell_input(rng)
             self._check_run(lambda: run_bell(inp), applied, built, 5, {"cnot", "tilde_v1", "tilde_q1", "tilde_q2"})
+
+
+class TestCompositeGatesInRuns:
+    def test_transcripts_equal_those_of_the_ordered_factor_products(self, monkeypatch):
+        # v1 and tilde_v1 are built in one step; runs through the operators
+        # their factors multiply out to must give equal values at every stage.
+        def v1_product(angles):
+            return gates.v14() @ gates.v13(angles) @ gates.v12() @ gates.v11(angles)
+
+        def tilde_v1_product(angles, ell):
+            x, one = gates.pauli_x(), Operator.identity((2,))
+            u = gates.euler_unitary(angles)
+            return gates.controlled_unitary(one @ u @ x if ell else x @ u @ one)
+
+        rng = np.random.default_rng(6060)
+        inputs = [random_bell_input(rng) if i % 2 else random_general_input(rng) for i in range(2000)]
+
+        def transcripts():
+            return [
+                run_bell(inp) if isinstance(inp, BellInput) else run_general(inp, np.random.default_rng(i))
+                for i, inp in enumerate(inputs)
+            ]
+
+        built = transcripts()
+        monkeypatch.setattr(gates, "v1", v1_product)
+        monkeypatch.setattr(gates, "tilde_v1", tilde_v1_product)
+        for got, want in zip(built, transcripts()):
+            for field in dataclasses.fields(got):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(a, StateVector):
+                    assert np.array_equal(a.amps, b.amps), field.name
+                else:
+                    assert a == b, field.name
 
 
 class TestProtocolFaults:
