@@ -47,9 +47,12 @@ class EulerAngles:
 
     def __post_init__(self) -> None:
         for name in ("phi", "theta", "varphi"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"Euler angle {name} must be finite, got {value!r}")
+            _check_angle(getattr(self, name), "Euler angle " + name)
+
+
+def _check_angle(value: float, label: str) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{label} must be finite, got {value!r}")
 
 
 _I2 = np.eye(2, dtype=np.complex128)
@@ -111,22 +114,25 @@ def pauli_x() -> Operator:
 @lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def rotation_y(theta: float) -> Operator:
     """Rotation about y: [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]]."""
+    _check_angle(theta, "rotation angle theta")
     return Operator._trusted((2,), _ry(theta))
 
 
 @lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def rotation_z(varphi: float) -> Operator:
     """Rotation about z: diag(e^{-i v/2}, e^{+i v/2})."""
+    _check_angle(varphi, "rotation angle varphi")
     return Operator._trusted((2,), _rz(varphi))
 
 
-def _euler(angles: EulerAngles) -> np.ndarray:
-    return _rz(angles.phi) @ _ry(angles.theta) @ _rz(angles.varphi)
+def _euler(phi: float, theta: float, varphi: float) -> np.ndarray:
+    """Entries of rotation_z(phi) . rotation_y(theta) . rotation_z(varphi)."""
+    return _rz(phi) @ _ry(theta) @ _rz(varphi)
 
 
 def euler_unitary(angles: EulerAngles) -> Operator:
     """General single-qubit unitary rotation_z(phi) . rotation_y(theta) . rotation_z(varphi)."""
-    return Operator._trusted((2,), _euler(angles))
+    return Operator._trusted((2,), _euler(angles.phi, angles.theta, angles.varphi))
 
 
 def u_m(angles: EulerAngles, m: int) -> Operator:
@@ -275,7 +281,7 @@ def tilde_v1(angles: EulerAngles, ell: int) -> Operator:
     X on the left swaps the rows of U, X on the right its columns.
     """
     _check_bit(ell, "class index")
-    u = _euler(angles)
+    u = _euler(angles.phi, angles.theta, angles.varphi)
     return Operator._trusted((2, 2), _blocks_on_b(2, {1: u[:, ::-1] if ell else u[::-1]}))
 
 

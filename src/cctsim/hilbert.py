@@ -106,12 +106,18 @@ class StateVector:
         return abs(self.squared_norm() - 1.0) <= tol
 
     def normalized(self) -> StateVector:
-        # np.linalg.norm's own sum for complex vectors, without its dispatch.
-        re, im = self.amps.real, self.amps.imag
-        norm = math.sqrt(re.dot(re) + im.dot(im))
-        if not NORMALIZATION_TOL < norm < math.inf:  # NaN fails too
-            raise ValueError(f"cannot normalize a state vector of norm {norm!r}")
-        return StateVector._trusted(self.dims, self.amps / norm)
+        return StateVector._trusted(self.dims, _unit(self.amps))
+
+
+def _unit(amps: np.ndarray) -> np.ndarray:
+    """A new array of ``amps`` divided by their norm; raises on a zero, NaN or
+    overflowed norm."""
+    # np.linalg.norm's own sum for complex vectors, without its dispatch.
+    re, im = amps.real, amps.imag
+    norm = math.sqrt(re.dot(re) + im.dot(im))
+    if not NORMALIZATION_TOL < norm < math.inf:  # NaN fails too
+        raise ValueError(f"cannot normalize a state vector of norm {norm!r}")
+    return amps / norm
 
 
 @dataclass(frozen=True)
@@ -133,6 +139,8 @@ class Operator:
         size = math.prod(dims)
         if entries.shape != (size, size):
             raise ValueError(f"expected a {size}x{size} matrix for dims {dims}, got {entries.shape}")
+        if not np.isfinite(entries).all():
+            raise ValueError(f"operator entries must be finite, got {entries!r}")
         entries.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
@@ -309,20 +317,31 @@ def collapse(state: StateVector, subsystem: int, outcome: int) -> tuple[StateVec
 
 def _collapse(state: StateVector, subsystem: int, outcome: int, probs: np.ndarray) -> tuple[StateVector, float]:
     """collapse, given ``probs = born_probabilities(state, subsystem)``."""
-    if outcome < 0 or outcome >= probs.size:
-        raise ValueError(f"outcome {outcome} out of range for dimension {probs.size}")
-    weight = float(probs[outcome])
-    if weight <= NORMALIZATION_TOL:
-        raise ValueError(f"cannot collapse onto outcome {outcome} with Born weight {weight}")
+    weight = _branch_weight(outcome, probs)
     split = _by_outcome(state, subsystem)
     kept = np.zeros(split.shape, dtype=np.complex128)
     kept[:, outcome] = split[:, outcome]
     return StateVector._trusted(state.dims, kept.reshape(-1) / np.sqrt(weight)), weight
 
 
+def _branch_weight(outcome: int, probs: np.ndarray) -> float:
+    """Born weight of ``outcome`` in the marginal ``probs``; raises if the
+    outcome is out of range or its weight is (near) zero."""
+    if outcome < 0 or outcome >= probs.size:
+        raise ValueError(f"outcome {outcome} out of range for dimension {probs.size}")
+    weight = float(probs[outcome])
+    if weight <= NORMALIZATION_TOL:
+        raise ValueError(f"cannot collapse onto outcome {outcome} with Born weight {weight}")
+    return weight
+
+
 def factor_out(state: StateVector, subsystem: int, outcome: int, tol: float = NORMALIZATION_TOL) -> StateVector:
     """Drop a subsystem that is (up to ``tol``) in the basis state ``outcome``."""
-    probs = born_probabilities(state, subsystem)
+    return _factor_out(state, subsystem, outcome, born_probabilities(state, subsystem), tol)
+
+
+def _factor_out(state: StateVector, subsystem: int, outcome: int, probs: np.ndarray, tol: float) -> StateVector:
+    """factor_out, given ``probs = born_probabilities(state, subsystem)``."""
     residual = float(probs.sum() - probs[outcome])
     if residual > tol:
         raise ValueError(f"subsystem {subsystem} is not in basis state {outcome}: residual weight {residual}")
@@ -394,7 +413,12 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     """Squared overlap |<a|b>|^2; 1 iff equal up to global phase."""
     if a.dims != b.dims:
         raise ValueError(f"cannot compare states over dims {a.dims} and {b.dims}")
-    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
+    return _fidelity(a.amps, b.amps)
+
+
+def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """fidelity of two amplitude arrays of one register."""
+    return float(abs(np.vdot(a, b)) ** 2)
 
 
 def _bipartition_matrix(state: StateVector, left: Iterable[int]) -> np.ndarray:

@@ -27,11 +27,12 @@ from .gates import EulerAngles
 from .hilbert import (
     FIDELITY_TOL,
     StateVector,
-    _collapse,
+    _branch_weight,
+    _factor_out,
+    _fidelity,
+    _unit,
     apply,
     born_probabilities,
-    factor_out,
-    fidelity,
     sample_counts,
     unit_pair_error,
 )
@@ -145,13 +146,6 @@ class VerificationReport:
         return cls(tuple(stage_fidelities), worst, worst >= 1.0 - FIDELITY_TOL)
 
 
-def _state(dims: tuple[int, ...], at: np.ndarray, values: list[complex]) -> StateVector:
-    """State with ``values`` at the flat indices ``at`` and zeros elsewhere."""
-    amps = np.zeros(math.prod(dims), dtype=np.complex128)
-    amps[at] = values
-    return StateVector._trusted(dims, amps)
-
-
 def _at(dims: tuple[int, ...], *labels: tuple[int, ...]) -> np.ndarray:
     """Flat indices of basis labels over ``dims``."""
     return np.ravel_multi_index(tuple(zip(*labels)), dims)
@@ -185,9 +179,12 @@ def _zero_probability(probs: np.ndarray) -> float:
 
 
 def _finish_general(stages: tuple[StateVector, ...], probs: np.ndarray, m: int) -> Transcript:
+    """Transcript for outcome m: psi5m is the pre-measurement branch |a, b, m>,
+    which sits at a*6 + b*3 + m, divided by the square root of its weight and
+    normalized, as collapse then factor_out would compute it."""
     psi0, psi1, psi2, psi3, psi4, pre = stages
-    collapsed, weight = _collapse(pre, 2, m, probs)
-    psi5m = factor_out(collapsed, 2, m)
+    weight = _branch_weight(m, probs)
+    psi5m = StateVector._trusted((2, 2), _unit(pre.amps[m::3] / np.sqrt(weight)))
     psi6m = apply(gates.q3(m), psi5m, [0, 1])
     return Transcript(
         psi0=psi0,
@@ -246,8 +243,15 @@ def run_general_branches(inp: GeneralInput) -> tuple[float, tuple[Transcript, Tr
 
 def bell_initial_state(inp: BellInput) -> StateVector:
     """Two-qubit input state c0|0 ell> + sign*c1|1 1-ell> on A (x) B."""
+    return StateVector._trusted((2, 2), _bell_amps(inp))
+
+
+def _bell_amps(inp: BellInput) -> np.ndarray:
+    """bell_initial_state's amplitudes, in a new writable array."""
+    amps = np.zeros(4, dtype=np.complex128)
     # |0 ell> sits at ell and |1 1-ell> at 3 - ell.
-    return _state((2, 2), [inp.ell, 3 - inp.ell], [inp.c0, inp.sign * inp.c1])
+    amps[[inp.ell, 3 - inp.ell]] = [inp.c0, inp.sign * inp.c1]
+    return amps
 
 
 def run_bell(inp: BellInput) -> Transcript:
@@ -259,17 +263,18 @@ def run_bell(inp: BellInput) -> Transcript:
     the ancilla must come back separable in |0>.
     """
     amps = np.zeros(8, dtype=np.complex128)
-    amps[::2] = bell_initial_state(inp).amps  # |a, b, 0> sits at a*4 + b*2
+    amps[::2] = _bell_amps(inp)  # |a, b, 0> sits at a*4 + b*2
     psi0 = StateVector._trusted(_BELL_DIMS, amps)
     psi1 = apply(gates.cnot(), psi0, [1, 2])
     psi2 = apply(gates.tilde_v1(inp.angles, inp.ell), psi1, [1, 2])
     psi3 = apply(gates.tilde_q1(), psi2, [0, 1, 2])
     psi4 = apply(gates.tilde_q2(inp.ell), psi3, [0, 1, 2])
     final_abc = apply(gates.cnot(), psi4, [1, 2])
-    leak = float(1.0 - born_probabilities(final_abc, 2)[0])
+    probs = born_probabilities(final_abc, 2)
+    leak = float(1.0 - probs[0])
     if leak > FIDELITY_TOL:
         raise ProtocolFault(f"ancilla not separable in |0> after the Bell-type run: weight {leak!r} leaked")
-    psi6m = factor_out(final_abc, 2, 0, tol=FIDELITY_TOL)
+    psi6m = _factor_out(final_abc, 2, 0, probs, FIDELITY_TOL)
     return Transcript(
         psi0=psi0,
         psi1=psi1,
@@ -284,31 +289,56 @@ def run_bell(inp: BellInput) -> Transcript:
 def expected_output_general(inp: GeneralInput, m: int) -> StateVector:
     """Closed-form output gamma*(I psiA)|0>_B + delta*(U_m psiA)|1>_B, normalized."""
     gates._check_bit(m, "measurement outcome")
-    psi_a = np.array([inp.alpha, inp.beta], dtype=np.complex128)
-    cols = np.empty((2, 2), dtype=np.complex128)
-    cols[:, 0] = inp.gamma * psi_a
-    cols[:, 1] = inp.delta * (gates.u_m(inp.angles, m).entries @ psi_a)
-    return StateVector._trusted((2, 2), cols.reshape(-1)).normalized()
+    return StateVector._trusted((2, 2), _unit(_compact_general(inp, m)))
 
 
 def expected_output_bell(inp: BellInput) -> StateVector:
     """Closed-form output: act with U on A wherever B is |1>, normalized."""
-    u = gates.euler_unitary(inp.angles).entries
-    cols = bell_initial_state(inp).amps.reshape(2, 2).copy()
-    cols[:, 1] = u @ cols[:, 1]
-    return StateVector._trusted((2, 2), cols.reshape(-1)).normalized()
+    return StateVector._trusted((2, 2), _unit(_compact_bell(inp)))
 
 
-# Flat indices of the closed-form amplitude lists, in the order written below.
-_PSI1_AT = _at(_GENERAL_DIMS, (0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1))
-_PSI2_AT = _at(_GENERAL_DIMS, (0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 0, 1))
-_PSI3_AT = _at(_GENERAL_DIMS, (0, 0, 0), (1, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 2), (1, 1, 2))
-_PSI4_AT = _at(_GENERAL_DIMS, (0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1), (1, 1, 2), (0, 1, 2))
-_OUTPUT_AT = _at((2, 2), (0, 0), (1, 0), (0, 1), (1, 1))
+def _compact_general(inp: GeneralInput, m: int) -> np.ndarray:
+    """expected_output_general's amplitudes before normalization.
+
+    U_m is the Z-Y-Z product with theta negated for m=1, built from the
+    angles as plain floats.
+    """
+    a = inp.angles
+    u = gates._euler(a.phi, (-1) ** m * a.theta, a.varphi)
+    psi_a = np.array([inp.alpha, inp.beta], dtype=np.complex128)
+    cols = np.empty((2, 2), dtype=np.complex128)
+    cols[:, 0] = inp.gamma * psi_a
+    cols[:, 1] = inp.delta * (u @ psi_a)
+    return cols.reshape(-1)
 
 
-def _closed_form_stages(inp: GeneralInput, m: int) -> dict[str, StateVector]:
-    """Stage states built term by term from the closed-form amplitude lists.
+def _compact_bell(inp: BellInput) -> np.ndarray:
+    """expected_output_bell's amplitudes before normalization."""
+    a = inp.angles
+    amps = _bell_amps(inp)
+    cols = amps.reshape(2, 2)
+    cols[:, 1] = gates._euler(a.phi, a.theta, a.varphi) @ cols[:, 1]
+    return amps
+
+
+# Basis labels of the closed-form amplitude lists, in the order written below.
+_PSI1 = ((0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1))
+_PSI2 = ((0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 0, 1))
+_PSI3 = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 2), (1, 1, 2))
+_PSI4 = ((0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1), (1, 1, 2), (0, 1, 2))
+_OUTPUT = ((0, 0), (1, 0), (0, 1), (1, 1))
+# Their flat indices in _closed_forms' (4, 12) array of psi1..psi4 and its
+# (2, 4) array of psi5m and psi6m, a leading row index before the labels.
+_STAGES_AT = _at(
+    (4, *_GENERAL_DIMS), *((row, *label) for row, labels in enumerate((_PSI1, _PSI2, _PSI3, _PSI4)) for label in labels)
+)
+_OUTPUTS_AT = _at((2, 2, 2), *((row, *label) for row in (0, 1) for label in _OUTPUT))
+
+
+def _closed_forms(inp: GeneralInput, m: int) -> tuple[np.ndarray, ...]:
+    """psi1..psi6m, built term by term from the closed-form amplitude lists:
+    psi1..psi4 are the rows of one (4, 12) array, and psi5m and psi6m the
+    normalized rows of one (2, 4) array.
 
     Independent of the gate constructors: every amplitude below is written
     out directly from the per-term expressions, so this is the oracle the
@@ -324,23 +354,17 @@ def _closed_form_stages(inp: GeneralInput, m: int) -> dict[str, StateVector]:
     e_pm = e_mp.conjugate()
     sign_m = (-1.0) ** m
 
-    psi1 = _state(_GENERAL_DIMS, _PSI1_AT, [a * g, b * g, a * d, b * d])
-    psi2 = _state(_GENERAL_DIMS, _PSI2_AT, [g * a, g * b, d * a, d * b])
     # psi4 carries psi3's six amplitudes on new labels.
     branches = [g * a, g * b, d * a * e_mm * c, d * a * e_mp * s, d * b * e_pp * c, -d * b * e_pm * s]
-    psi3 = _state(_GENERAL_DIMS, _PSI3_AT, branches)
-    psi4 = _state(_GENERAL_DIMS, _PSI4_AT, branches)
+    stages = np.zeros(48, dtype=np.complex128)
+    stages[_STAGES_AT] = [a * g, b * g, a * d, b * d, g * a, g * b, d * a, d * b, *branches, *branches]
     out01 = d * a * e_mm * c + (-sign_m) * d * b * e_pm * s
-    psi5m = _state((2, 2), _OUTPUT_AT, [g * a, g * b, out01, d * a * e_mp * s + sign_m * d * b * e_pp * c])
-    psi6m = _state((2, 2), _OUTPUT_AT, [g * a, g * b, out01, sign_m * d * a * e_mp * s + d * b * e_pp * c])
-    return {
-        "psi1": psi1,
-        "psi2": psi2,
-        "psi3": psi3,
-        "psi4": psi4,
-        "psi5m": psi5m.normalized(),
-        "psi6m": psi6m.normalized(),
-    }
+    outputs = np.zeros(8, dtype=np.complex128)
+    outputs[_OUTPUTS_AT] = [
+        g * a, g * b, out01, d * a * e_mp * s + sign_m * d * b * e_pp * c,  # psi5m
+        g * a, g * b, out01, sign_m * d * a * e_mp * s + d * b * e_pp * c,  # psi6m
+    ]
+    return (*stages.reshape(4, 12), _unit(outputs[:4]), _unit(outputs[4:]))
 
 
 def verify_general(transcript: Transcript, inp: GeneralInput) -> VerificationReport:
@@ -349,28 +373,30 @@ def verify_general(transcript: Transcript, inp: GeneralInput) -> VerificationRep
     The output stage is checked twice: against the explicit term list and
     against the compact controlled-U_m form, so any disagreement between
     the two surfaces as a fidelity drop instead of being silently merged.
+    Each stage is one inner product against its row of the closed forms; no
+    gate constructor and no ``apply`` runs.
     """
     if transcript.outcome is None:
         raise ValueError("transcript has no measurement outcome; was this a Bell-type run?")
     m = transcript.outcome
-    forms = _closed_form_stages(inp, m)
-    stage_fids = [
-        ("psi1", fidelity(transcript.psi1, forms["psi1"])),
-        ("psi2", fidelity(transcript.psi2, forms["psi2"])),
-        ("psi3", fidelity(transcript.psi3, forms["psi3"])),
-        ("psi4", fidelity(transcript.psi4, forms["psi4"])),
-        ("psi5m", fidelity(transcript.psi5m, forms["psi5m"])),
-        ("psi6m", fidelity(transcript.psi6m, forms["psi6m"])),
-        ("psi6m_compact", fidelity(transcript.psi6m, expected_output_general(inp, m))),
-    ]
-    return VerificationReport.from_stages(stage_fids)
+    psi1, psi2, psi3, psi4, psi5m, psi6m = _closed_forms(inp, m)
+    t = transcript
+    return VerificationReport.from_stages([
+        ("psi1", _fidelity(t.psi1.amps, psi1)),
+        ("psi2", _fidelity(t.psi2.amps, psi2)),
+        ("psi3", _fidelity(t.psi3.amps, psi3)),
+        ("psi4", _fidelity(t.psi4.amps, psi4)),
+        ("psi5m", _fidelity(t.psi5m.amps, psi5m)),
+        ("psi6m", _fidelity(t.psi6m.amps, psi6m)),
+        ("psi6m_compact", _fidelity(t.psi6m.amps, _unit(_compact_general(inp, m)))),
+    ])
 
 
 def verify_bell(transcript: Transcript, inp: BellInput) -> VerificationReport:
     """Check a Bell-type transcript: output fidelity and ancilla separability."""
     if transcript.final_abc is None:
         raise ValueError("transcript has no disentangling stage; was this a general run?")
-    output_fid = fidelity(transcript.psi6m, expected_output_bell(inp))
+    output_fid = _fidelity(transcript.psi6m.amps, _unit(_compact_bell(inp)))
     ancilla_weight = float(born_probabilities(transcript.final_abc, 2)[0])
     return VerificationReport.from_stages([("psi6m", output_fid), ("ancilla", ancilla_weight)])
 

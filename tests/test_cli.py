@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
 import math
@@ -24,6 +25,28 @@ GENERAL_DOC = {
     "K": 8,
     "trials": 64,
     "seed": 5,
+}
+
+# The example config of the README.
+README_DOC = {
+    "mode": "general",
+    "alpha": [0.6, 0.0],
+    "beta": [0.0, 0.8],
+    "gamma": [0.7071067811865476, 0.0],
+    "delta": [0.7071067811865476, 0.0],
+    "angles": {"phi": 0.3, "theta": 1.5707963267948966, "varphi": 0.7},
+    "M": 25,
+    "N": 25,
+    "K": 25,
+    "trials": 100000,
+    "seed": 7,
+}
+
+# SHA-256 of `cctsim run` standard output for README_DOC and bell_doc():
+# same-input reports are byte-identical, fidelities and zero signs included.
+RUN_DIGESTS = {
+    "general": "7702923ca6fd93a95570c96cfb467e1277e1b66775ba83f4c6d12ad01be76e93",
+    "bell": "c8d257ada4b511d0e5680bffc03f4596fa6412ac83554ed824785d6d911b29cb",
 }
 
 # Schema-stable golden rows: column order and 17-significant-digit floats.
@@ -108,6 +131,13 @@ class TestRunCommand:
         assert results["outcome"] in (0, 1)
         assert results["outcome_probability"] == pytest.approx(0.5, abs=1e-12)
         assert len(results["output_amplitudes"]) == 4
+
+    @pytest.mark.parametrize("mode", ["general", "bell"])
+    def test_report_bytes_are_pinned(self, tmp_path, capsys, mode):
+        doc = README_DOC if mode == "general" else bell_doc()
+        assert cli.main(["run", "--config", write_config(tmp_path, doc)]) == cli.EXIT_OK
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == RUN_DIGESTS[mode]
 
     def test_teleportation_flags_separable_output(self, tmp_path, capsys):
         doc = dict(GENERAL_DOC, gamma=[0.0, 0.0], delta=[1.0, 0.0])

@@ -169,6 +169,12 @@ class TestEulerAngles:
 
 
 class TestRotations:
+    @pytest.mark.parametrize("rotation, name", [(gates.rotation_y, "theta"), (gates.rotation_z, "varphi")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_is_named(self, rotation, name, bad):
+        with pytest.raises(ValueError, match=f"rotation angle {name} must be finite"):
+            rotation(bad)
+
     def test_rotation_y_pins(self):
         assert np.allclose(gates.rotation_y(0.0).entries, np.eye(2))
         assert np.allclose(gates.rotation_y(math.pi).entries, [[0, -1], [1, 0]], atol=1e-15)

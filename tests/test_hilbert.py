@@ -354,3 +354,8 @@ class TestOperator:
     def test_compose_requires_matching_dims(self):
         with pytest.raises(ValueError):
             gates.cnot() @ gates.hadamard_on_qutrit()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 1.0)])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            Operator((2,), [[bad, 0], [0, 1]])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import inspect
 import math
@@ -11,7 +12,18 @@ from hypothesis import strategies as st
 
 from cctsim import gates, protocol
 from cctsim.gates import EulerAngles
-from cctsim.hilbert import Operator, StateVector, apply, born_probabilities, fidelity, schmidt_rank, tensor
+from cctsim.hilbert import (
+    FIDELITY_TOL,
+    Operator,
+    StateVector,
+    apply,
+    born_probabilities,
+    collapse,
+    factor_out,
+    fidelity,
+    schmidt_rank,
+    tensor,
+)
 from cctsim.protocol import (
     BellInput,
     GeneralInput,
@@ -360,6 +372,148 @@ class TestVerifyGeneral:
         report = protocol.VerificationReport.from_stages(fidelities)
         assert math.isnan(report.worst_fidelity)
         assert not report.passed
+
+
+def _labeled(dims, terms):
+    """Public state with each (labels, amplitude) pair of ``terms`` written in place."""
+    amps = np.zeros(math.prod(dims), dtype=np.complex128)
+    for labels, value in terms:
+        amps[np.ravel_multi_index(labels, dims)] = value
+    return StateVector(dims, amps)
+
+
+def _reference_general_report(transcript, inp):
+    """verify_general's report computed state by state: one public state per
+    closed form, one fidelity call per stage, and the compact output from
+    gates.u_m."""
+    m = transcript.outcome
+    a, b, g, d = inp.alpha, inp.beta, inp.gamma, inp.delta
+    phi, theta, varphi = inp.angles.phi, inp.angles.theta, inp.angles.varphi
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    e_mm = cmath.exp(-1j * (varphi + phi) / 2.0)
+    e_mp = cmath.exp(-1j * (varphi - phi) / 2.0)
+    e_pp, e_pm = e_mm.conjugate(), e_mp.conjugate()
+    sign_m = (-1.0) ** m
+    dims = (2, 2, 3)
+    branches = [g * a, g * b, d * a * e_mm * c, d * a * e_mp * s, d * b * e_pp * c, -d * b * e_pm * s]
+    psi3_labels = [(0, 0, 0), (1, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 2), (1, 1, 2)]
+    psi4_labels = [(0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1), (1, 1, 2), (0, 1, 2)]
+    out01 = d * a * e_mm * c + (-sign_m) * d * b * e_pm * s
+    out_labels = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    forms = {
+        "psi1": _labeled(dims, zip([(0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1)], [a * g, b * g, a * d, b * d])),
+        "psi2": _labeled(dims, zip([(0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 0, 1)], [g * a, g * b, d * a, d * b])),
+        "psi3": _labeled(dims, zip(psi3_labels, branches)),
+        "psi4": _labeled(dims, zip(psi4_labels, branches)),
+        "psi5m": _labeled(
+            (2, 2), zip(out_labels, [g * a, g * b, out01, d * a * e_mp * s + sign_m * d * b * e_pp * c])
+        ).normalized(),
+        "psi6m": _labeled(
+            (2, 2), zip(out_labels, [g * a, g * b, out01, sign_m * d * a * e_mp * s + d * b * e_pp * c])
+        ).normalized(),
+    }
+    psi_a = np.array([a, b], dtype=np.complex128)
+    cols = np.empty((2, 2), dtype=np.complex128)
+    cols[:, 0] = g * psi_a
+    cols[:, 1] = d * (gates.u_m(inp.angles, m).entries @ psi_a)
+    compact = StateVector((2, 2), cols.reshape(-1)).normalized()
+    stages = [(label, fidelity(getattr(transcript, label), form)) for label, form in forms.items()]
+    return protocol.VerificationReport.from_stages(stages + [("psi6m_compact", fidelity(transcript.psi6m, compact))])
+
+
+def _reference_bell_report(transcript, inp):
+    """verify_bell's fidelities with the compact output from gates.euler_unitary."""
+    cols = bell_initial_state(inp).amps.reshape(2, 2).copy()
+    cols[:, 1] = gates.euler_unitary(inp.angles).entries @ cols[:, 1]
+    expected = StateVector((2, 2), cols.reshape(-1)).normalized()
+    ancilla = float(born_probabilities(transcript.final_abc, 2)[0])
+    output = fidelity(transcript.psi6m, expected)
+    return protocol.VerificationReport.from_stages([("psi6m", output), ("ancilla", ancilla)])
+
+
+class TestOnePassVerify:
+    def test_reports_equal_the_state_by_state_reference(self):
+        rng = np.random.default_rng(2718)
+        for _ in range(1000):
+            inp = random_general_input(rng)
+            for transcript in protocol.run_general_branches(inp)[1]:
+                assert verify_general(transcript, inp) == _reference_general_report(transcript, inp)
+            binp = random_bell_input(rng)
+            transcript = run_bell(binp)
+            assert verify_bell(transcript, binp) == _reference_bell_report(transcript, binp)
+
+    def test_one_corrupted_amplitude_fails_its_stage(self):
+        # Zeroing the largest of k amplitudes leaves a fidelity of at most (1 - 1/k)^2.
+        def corrupted(transcript, label):
+            state = getattr(transcript, label)
+            amps = state.amps.copy()
+            amps[np.argmax(np.abs(amps))] = 0.0
+            return dataclasses.replace(transcript, **{label: StateVector(state.dims, amps)})
+
+        def failing(report):
+            return {label for label, f in report.stage_fidelities if f < 1.0 - FIDELITY_TOL}
+
+        rng = np.random.default_rng(3141)
+        for _ in range(50):
+            inp = random_general_input(rng)
+            for transcript in protocol.run_general_branches(inp)[1]:
+                for label in ("psi1", "psi2", "psi3", "psi4", "psi5m", "psi6m"):
+                    report = verify_general(corrupted(transcript, label), inp)
+                    # Both output checks read psi6m.
+                    expected = {label, "psi6m_compact"} if label == "psi6m" else {label}
+                    assert not report.passed
+                    assert failing(report) == expected
+                    assert report.worst_fidelity == min(f for name, f in report.stage_fidelities if name in expected)
+            binp = random_bell_input(rng)
+            transcript = run_bell(binp)
+            for label, stage in (("psi6m", "psi6m"), ("final_abc", "ancilla")):
+                report = verify_bell(corrupted(transcript, label), binp)
+                assert not report.passed
+                assert failing(report) == {stage}
+                assert report.worst_fidelity == dict(report.stage_fidelities)[stage]
+
+    def test_verify_does_not_use_the_gates_or_apply(self, monkeypatch):
+        rng = np.random.default_rng(1618)
+        cases = []
+        for _ in range(20):
+            inp, binp = random_general_input(rng), random_bell_input(rng)
+            cases.append((inp, run_general(inp, rng), binp, run_bell(binp)))
+
+        def outputs():
+            return [
+                (
+                    verify_general(transcript, inp),
+                    verify_bell(bell_transcript, binp),
+                    expected_output_general(inp, 0).amps.tobytes(),
+                    expected_output_general(inp, 1).amps.tobytes(),
+                    expected_output_bell(binp).amps.tobytes(),
+                )
+                for inp, transcript, binp, bell_transcript in cases
+            ]
+
+        built = outputs()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verification must come from the closed forms")
+
+        for name in ("v1", "tilde_v1", "u_m", "euler_unitary"):
+            monkeypatch.setattr(gates, name, forbidden)
+        monkeypatch.setattr(protocol, "apply", forbidden)
+        assert outputs() == built
+
+
+class TestMeasurementFromOneMarginal:
+    def test_outputs_are_bytewise_the_public_collapse_and_factor_out(self):
+        rng = np.random.default_rng(1414)
+        for _ in range(500):
+            inp = random_general_input(rng)
+            for m, transcript in enumerate(protocol.run_general_branches(inp)[1]):
+                collapsed, weight = collapse(transcript.pre_measurement, 2, m)
+                assert transcript.psi5m.amps.tobytes() == factor_out(collapsed, 2, m).amps.tobytes()
+                assert transcript.outcome_probability == weight
+            transcript = run_bell(random_bell_input(rng))
+            reference = factor_out(transcript.final_abc, 2, 0, tol=FIDELITY_TOL)
+            assert transcript.psi6m.amps.tobytes() == reference.amps.tobytes()
 
 
 class TestExpectedOutputGeneral:
