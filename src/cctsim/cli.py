@@ -230,15 +230,14 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
 def _atomic_write(path: str | Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=path.parent, prefix=f".{path.name}.", delete=False
-    )
+    # mkstemp opens the temp file exclusively with mode 0600.
+    fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        os.replace(handle.name, path)
+        os.replace(temp, path)
     except BaseException:
-        os.unlink(handle.name)
+        os.unlink(temp)
         raise
 
 

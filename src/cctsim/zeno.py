@@ -11,8 +11,11 @@ gates trajectory by trajectory under two explicitly named absorber models:
 * ``COHERENT`` evolves the joint absorber-photon amplitudes cycle by cycle
   and samples every event from the current squared amplitude.
 
-The two models agree in the many-cycle limit but not at finite cycle
-counts; both are reported, neither is declared authoritative.
+The two models differ at finite cycle counts.  For the collapse gate
+they agree in the many-cycle limit; for the chained gate they agree only
+as M/N -> 0, and along the diagonal M = N they tend to different limits
+(presence-branch survival 0.424 coherent against 0.289 per-cycle-Born at
+M = N = 160).  Both are reported, neither is declared authoritative.
 
 Counterfactuality bookkeeping: a trajectory counts as Success only if no
 absorption event fired, i.e. the photon was never found in the channel.
@@ -112,13 +115,6 @@ def _build_sin_sq_table(outer: int, cycles: int) -> np.ndarray:
 _cached_sin_sq_table = functools.lru_cache(maxsize=32)(_build_sin_sq_table)
 
 
-def _log_space_product(xs: np.ndarray, n: int) -> float:
-    """prod((1 - xs) ** n), accumulated in log space; 0.0 once any x >= 1."""
-    if np.any(xs >= 1.0):
-        return 0.0
-    return math.exp(n * float(np.sum(np.log1p(-xs))))
-
-
 def _survival_power(x: float, n: int) -> float:
     """(1 - x)^n = exp(n log1p(-x)) for a per-cycle loss x in [0, 1]."""
     return math.exp(n * math.log1p(-x)) if x < 1.0 else 0.0
@@ -163,7 +159,7 @@ def cqz_lambda0(outer: int) -> float:
 
 def cqz_lambda1(outer: int, inner: int) -> float:
     """Chained-gate survival for a present blocker: the printed M-term product."""
-    return _chained_factors(outer, inner, 0.0, 1.0)[1]
+    return _chained_factors(outer, inner, ((0.0, 1.0),))[0][1]
 
 
 def _collapse_success(name: str, inner: int, weight: float) -> float:
@@ -220,31 +216,42 @@ def ddcfo_success(chain: int, inner: int, nabla4: float) -> float:
 
 
 def _chained_factors(
-    outer: int, inner: int, outer_weight: float, inner_weight: float, outer_cycles: int | None = None
-) -> tuple[float, float]:
-    """Outer-discard and inner-absorption survival factors of a chained stage.
+    outer: int, inner: int, weights: tuple[tuple[float, float], ...], outer_cycles: int | None = None
+) -> list[tuple[float, float]]:
+    """Outer-discard and inner-absorption survival factors of chained stages.
 
-    Validates the cycle counts and weights.  The rotation step stays
-    pi/(2*outer) even when the stage runs ``outer_cycles`` != outer outer
-    cycles (the doubled controlled-phase stage runs 2M cycles at the M-cycle
-    step size).
+    ``weights`` holds one (outer weight, inner weight) pair per stage; the
+    stages share the cycle counts, and their inner products are taken in
+    one log1p pass over a (stages, cycles) array, whose row sums are bit for
+    bit the sums of one stage alone.  Validates the cycle counts and weights.
+    The rotation step stays pi/(2*outer) even when the stages run
+    ``outer_cycles`` != outer outer cycles (the doubled controlled-phase
+    stage runs 2M cycles at the M-cycle step size).
     """
     cycles = outer if outer_cycles is None else outer_cycles
     _validate_cycles(M=outer, N=inner, outer_cycles=cycles)
-    _validate_weight("outer_weight", outer_weight)
-    _validate_weight("inner_weight", inner_weight)
-    s_n = _sin_sq_pi(1.0 / (2 * inner))
-    return (
-        _survival_power(outer_weight * _sin_sq_pi(1.0 / (2 * outer)), cycles),
-        _log_space_product(inner_weight * _sin_sq_table(outer, cycles) * s_n, inner),
-    )
+    for outer_weight, inner_weight in weights:
+        _validate_weight("outer_weight", outer_weight)
+        _validate_weight("inner_weight", inner_weight)
+    s_m = _sin_sq_pi(1.0 / (2 * outer))
+    # -x for x = w_in * sin^2(i theta_M) * sin^2(theta_N), negated through
+    # the weight: rounding is symmetric in sign, so each entry is exactly -x.
+    logs = np.array([-inner_weight for _, inner_weight in weights])[:, None] * _sin_sq_table(outer, cycles)
+    logs *= _sin_sq_pi(1.0 / (2 * inner))
+    # A blocked stage (a loss of exactly 1) sums to -inf, and exp(-inf) is 0.0.
+    with np.errstate(divide="ignore"):
+        np.log1p(logs, out=logs)
+    return [
+        (_survival_power(outer_weight * s_m, cycles), math.exp(inner * log_sum))
+        for (outer_weight, _), log_sum in zip(weights, logs.sum(1).tolist())
+    ]
 
 
 def chained_survival(
     outer: int, inner: int, outer_weight: float, inner_weight: float, outer_cycles: int | None = None
 ) -> float:
     """Product of both factors of a chained interferometer stage."""
-    f_out, f_in = _chained_factors(outer, inner, outer_weight, inner_weight, outer_cycles)
+    ((f_out, f_in),) = _chained_factors(outer, inner, ((outer_weight, inner_weight),), outer_cycles)
     return f_out * f_in
 
 
@@ -275,14 +282,13 @@ class StageProbabilities:
     zeta: float | None = None
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
+        # The instance dict holds the fields in declaration order.
+        for name, value in vars(self).items():
             if value is None:
                 continue
-            values = value if isinstance(value, tuple) else (value,)
-            for v in values:
+            for v in value if isinstance(value, tuple) else (value,):
                 if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"{field.name} must lie in [0, 1], got {v!r}")
+                    raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
 
     def populated(self) -> dict[str, float | tuple[float, float]]:
         return {
@@ -304,18 +310,18 @@ def _general_stages(cfg: CycleConfig, inp: GeneralInput) -> tuple[StageProbabili
     half = inp.angles.theta / 2.0
     c2, s2 = math.cos(half) ** 2, math.sin(half) ** 2
 
-    pair2 = _chained_factors(cfg.M, cfg.N, a2 * d2, b2 * d2)
-    lam3 = dcfo_success(cfg.K, cfg.N, d2 * s2)
     nabla7 = d2 * a2 * c2 + d2 * b2 * s2
     nabla8 = d2 * b2 * c2 + d2 * a2 * s2
-    pair4 = _chained_factors(cfg.M, cfg.N, nabla7, nabla8)
-    pair5 = _chained_factors(cfg.M, cfg.N, a2 * g2, b2 * g2, outer_cycles=2 * cfg.M)
+    # lambda1, lambda2 and lambda4 share M outer cycles; lambda5 runs 2M.
+    pair1, pair2, pair4 = _chained_factors(cfg.M, cfg.N, ((0.0, 1.0), (a2 * d2, b2 * d2), (nabla7, nabla8)))
+    lam3 = dcfo_success(cfg.K, cfg.N, d2 * s2)
+    (pair5,) = _chained_factors(cfg.M, cfg.N, ((a2 * g2, b2 * g2),), outer_cycles=2 * cfg.M)
     lam2, lam4, lam5 = (f_out * f_in for f_out, f_in in (pair2, pair4, pair5))
     zeta0 = 1.0 - lam2 * lam3 * lam4
     zeta1 = 1.0 - lam2 * lam3 * lam4 * lam5
     probs = StageProbabilities(
         lambda0=cqz_lambda0(cfg.M),
-        lambda1=cqz_lambda1(cfg.M, cfg.N),
+        lambda1=pair1[1],
         lambda2=lam2,
         lambda3=lam3,
         lambda4=lam4,
@@ -346,14 +352,12 @@ def _bell_stages(cfg: CycleConfig, inp: BellInput) -> tuple[StageProbabilities, 
     nabla10 = nab * math.sin(half) ** 2
 
     lam6 = dcfo_success(cfg.K, cfg.N, nab * math.sin(half) ** 2)
-    if inp.ell == 1:
-        pair7 = _chained_factors(cfg.M, cfg.N, nabla9, nabla10)
-    else:
-        pair7 = _chained_factors(cfg.M, cfg.N, nabla10, nabla9)
+    weights7 = (nabla9, nabla10) if inp.ell == 1 else (nabla10, nabla9)
+    pair1, pair7 = _chained_factors(cfg.M, cfg.N, ((0.0, 1.0), weights7))
     lam7 = pair7[0] * pair7[1]
     probs = StageProbabilities(
         lambda0=cqz_lambda0(cfg.M),
-        lambda1=cqz_lambda1(cfg.M, cfg.N),
+        lambda1=pair1[1],
         lambda6=lam6,
         lambda7=lam7,
         nabla9=nabla9,

@@ -56,6 +56,21 @@ diag,5,0.67354905475526805,0.72127311781217252,0.69651496110899691,0.29672068821
 diag,10,0.70995804083018454,0.72263377240724735,0.7375724873848486,0.32652907091201311,0.62159606384113752,0.87644011429659796
 """
 
+# SHA-256 of `cctsim sweep --format csv --values 1,2,5,12,40` standard output
+# along each axis, for GENERAL_DOC and bell_doc().  The values reach the
+# single-cycle quarter turns (N = 1 makes sin^2(theta_N) exactly 1).
+SWEEP_VALUES = "1,2,5,12,40"
+SWEEP_DIGESTS = {
+    ("general", "M"): "549840f132de0195eb20bdc31d182f4d2a827f8dc866ea30f4a8f2031121b57b",
+    ("general", "N"): "41bc62011a6165d2af8fc958f4866ac5a5fb628ef49af90274cbd23a72befa16",
+    ("general", "K"): "360fd903353c80f55ac32778bfb47bf817dbe75dd5e75b5aa67954b87bddffcf",
+    ("general", "diag"): "ffd182fd063f35646b3511302ef600806d522de44750c68820164c92452bf014",
+    ("bell", "M"): "f9bee139b956cbb17413ccdf418822df5ea431525dfabd8210604ee8c2966b52",
+    ("bell", "N"): "90ef290c1b9b0a95c8b4babcac17a995f8e009cf5f7ce7d052c6553acdcfe8f4",
+    ("bell", "K"): "20cf82ccea033491b4032bf0403cb6a12004cfd79780661548828ad2ba0a5b78",
+    ("bell", "diag"): "db4d1df5bc8922c90931481f607e028cfbfc89c872185f4a6a2f0b98fe205a8a",
+}
+
 
 def write_config(tmp_path: Path, doc: dict) -> str:
     path = tmp_path / "config.json"
@@ -197,6 +212,32 @@ class TestRunCommand:
         assert capsys.readouterr().out == ""
         assert not list(out.parent.glob(".*"))  # no temp litter
 
+    def test_atomic_write_uses_a_private_temp_file_and_cleans_up(self, tmp_path, monkeypatch):
+        out = tmp_path / "report.csv"
+        out.write_text("old\n", encoding="utf-8")
+        seen = []
+        real_replace = cli.os.replace
+
+        def replace(src, dst):
+            # The temp file sits beside the target, readable by its owner only.
+            seen.append((Path(src).parent, Path(src).name, Path(src).stat().st_mode & 0o777, Path(src).read_text()))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace)
+        cli._atomic_write(out, "new\n")
+        assert seen == [(tmp_path, seen[0][1], 0o600, "new\n")]
+        assert seen[0][1].startswith(".report.csv.")
+        assert out.read_text() == "new\n"
+
+        def failing(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(cli.os, "replace", failing)
+        with pytest.raises(OSError, match="rename failed"):
+            cli._atomic_write(out, "lost\n")
+        assert out.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv"]
+
 
 class TestSweepCommand:
     def test_golden_csv(self, tmp_path, capsys):
@@ -205,6 +246,17 @@ class TestSweepCommand:
         )
         assert code == cli.EXIT_OK
         assert capsys.readouterr().out == GOLDEN_SWEEP
+
+    @pytest.mark.parametrize("mode,axis", sorted(SWEEP_DIGESTS))
+    def test_sweep_bytes_are_pinned(self, tmp_path, capsys, mode, axis):
+        doc = GENERAL_DOC if mode == "general" else bell_doc()
+        code = cli.main(
+            ["sweep", "--config", write_config(tmp_path, doc), "--axis", axis, "--values", SWEEP_VALUES, "--format", "csv"]
+        )
+        assert code == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1 + len(SWEEP_VALUES.split(","))
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[mode, axis]
 
     def test_golden_cells_match_a_50_digit_oracle(self):
         # Each golden cell lies within 2 ulp of the printed products taken at

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -247,10 +248,42 @@ class TestLogSpacePrimitives:
             assert abs(mp.mpf(zeno._power(0.1, n)) - reference) <= 4 * math.ulp(float(reference)), n
 
     def test_log_space_product(self):
-        xs = np.array([0.25, 0.5, 0.0])
-        assert zeno._log_space_product(xs, 3) == pytest.approx((0.75 * 0.5) ** 3, rel=1e-15)
-        assert zeno._log_space_product(np.array([0.2, 1.0, 0.3]), 7) == 0.0
-        assert zeno._log_space_product(np.zeros(4), 100) == 1.0
+        # At M = 2 the sin^2 table is (1/2, 1), and at N = 1 sin^2(theta_N)
+        # is 1, so the inner factor is prod((1 - w sin^2(i pi/4))^N).
+        ((_, inner),) = zeno._chained_factors(2, 1, ((0.0, 0.5),))
+        assert inner == pytest.approx(0.75 * 0.5, rel=1e-15)
+        # A loss of exactly 1 blocks the stage: exactly 0.0, and no
+        # RuntimeWarning from log1p(-1) (CI runs with warnings as errors).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert zeno._chained_factors(2, 1, ((0.0, 1.0),)) == [(1.0, 0.0)]
+        assert zeno._chained_factors(4, 100, ((0.0, 0.0),)) == [(1.0, 1.0)]
+
+    def test_shared_pass_matches_one_stage_bit_for_bit(self):
+        # Stages that share (outer, inner, cycles) are taken in one pass;
+        # each stage's factors must be == those of the stage alone, whose
+        # inner factor is the single-stage log-space sum.  Full inner
+        # weights block the stage at N = 1 (a loss of exactly 1 at i = M).
+        rng = np.random.default_rng(1701)
+        for outer in (1, 2, 5, 12, 25, 150, 2400):
+            for inner in (1, 2, 25, 2400):
+                for cycles in (outer, 2 * outer):
+                    weights = tuple(map(tuple, rng.random((3, 2)).tolist())) + ((1.0, 1.0), (0.0, 1.0))
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        shared = zeno._chained_factors(outer, inner, weights, cycles)
+                        alone = [zeno._chained_factors(outer, inner, (pair,), cycles)[0] for pair in weights]
+                    assert shared == alone, (outer, inner, cycles)
+                    table = zeno._sin_sq_table(outer, cycles)
+                    s_n = zeno._sin_sq_pi(1.0 / (2 * inner))
+                    for (_, w_in), (_, got) in zip(weights, shared):
+                        losses = w_in * table * s_n
+                        if np.any(losses >= 1.0):
+                            assert inner == 1 and w_in == 1.0 and got == 0.0
+                        else:
+                            assert got == math.exp(inner * float(np.sum(np.log1p(-losses)))), (outer, inner, cycles, w_in)
+                    if inner == 1:
+                        assert shared[-2][1] == shared[-1][1] == 0.0
 
 
 # The 50-digit reference below is written from the printed products alone.
@@ -318,7 +351,7 @@ class TestMpmathOracle:
         cycles_list = (outer, 2 * outer, 3 * outer)
         refs = _mp_chained(mp, outer, inner, mp.mpf(0.3), mp.mpf(0.7), cycles_list)
         for cycles, ref in zip(cycles_list, refs):
-            got = zeno._chained_factors(outer, inner, 0.3, 0.7, outer_cycles=cycles)
+            (got,) = zeno._chained_factors(outer, inner, ((0.3, 0.7),), outer_cycles=cycles)
             for value, reference, side in zip(got, ref, ("outer", "inner")):
                 _assert_close(value, reference, (outer, inner, cycles, side))
         _assert_close(cqz_lambda1(outer, inner), _mp_survival(mp, outer, inner, 0, 1, outer), (outer, inner, "lambda1"))
@@ -684,7 +717,7 @@ class TestOutcomeTables:
             raise AssertionError("outcome tables must come from the trajectory recursion")
 
         for name in ("qz_survival", "cqz_lambda0", "cqz_lambda1", "chained_survival", "_chained_factors",
-                     "_survival_power", "_log_space_product", "cepi_success", "coherent_qz_success",
+                     "_survival_power", "cepi_success", "coherent_qz_success",
                      "_power", "_sin_sq_table", "_cos_sq_pi", "_collapse_chain_losses"):
             monkeypatch.setattr(zeno, name, forbidden)
         for model in AbsorberModel:
@@ -779,7 +812,7 @@ class TestSimulateCct:
             simulate_cct(CycleConfig(2, 2, 2), BALANCED, 0, 1)
 
     @pytest.mark.parametrize(
-        "cfg,inp,seed,chained_calls,counts",
+        "cfg,inp,seed,chained_pairs,counts",
         [
             (CycleConfig(6, 6, 6), BALANCED, 73, 4, (752, 3457, 791)),
             (CycleConfig(150, 150, 5), GeneralInput(0.6, 0.8j, 0.8, 0.6, EulerAngles(0.2, 1.3, 0.4)), 74, 4, (1855, 3112, 33)),
@@ -787,20 +820,24 @@ class TestSimulateCct:
             (CycleConfig(5, 2400, 7), BellInput(0, 1, 0.8, 0.6, EulerAngles(0.4, 2.0, 1.3)), 80, 2, (4028, 431, 541)),
         ],
     )
-    def test_each_chained_stage_evaluated_once(self, monkeypatch, cfg, inp, seed, chained_calls, counts):
+    def test_each_chained_stage_evaluated_once(self, monkeypatch, cfg, inp, seed, chained_pairs, counts):
         # One factor pair per chained stage (lambda2, lambda4, lambda5 or
-        # lambda7) plus lambda1; the (successes, absorbed, discarded) counts
-        # are the ones recorded before the pairs were shared.
+        # lambda7) plus lambda1, and one pass per outer cycle count: the
+        # general protocol takes lambda1, lambda2 and lambda4 at M cycles
+        # and lambda5 at 2M, the Bell-type one lambda1 and lambda7 at M.
+        # The (successes, absorbed, discarded) counts are the ones recorded
+        # before the pairs were shared.
         calls = []
         original = zeno._chained_factors
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(outer, inner, weights, outer_cycles=None):
+            calls.append(len(weights))
+            return original(outer, inner, weights, outer_cycles)
 
         monkeypatch.setattr(zeno, "_chained_factors", counting)
         report = simulate_cct(cfg, inp, 5_000, seed)
-        assert len(calls) == chained_calls
+        assert calls == ([3, 1] if isinstance(inp, GeneralInput) else [2])
+        assert sum(calls) == chained_pairs
         assert (report.successes, report.absorbed, report.discarded) == counts
         assert report.conditional_fidelity == pytest.approx(1.0, abs=1e-12)
 
