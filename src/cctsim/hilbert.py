@@ -389,6 +389,11 @@ def unit_pair_error(c0: complex, c1: complex) -> str | None:
 def sample_counts(probs: Sequence[float], trials: int, rng: np.random.Generator) -> list[int]:
     """How many of ``trials`` draws land on each row of a discrete outcome table.
 
+    This is the one place a trial count is checked: every Monte Carlo
+    campaign samples through it.  ``trials`` must be a Python or numpy
+    integer >= 1; a bool, a float, 0 or a negative count raises
+    ``ValueError``.
+
     Trial i takes the i-th double of ``rng`` and the row whose interval of
     the cumulative distribution holds it, so row 0 is chosen exactly when
     that double is below probs[0].  Doubles are drawn SAMPLE_BLOCK at a
@@ -396,6 +401,8 @@ def sample_counts(probs: Sequence[float], trials: int, rng: np.random.Generator)
     the last rounded cumulative value goes to the last row of positive
     probability.
     """
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     probs = np.asarray(probs, dtype=np.float64)
     if not (np.all(np.isfinite(probs)) and np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= _TABLE_SUM_TOL):
         raise ValueError(f"outcome probabilities must be finite, nonnegative and sum to 1, got {probs!r}")

@@ -410,8 +410,6 @@ def outcome_statistics(inp: GeneralInput, trials: int, seed: int) -> tuple[float
     makes, so the counts equal those of ``trials`` sampled runs on one
     generator.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     p0 = _zero_probability(_general_prefix(inp)[1])
     zeros = sample_counts((p0, 1.0 - p0), trials, np.random.default_rng(seed))[0]
     return zeros / trials, (trials - zeros) / trials

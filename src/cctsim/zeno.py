@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
+from typing import TypeVar
 
 import numpy as np
 
@@ -104,10 +105,23 @@ def _sin_sq_table(outer: int, cycles: int) -> np.ndarray:
 
 
 def _build_sin_sq_table(outer: int, cycles: int) -> np.ndarray:
-    r = np.fmod(np.arange(1, cycles + 1) / (2 * outer), 1.0)
-    r = np.minimum(r, 1.0 - r)
-    table = np.where(r < 0.25, np.sin(np.pi * r), np.cos(np.pi * (0.5 - r))) ** 2
-    table[r == 0.25] = 0.5
+    # Built in place over one work array and two boolean masks, so the peak
+    # stays near 2.25 times the table.  sin and cos still run over whole
+    # contiguous arrays: a masked ufunc loop may round differently.
+    r = np.arange(1, cycles + 1, dtype=np.float64)
+    r /= 2 * outer
+    np.fmod(r, 1.0, out=r)
+    work = np.subtract(1.0, r)
+    np.minimum(r, work, out=r)
+    below, quarter = r < 0.25, r == 0.25
+    np.multiply(np.pi, r, out=work)
+    np.sin(work, out=work)
+    np.subtract(0.5, r, out=r)
+    np.multiply(np.pi, r, out=r)
+    np.cos(r, out=r)
+    np.copyto(r, work, where=below)
+    table = np.square(r, out=r)
+    table[quarter] = 0.5
     table.flags.writeable = False
     return table
 
@@ -305,8 +319,9 @@ _Stage = tuple[str, float, float]
 
 def _general_stages(cfg: CycleConfig, inp: GeneralInput) -> tuple[StageProbabilities, list[_Stage]]:
     """Stage probabilities of the general protocol with each stage's factor pair."""
-    a2, b2 = abs(inp.alpha) ** 2, abs(inp.beta) ** 2
-    g2, d2 = abs(inp.gamma) ** 2, abs(inp.delta) ** 2
+    # Each squared modulus is capped at 1: an input pair may exceed unit
+    # norm by NORMALIZATION_TOL, and a stage weight must not exceed 1.
+    a2, b2, g2, d2 = (min(abs(c) ** 2, 1.0) for c in (inp.alpha, inp.beta, inp.gamma, inp.delta))
     half = inp.angles.theta / 2.0
     c2, s2 = math.cos(half) ** 2, math.sin(half) ** 2
 
@@ -346,7 +361,8 @@ def stage_probabilities_general(cfg: CycleConfig, inp: GeneralInput) -> StagePro
 
 def _bell_stages(cfg: CycleConfig, inp: BellInput) -> tuple[StageProbabilities, list[_Stage]]:
     """Stage probabilities of the Bell-type protocol with each stage's factor pair."""
-    nab = abs(inp.c1) ** 2 if inp.ell == 0 else abs(inp.c0) ** 2
+    # Capped at 1 as in _general_stages.
+    nab = min(abs(inp.c1 if inp.ell == 0 else inp.c0) ** 2, 1.0)
     half = inp.angles.theta / 2.0
     nabla9 = nab * math.cos(half) ** 2
     nabla10 = nab * math.sin(half) ** 2
@@ -504,35 +520,33 @@ def _cqz_born_rows(a: complex, b: complex, pol0: int, outer: int, inner: int) ->
 
 
 def _cqz_coherent_rows(a: complex, b: complex, pol0: int, outer: int, inner: int) -> Iterator[_Row]:
-    # Gate frame: photon columns (design pol, channel pol); amplitudes are
-    # never renormalized, as in _qz_coherent_rows.
-    amps = np.zeros((2, 2), dtype=np.complex128)
-    amps[0, 0] = b
-    amps[1, 0] = a
+    # Gate-frame amplitudes of the absence and presence rows in the design
+    # and channel polarizations; never renormalized, as in _qz_coherent_rows.
+    absence, absence_channel = complex(b), 0j
+    presence, presence_channel = complex(a), 0j
     cos_m, sin_m = _rotation_step(outer)
     cos_n, sin_n = _rotation_step(inner)
     for i in range(1, outer + 1):
-        rotated = amps.copy()
-        rotated[:, 0] = cos_m * amps[:, 0] - sin_m * amps[:, 1]
-        rotated[:, 1] = sin_m * amps[:, 0] + cos_m * amps[:, 1]
-        amps = rotated
+        absence, absence_channel = (cos_m * absence - sin_m * absence_channel,
+                                    sin_m * absence + cos_m * absence_channel)
+        presence, presence_channel = (cos_m * presence - sin_m * presence_channel,
+                                      sin_m * presence + cos_m * presence_channel)
         # Channel components enter the inner gate; its own channel is the
         # outer design polarization, read by the detector on exit.  As in
         # _qz_coherent_rows, the presence component loses its rotated-out
         # part to absorption each inner cycle, and the absence component
         # makes one exact quarter turn onto the detector.
-        design = complex(amps[1, 1])
         absorbed = 0.0
         for _ in range(inner):
-            absorbed += abs(sin_n * design) ** 2
-            design *= cos_n
+            absorbed += abs(sin_n * presence_channel) ** 2
+            presence_channel *= cos_n
         yield absorbed, OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i, None, True
-        yield abs(amps[0, 1]) ** 2, OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", i, None, False
-        amps[:, 1] = 0.0, design
+        yield abs(absence_channel) ** 2, OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", i, None, False
+        absence_channel = 0j
     # Map the gate frame back onto (H, V) and deliver the coherent exit state.
     final = np.zeros((2, 2), dtype=np.complex128)
-    final[:, pol0] = amps[:, 0]
-    final[:, 1 - pol0] = amps[:, 1]
+    final[:, pol0] = absence, presence
+    final[:, 1 - pol0] = absence_channel, presence_channel
     p_exit, state = _exit_state(final)
     yield p_exit, OutcomeKind.SUCCESS, "cqz:exit", outer, state, False
 
@@ -577,14 +591,19 @@ def _gate_table(
     return tuple(outcomes), np.array(probs)
 
 
+_T = TypeVar("_T")
 _Sampled = TrajectoryOutcome | list[tuple[TrajectoryOutcome, int]]
 
 
-def _sample(table: tuple[tuple[TrajectoryOutcome, ...], np.ndarray], rng: np.random.Generator, size: int | None) -> _Sampled:
-    outcomes, probs = table
+def _sample(
+    table: tuple[tuple[_T, ...], np.ndarray], rng: np.random.Generator, size: int | None
+) -> _T | list[tuple[_T, int]]:
+    """One row of a (rows, probabilities) table with ``size`` None; otherwise
+    each row that ``size`` trials reach, with its count, by ``sample_counts``."""
+    rows, probs = table
     if size is None:
-        return outcomes[sample_counts(probs, 1, rng).index(1)]
-    return [(outcome, count) for outcome, count in zip(outcomes, sample_counts(probs, size, rng)) if count]
+        return rows[sample_counts(probs, 1, rng).index(1)]
+    return [(row, count) for row, count in zip(rows, sample_counts(probs, size, rng)) if count]
 
 
 def simulate_qz(
@@ -658,16 +677,30 @@ class MonteCarloReport:
         return asdict(self)
 
 
-def _report(trials: int, successes: int, absorbed: int, discarded: int, fid: float | None, seed: int) -> MonteCarloReport:
+def _report(rows: Iterable[tuple[OutcomeKind, float | None, int]], seed: int) -> MonteCarloReport:
+    """The one tally behind every MonteCarloReport, from the campaign's
+    sampled (kind, fidelity of a success or None, count) rows.
+
+    ``conditional_fidelity`` is None when nothing succeeded or a success
+    carries no fidelity.
+    """
+    tally = dict.fromkeys(OutcomeKind, 0)
+    fid_total: float | None = 0.0
+    for kind, fid, count in rows:
+        tally[kind] += count
+        if kind is OutcomeKind.SUCCESS and fid_total is not None:
+            fid_total = None if fid is None else fid_total + count * fid
+    trials = sum(tally.values())
+    successes = tally[OutcomeKind.SUCCESS]
     abort = 1.0 - successes / trials
     return MonteCarloReport(
         trials=trials,
         successes=successes,
-        absorbed=absorbed,
-        discarded=discarded,
+        absorbed=tally[OutcomeKind.ABSORBED_BY_ELECTRON],
+        discarded=tally[OutcomeKind.DISCARDED_AT_DETECTOR],
         abort_rate_estimate=abort,
         standard_error=math.sqrt(abort * (1.0 - abort) / trials),
-        conditional_fidelity=fid,
+        conditional_fidelity=fid_total / successes if successes and fid_total is not None else None,
         seed=seed,
     )
 
@@ -685,42 +718,35 @@ def gate_statistics(
 ) -> MonteCarloReport:
     """Seeded trajectory campaign over one gate ('qz' or 'cqz').
 
-    ``outer`` is required for the chained gate.  The trials are one
-    ``simulate_qz``/``simulate_cqz`` call: the gate's outcome table is built
-    once and trial i takes the row picked by the i-th double of
-    ``default_rng(seed)``.  Every Success row that is sampled is asserted
-    never to have touched the channel.  ``conditional_fidelity`` averages
-    the Success final states against ``expected_success_state`` when one
-    is supplied.
+    ``outer`` is required for the chained gate and refused for the single
+    one.  The trials are one ``simulate_qz``/``simulate_cqz`` call: the
+    gate's outcome table is built once and trial i takes the row picked by
+    the i-th double of ``default_rng(seed)``.  Every Success row that is
+    sampled is asserted never to have touched the channel.
+    ``conditional_fidelity`` averages the Success final states against
+    ``expected_success_state`` when one is supplied.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if gate not in ("qz", "cqz"):
         raise ValueError(f"gate must be 'qz' or 'cqz', got {gate!r}")
     if gate == "cqz" and outer is None:
         raise ValueError("the chained gate needs an outer cycle count")
+    if gate == "qz" and outer is not None:
+        raise ValueError(f"the single-interferometer gate takes no outer cycle count, got {outer!r}")
     rng = np.random.default_rng(seed)
     if gate == "qz":
         sampled = simulate_qz(absorber, polarization, inner, model, rng, trials)
     else:
         sampled = simulate_cqz(absorber, polarization, outer, inner, model, rng, trials)
-    successes = absorbed = discarded = 0
-    fid_total = 0.0
+    rows = []
     for outcome, count in sampled:
+        fid = None
         if outcome.kind is OutcomeKind.SUCCESS:
             if outcome.photon_entered_channel:
                 raise RuntimeError("counterfactuality bookkeeping violated: Success touched the channel")
-            successes += count
             if expected_success_state is not None:
-                fid_total += count * fidelity(outcome.final_state, expected_success_state)
-        elif outcome.kind is OutcomeKind.ABSORBED_BY_ELECTRON:
-            absorbed += count
-        else:
-            discarded += count
-    fid = None
-    if expected_success_state is not None and successes:
-        fid = fid_total / successes
-    return _report(trials, successes, absorbed, discarded, fid, seed)
+                fid = fidelity(outcome.final_state, expected_success_state)
+        rows.append((outcome.kind, fid, count))
+    return _report(rows, seed)
 
 
 def simulate_cct(
@@ -735,15 +761,14 @@ def simulate_cct(
     probability; the first failure aborts the trial, classified as a
     detector discard (outer factors) or an electron absorption (inner
     factors and the collapse-chain stages).  That law is one outcome table
-    with a row per (outcome m, stage, kind) and a success row per m; trial
-    i takes the row picked by the i-th double of ``default_rng(seed)``.
+    with a row (m, stage, kind, fidelity of a success) per outcome m, stage
+    and kind and a success row per m, sampled as the gate tables are:
+    ``trials`` follows the rule of ``hilbert.sample_counts``, and trial i
+    takes the row picked by the i-th double of ``default_rng(seed)``.
     Successful trials deliver the exact logical output, so the conditional
     fidelity against the closed form is 1 by construction; it is still
     measured, not asserted.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-
     if isinstance(inp, GeneralInput):
         _, stages = _general_stages(cfg, inp)
         p0, transcripts = _protocol.run_general_branches(inp)
@@ -758,35 +783,19 @@ def simulate_cct(
         bell_fidelity = fidelity(_protocol.run_bell(inp).psi6m, _protocol.expected_output_bell(inp))
         branches = [(None, 1.0, stages, bell_fidelity)]
 
-    # Rows (m, stage, kind, fidelity of a success) with their probabilities.
     rows: list[tuple[int | None, str, OutcomeKind, float | None]] = []
-    table: list[float] = []
+    probs: list[float] = []
     for m, weight, stages, branch_fidelity in branches:
         alive = weight
         for stage, f_discard, f_absorb in stages:
             rows.append((m, stage, OutcomeKind.DISCARDED_AT_DETECTOR, None))
-            table.append(alive * (1.0 - f_discard))
+            probs.append(alive * (1.0 - f_discard))
             alive *= f_discard
             rows.append((m, stage, OutcomeKind.ABSORBED_BY_ELECTRON, None))
-            table.append(alive * (1.0 - f_absorb))
+            probs.append(alive * (1.0 - f_absorb))
             alive *= f_absorb
         rows.append((m, "exit", OutcomeKind.SUCCESS, branch_fidelity))
-        table.append(alive)
+        probs.append(alive)
 
-    counts = sample_counts(table, trials, np.random.default_rng(seed))
-    tally = dict.fromkeys(OutcomeKind, 0)
-    fid_total = 0.0
-    for (_, _, kind, branch_fidelity), count in zip(rows, counts):
-        tally[kind] += count
-        if kind is OutcomeKind.SUCCESS:
-            fid_total += count * branch_fidelity
-    successes = tally[OutcomeKind.SUCCESS]
-    fid_mean = fid_total / successes if successes else None
-    return _report(
-        trials,
-        successes,
-        tally[OutcomeKind.ABSORBED_BY_ELECTRON],
-        tally[OutcomeKind.DISCARDED_AT_DETECTOR],
-        fid_mean,
-        seed,
-    )
+    sampled = _sample((tuple(rows), np.array(probs)), np.random.default_rng(seed), trials)
+    return _report(((kind, fid, count) for (_, _, kind, fid), count in sampled), seed)

@@ -72,6 +72,9 @@ SWEEP_DIGESTS = {
 }
 
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
 def write_config(tmp_path: Path, doc: dict) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -91,6 +94,17 @@ def bell_doc() -> dict:
         "K": 10,
         "seed": 3,
     }
+
+
+# Passes the input constructors' 1e-12 norm check with a squared modulus above 1.
+NEAR_UNIT = [math.sqrt(1.0 + 8e-13), 0.0]
+NEAR_UNIT_DOCS = {
+    "general": dict(GENERAL_DOC, alpha=NEAR_UNIT, beta=[0.0, 0.0], gamma=[0.0, 0.0], delta=NEAR_UNIT),
+    "bell-0": dict(bell_doc(), ell=0, sign=1, c0=[0.0, 0.0], c1=NEAR_UNIT,
+                   angles={"phi": 0.3, "theta": 0.0, "varphi": 0.7}),
+    "bell-1": dict(bell_doc(), ell=1, sign=1, c0=NEAR_UNIT, c1=[0.0, 0.0],
+                   angles={"phi": 0.3, "theta": 0.0, "varphi": 0.7}),
+}
 
 
 class TestConfigLoading:
@@ -133,6 +147,21 @@ class TestConfigLoading:
         config = cli.load_config(write_config(tmp_path, GENERAL_DOC), {"seed": 99, "trials": 7})
         assert config.seed == 99
         assert config.trials == 7
+
+
+class TestReadmeExample:
+    def test_examples_json_is_the_readme_config(self):
+        text = (REPO_ROOT / "examples.json").read_text(encoding="utf-8")
+        assert f"```json\n{text}```" in (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        assert json.loads(text) == README_DOC
+
+
+class TestNearUnitConfigs:
+    @pytest.mark.parametrize("name", sorted(NEAR_UNIT_DOCS))
+    def test_every_command_accepts_what_the_loader_accepts(self, tmp_path, capsys, name):
+        config = write_config(tmp_path, NEAR_UNIT_DOCS[name])
+        for argv in (["run"], ["sweep", "--axis", "diag", "--values", "1,5"], ["montecarlo", "--trials", "500"]):
+            assert cli.main([*argv, "--config", config]) == cli.EXIT_OK, (name, argv, capsys.readouterr().err)
 
 
 class TestRunCommand:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -42,6 +44,42 @@ from cctsim.zeno import (
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 BALANCED = GeneralInput(ROOT_HALF, ROOT_HALF, ROOT_HALF, ROOT_HALF, EulerAngles(0.3, math.pi / 2, 0.7))
+
+# SHA-256 over the same-seed reports of _monte_carlo_documents(), recorded
+# before the campaigns shared one tally.
+MONTE_CARLO_DIGEST = "674bad467f85ff02f67b924c49accc1a001fbea8a6c998a43724992cbe3aa1a7"
+
+
+def _monte_carlo_documents() -> list[str]:
+    """Same-seed reports of every campaign kind, each as sorted JSON.
+
+    Every gate, model, absorber and polarization at four cycle pairs, with
+    and without an expected success state; seeded simulate_cct runs on
+    random general and Bell inputs; outcome_statistics on random inputs.
+    """
+    documents = []
+    expected = StateVector.basis((2, 2), (1, 0))
+    for gate in ("qz", "cqz"):
+        for model in AbsorberModel:
+            for absorber in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8j), (ROOT_HALF, -ROOT_HALF)):
+                for polarization in ("H", "V"):
+                    for outer, inner in ((1, 1), (2, 3), (5, 5), (12, 7)):
+                        for state in (None, expected):
+                            report = gate_statistics(
+                                gate, absorber, polarization, inner, model, 997, 11 + len(documents),
+                                outer=outer if gate == "cqz" else None, expected_success_state=state,
+                            )
+                            documents.append(json.dumps(report.as_dict(), sort_keys=True))
+    rng = np.random.default_rng(2024)
+    for i in range(60):
+        cfg = CycleConfig(*(int(count) for count in rng.integers(1, 60, 3)))
+        inp = protocol.random_general_input(rng) if i % 2 else protocol.random_bell_input(rng)
+        report = simulate_cct(cfg, inp, int(rng.integers(1, 5000)), int(rng.integers(0, 2**31)))
+        documents.append(json.dumps(report.as_dict(), sort_keys=True))
+    for i in range(60):
+        inp = protocol.random_general_input(rng)
+        documents.append(json.dumps(protocol.outcome_statistics(inp, int(rng.integers(1, 5000)), i)))
+    return documents
 
 
 class TestCycleConfig:
@@ -171,6 +209,15 @@ class TestChainedSurvival:
             chained_survival(5, 5, 0.5, 0.5, outer_cycles=outer_cycles)
 
 
+def _reference_sin_sq_table(outer: int, cycles: int) -> np.ndarray:
+    """The sin^2 table by its first formula, one full-length temporary per step."""
+    r = np.fmod(np.arange(1, cycles + 1) / (2 * outer), 1.0)
+    r = np.minimum(r, 1.0 - r)
+    table = np.where(r < 0.25, np.sin(np.pi * r), np.cos(np.pi * (0.5 - r))) ** 2
+    table[r == 0.25] = 0.5
+    return table
+
+
 class TestLogSpacePrimitives:
     @pytest.mark.parametrize("outer", [1, 2, 4, 5, 6, 12, 40, 150, 600, 2400])
     def test_matches_the_scalar_half_angle_form(self, outer):
@@ -235,6 +282,25 @@ class TestLogSpacePrimitives:
         assert cache.cache_info().misses == misses
         assert cache.cache_info().hits >= misses
         assert zeno._sin_sq_table(2400, 4800) is zeno._sin_sq_table(2400, 4800)
+
+    @pytest.mark.parametrize("outer,cycles", [(200000, 400000), (7, 1000), (1, 9), (2400, 4800), (3, 100007)])
+    def test_built_table_keeps_the_reference_bits(self, outer, cycles):
+        assert zeno._build_sin_sq_table(outer, cycles).tobytes() == _reference_sin_sq_table(outer, cycles).tobytes()
+
+    def test_building_a_table_peaks_near_twice_its_size(self):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            table = zeno._build_sin_sq_table(200000, 400000)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert table.nbytes == 3_200_000
+        assert peak <= 2.5 * table.nbytes
 
     def test_power_keeps_exact_rationals(self, mp):
         assert zeno._power(0.25, 2) == 0.5625
@@ -513,6 +579,35 @@ def test_stage_probabilities_stay_in_unit_interval(outer, inner, chain, wa, wb, 
         assert 0.0 <= value <= 1.0
 
 
+# Passes the constructors' 1e-12 norm check with a squared modulus above 1.
+NEAR_UNIT = math.sqrt(1.0 + 8e-13)
+
+
+class TestNearUnitInputs:
+    ANGLES = EulerAngles(0.3, 1.2, 0.7)
+    FLAT = EulerAngles(0.3, 0.0, 0.7)
+
+    def test_general_stage_weights_stay_in_the_unit_interval(self):
+        cfg = CycleConfig(5, 5, 5)
+        inp = GeneralInput(NEAR_UNIT, 0.0, 0.0, NEAR_UNIT, self.ANGLES)
+        assert abs(inp.alpha) ** 2 * abs(inp.delta) ** 2 > 1.0
+        unit = GeneralInput(1.0, 0.0, 0.0, 1.0, self.ANGLES)
+        assert stage_probabilities_general(cfg, inp) == stage_probabilities_general(cfg, unit)
+        report, reference = simulate_cct(cfg, inp, 2_000, 3), simulate_cct(cfg, unit, 2_000, 3)
+        assert (report.successes, report.absorbed, report.discarded) == (
+            reference.successes, reference.absorbed, reference.discarded)
+
+    @pytest.mark.parametrize("ell", [0, 1])
+    def test_bell_stage_weights_stay_in_the_unit_interval(self, ell):
+        # At theta = 0 the whole class weight sits on nabla9: the inner
+        # weight for class 0, the outer one for class 1.
+        cfg = CycleConfig(5, 5, 5)
+        inp = BellInput(ell, 1, 0.0, NEAR_UNIT, self.FLAT) if ell == 0 else BellInput(ell, 1, NEAR_UNIT, 0.0, self.FLAT)
+        unit = BellInput(ell, 1, 0.0, 1.0, self.FLAT) if ell == 0 else BellInput(ell, 1, 1.0, 0.0, self.FLAT)
+        assert stage_probabilities_bell(cfg, inp) == stage_probabilities_bell(cfg, unit)
+        assert simulate_cct(cfg, inp, 2_000, 3).successes == simulate_cct(cfg, unit, 2_000, 3).successes
+
+
 class TestTrajectoryOutcome:
     def test_success_requires_clean_channel(self):
         state = StateVector.basis((2, 2), (1, 0))
@@ -757,7 +852,7 @@ class TestOutcomeTables:
     def test_block_size_does_not_change_reports(self, monkeypatch):
         def campaigns():
             reports = [
-                gate_statistics(gate, (0.6, 0.8), "H", 5, model, 1_000, 71, outer=5,
+                gate_statistics(gate, (0.6, 0.8), "H", 5, model, 1_000, 71, outer=5 if gate == "cqz" else None,
                                 expected_success_state=StateVector.basis((2, 2), (1, 0)))
                 for gate in ("qz", "cqz")
                 for model in AbsorberModel
@@ -771,6 +866,14 @@ class TestOutcomeTables:
         default = campaigns()
         monkeypatch.setattr(hilbert, "SAMPLE_BLOCK", 7)
         assert campaigns() == default
+
+
+class TestSameSeedBytes:
+    def test_monte_carlo_reports_are_pinned(self):
+        documents = _monte_carlo_documents()
+        assert len(documents) == 376
+        digest = hashlib.sha256("\n".join(documents).encode()).hexdigest()
+        assert digest == MONTE_CARLO_DIGEST
 
 
 class TestSimulateCct:
@@ -853,7 +956,44 @@ class TestModelConvergence:
             MonteCarloReport(10, 5, 2, 2, 0.5, 0.1, None, 0)
 
 
+class TestTrialCountRule:
+    @staticmethod
+    def _campaigns(trials):
+        rng = np.random.default_rng(1)
+        return [
+            lambda: gate_statistics("qz", (0.6, 0.8), "H", 3, AbsorberModel.COHERENT, trials, 1),
+            lambda: gate_statistics("cqz", (0.6, 0.8), "H", 3, AbsorberModel.PER_CYCLE_BORN, trials, 1, outer=2),
+            lambda: simulate_cct(CycleConfig(2, 2, 2), BALANCED, trials, 1),
+            lambda: simulate_cct(CycleConfig(2, 2, 2), BellInput(1, 1, 0.6, 0.8, EulerAngles(0.4, 2.0, 1.3)), trials, 1),
+            lambda: protocol.outcome_statistics(BALANCED, trials, 1),
+            lambda: simulate_qz((0.6, 0.8), "H", 3, AbsorberModel.COHERENT, rng, trials),
+            lambda: simulate_cqz((0.6, 0.8), "V", 2, 3, AbsorberModel.COHERENT, rng, size=trials),
+            lambda: hilbert.sample_counts((0.5, 0.5), trials, rng),
+        ]
+
+    @pytest.mark.parametrize("trials", [True, False, 2.5, 3.0, np.float64(4.0), 0, -3, np.int64(0)], ids=repr)
+    def test_every_campaign_rejects_a_bad_count(self, trials):
+        for campaign in self._campaigns(trials):
+            with pytest.raises(ValueError, match="trials"):
+                campaign()
+
+    @pytest.mark.parametrize("trials", [np.int64(300), np.int32(300), np.uint16(300)], ids=repr)
+    def test_numpy_integer_counts_match_python_ints(self, trials):
+        for numpy_count, python_count in zip(self._campaigns(trials), self._campaigns(300)):
+            result, reference = numpy_count(), python_count()
+            if isinstance(reference, MonteCarloReport):
+                assert json.dumps(result.as_dict()) == json.dumps(reference.as_dict())
+            elif isinstance(reference, list) and isinstance(reference[0], tuple):
+                assert [(o.kind, o.cycle_index, n) for o, n in result] == [(o.kind, o.cycle_index, n) for o, n in reference]
+            else:
+                assert result == reference
+
+
 class TestGateStatisticsValidation:
+    def test_single_gate_refuses_an_outer_count(self):
+        with pytest.raises(ValueError, match="outer"):
+            gate_statistics("qz", (1.0, 0.0), "H", 2, AbsorberModel.COHERENT, 10, 1, outer=7)
+
     def test_unknown_gate(self, rng):
         with pytest.raises(ValueError):
             gate_statistics("mzi", (1.0, 0.0), "H", 2, AbsorberModel.COHERENT, 10, 1)
