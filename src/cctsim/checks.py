@@ -276,18 +276,15 @@ _DIAGONAL = (5, 10, 20, 40, 80)
 
 
 def _diagonal_scan() -> dict[str, list[float]]:
-    ginp = _balanced_general()
-    binp = _balanced_bell(1)
-    zeta0, zeta1, zeta, lambda1 = [], [], [], []
-    for c in _DIAGONAL:
-        cfg = zeno.CycleConfig(c, c, c)
-        pg = zeno.stage_probabilities_general(cfg, ginp)
-        pb = zeno.stage_probabilities_bell(cfg, binp)
-        zeta0.append(pg.zeta_m[0])
-        zeta1.append(pg.zeta_m[1])
-        zeta.append(pb.zeta)
-        lambda1.append(pg.lambda1)
-    return {"zeta0": zeta0, "zeta1": zeta1, "zeta": zeta, "lambda1": lambda1}
+    cfgs = [zeno.CycleConfig(c, c, c) for c in _DIAGONAL]
+    general = [values for values, _ in zeno.stage_rows_general(cfgs, _balanced_general())]
+    bell = [values for values, _ in zeno.stage_rows_bell(cfgs, _balanced_bell(1))]
+    return {
+        "zeta0": [values["zeta_m"][0] for values in general],
+        "zeta1": [values["zeta_m"][1] for values in general],
+        "zeta": [values["zeta"] for values in bell],
+        "lambda1": [values["lambda1"] for values in general],
+    }
 
 
 def check_asymptotics_monotone() -> str:

@@ -300,20 +300,18 @@ def _sweep_cycles(config: RunConfig, axis: str, value: int) -> CycleConfig:
 
 
 def _sweep_rows(config: RunConfig, axis: str, values: tuple[int, ...]) -> tuple[tuple[str, ...], list[list]]:
-    rows = []
+    cfgs = [_sweep_cycles(config, axis, value) for value in values]
     if config.mode == "general":
-        columns = SWEEP_COLUMNS_GENERAL
-        for value in values:
-            probs = zeno.stage_probabilities_general(_sweep_cycles(config, axis, value), config.protocol_input)
-            rows.append(
-                [axis, value, probs.lambda2, probs.lambda3, probs.lambda4, probs.lambda5, probs.zeta_m[0], probs.zeta_m[1]]
-            )
-    else:
-        columns = SWEEP_COLUMNS_BELL
-        for value in values:
-            probs = zeno.stage_probabilities_bell(_sweep_cycles(config, axis, value), config.protocol_input)
-            rows.append([axis, value, probs.lambda6, probs.lambda7, probs.zeta])
-    return columns, rows
+        rows = [
+            [axis, value, p["lambda2"], p["lambda3"], p["lambda4"], p["lambda5"], *p["zeta_m"]]
+            for value, (p, _) in zip(values, zeno.stage_rows_general(cfgs, config.protocol_input))
+        ]
+        return SWEEP_COLUMNS_GENERAL, rows
+    rows = [
+        [axis, value, p["lambda6"], p["lambda7"], p["zeta"]]
+        for value, (p, _) in zip(values, zeno.stage_rows_bell(cfgs, config.protocol_input))
+    ]
+    return SWEEP_COLUMNS_BELL, rows
 
 
 def _format_cell(value) -> str:
@@ -323,7 +321,13 @@ def _format_cell(value) -> str:
 
 
 def cmd_sweep(config: RunConfig, axis: str | None, values: tuple[int, ...] | None) -> int:
-    """Tabulate stage probabilities along one cycle-count axis."""
+    """Tabulate stage probabilities along one cycle-count axis.
+
+    The rows are one closed-form evaluation (``zeno.stage_rows_general`` or
+    ``zeno.stage_rows_bell``): values that share M share one pass in chunks
+    of the fixed ``zeno.PASS_BLOCK`` budget.  Rows come in the order of
+    ``values``, duplicates included, and each is == to a one-value sweep.
+    """
     axis = axis or config.sweep_axis
     values = values or config.sweep_values
     problems = []

@@ -386,13 +386,23 @@ def unit_pair_error(c0: complex, c1: complex) -> str | None:
     return f"amplitudes must be finite with |c0|^2 + |c1|^2 = 1, got {total!r}"
 
 
+def is_count(value: object) -> bool:
+    """The rule for trial and cycle counts: a Python or numpy integer >= 1.
+    A bool, a float (even an integral one) and None are not counts."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
+
+
+def check_trials(trials: int) -> None:
+    """Raise ``ValueError`` naming ``trials`` unless it is a count (``is_count``)."""
+    if not is_count(trials):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+
+
 def sample_counts(probs: Sequence[float], trials: int, rng: np.random.Generator) -> list[int]:
     """How many of ``trials`` draws land on each row of a discrete outcome table.
 
-    This is the one place a trial count is checked: every Monte Carlo
-    campaign samples through it.  ``trials`` must be a Python or numpy
-    integer >= 1; a bool, a float, 0 or a negative count raises
-    ``ValueError``.
+    Every Monte Carlo campaign samples through it, so every trial count
+    meets ``check_trials`` here.
 
     Trial i takes the i-th double of ``rng`` and the row whose interval of
     the cumulative distribution holds it, so row 0 is chosen exactly when
@@ -401,8 +411,7 @@ def sample_counts(probs: Sequence[float], trials: int, rng: np.random.Generator)
     the last rounded cumulative value goes to the last row of positive
     probability.
     """
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    check_trials(trials)
     probs = np.asarray(probs, dtype=np.float64)
     if not (np.all(np.isfinite(probs)) and np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= _TABLE_SUM_TOL):
         raise ValueError(f"outcome probabilities must be finite, nonnegative and sum to 1, got {probs!r}")

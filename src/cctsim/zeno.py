@@ -2,8 +2,14 @@
 
 The analytic half evaluates, exactly as printed, the closed-form success
 and abortion probabilities of every interferometric gate and protocol
-stage (the lambda/nabla/zeta family).  The Monte Carlo half simulates the
-gates trajectory by trajectory under two explicitly named absorber models:
+stage (the lambda/nabla/zeta family).  ``stage_rows_general/bell`` take a
+whole sequence of cycle configurations at once: configs that share M
+share one log1p pass per outer cycle count, cut into chunks of at most
+PASS_BLOCK entries, and every row is == to a one-config call, which runs
+the same code (``stage_probabilities_general/bell``).
+
+The Monte Carlo half simulates the gates trajectory by trajectory under
+two explicitly named absorber models:
 
 * ``PER_CYCLE_BORN`` reproduces the closed forms: each cycle an absorption
   event fires with the fixed probability weight * sin^2(theta), with the
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import TypeVar
@@ -33,7 +39,7 @@ from typing import TypeVar
 import numpy as np
 
 from . import protocol as _protocol
-from .hilbert import StateVector, fidelity, sample_counts, unit_pair_error
+from .hilbert import StateVector, check_trials, fidelity, is_count, sample_counts, unit_pair_error
 from .protocol import BellInput, GeneralInput
 
 @dataclass(frozen=True)
@@ -45,7 +51,9 @@ class CycleConfig:
     K: int
 
     def __post_init__(self) -> None:
-        _validate_cycles(M=self.M, N=self.N, K=self.K)
+        object.__setattr__(self, "M", _cycle_count("M", self.M))
+        object.__setattr__(self, "N", _cycle_count("N", self.N))
+        object.__setattr__(self, "K", _cycle_count("K", self.K))
 
     @property
     def theta_m(self) -> float:
@@ -145,10 +153,13 @@ def _power(x: float, n: int) -> float:
     return base**n * math.exp(n * math.log1p(((1.0 - base) - x) / base))
 
 
-def _validate_cycles(**counts: int) -> None:
-    for name, value in counts.items():
-        if int(value) != value or value < 1:
-            raise ValueError(f"cycle count {name} must be a positive integer, got {value!r}")
+def _cycle_count(name: str, value: int) -> int:
+    """``value`` as a Python int, once it is a count by the trial-count rule
+    (``hilbert.is_count``); on a numpy count such as uint16, arithmetic
+    like 2 * M or N * K would wrap."""
+    if not is_count(value):
+        raise ValueError(f"cycle count {name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _validate_weight(name: str, value: float) -> None:
@@ -157,7 +168,7 @@ def _validate_weight(name: str, value: float) -> None:
 
 
 def _gate_survival(name: str, cycles: int) -> float:
-    _validate_cycles(**{name: cycles})
+    cycles = _cycle_count(name, cycles)
     return _survival_power(_sin_sq_pi(1.0 / (2 * cycles)), cycles)
 
 
@@ -173,11 +184,11 @@ def cqz_lambda0(outer: int) -> float:
 
 def cqz_lambda1(outer: int, inner: int) -> float:
     """Chained-gate survival for a present blocker: the printed M-term product."""
-    return _chained_factors(outer, inner, ((0.0, 1.0),))[0][1]
+    return _chained_factors(outer, (inner,), ((outer, ((0.0, 1.0),)),))[0][0][1]
 
 
 def _collapse_success(name: str, inner: int, weight: float) -> float:
-    _validate_cycles(N=inner)
+    inner = _cycle_count("N", inner)
     _validate_weight(name, weight)
     return _survival_power(weight * _sin_sq_pi(1.0 / (2 * inner)), inner) * weight
 
@@ -199,14 +210,14 @@ def coherent_qz_success(inner: int, nabla: float) -> float:
     converges to the per-cycle-Born value cepi_success(N, nabla) as N grows
     but differs at finite N.
     """
-    _validate_cycles(N=inner)
+    _cycle_count("N", inner)
     _validate_weight("nabla", nabla)
     return nabla * qz_survival(inner)
 
 
 def _collapse_chain_losses(chain: int, inner: int, nabla: float) -> tuple[float, float]:
-    """Per-cycle losses (nabla cos^2 theta_K sin^2 theta_N, nabla sin^2 theta_K) of a collapse stage."""
-    _validate_cycles(K=chain, N=inner)
+    """Per-cycle losses (nabla cos^2 theta_K sin^2 theta_N, nabla sin^2 theta_K) of a
+    collapse stage, for counts that _cycle_count has returned."""
     _validate_weight("nabla", nabla)
     y = 1.0 / (2 * chain)
     return nabla * _cos_sq_pi(y) * _sin_sq_pi(1.0 / (2 * inner)), nabla * _sin_sq_pi(y)
@@ -214,12 +225,14 @@ def _collapse_chain_losses(chain: int, inner: int, nabla: float) -> tuple[float,
 
 def dcfo_stage_success(chain: int, inner: int, nabla: float) -> float:
     """Per-stage success (1 - nabla cos^2 theta_K sin^2 theta_N)^N (1 - nabla sin^2 theta_K)."""
+    chain, inner = _cycle_count("K", chain), _cycle_count("N", inner)
     first, second = _collapse_chain_losses(chain, inner, nabla)
     return _power(first, inner) * _power(second, 1)
 
 
 def dcfo_success(chain: int, inner: int, nabla: float) -> float:
     """Success of K concatenated collapse stages: dcfo_stage_success^K."""
+    chain, inner = _cycle_count("K", chain), _cycle_count("N", inner)
     first, second = _collapse_chain_losses(chain, inner, nabla)
     return _power(first, inner * chain) * _power(second, chain)
 
@@ -229,44 +242,100 @@ def ddcfo_success(chain: int, inner: int, nabla4: float) -> float:
     return dcfo_success(chain, inner, nabla4)
 
 
-def _chained_factors(
-    outer: int, inner: int, weights: tuple[tuple[float, float], ...], outer_cycles: int | None = None
-) -> list[tuple[float, float]]:
+# Most (inner count, stage, cycle) entries one chunk of a chained pass
+# holds; an inner count whose stages alone exceed it is taken on its own.
+PASS_BLOCK = 1 << 16
+
+# One (outer weight, inner weight) pair per chained stage.
+_Weights = tuple[tuple[float, float], ...]
+# One chained pass: its outer cycles and the weights of its stages.
+_Pass = tuple[int, _Weights]
+
+
+def _chained_factors(outer: int, inners: Sequence[int], passes: Sequence[_Pass]) -> list[list[tuple[float, float]]]:
     """Outer-discard and inner-absorption survival factors of chained stages.
 
-    ``weights`` holds one (outer weight, inner weight) pair per stage; the
-    stages share the cycle counts, and their inner products are taken in
-    one log1p pass over a (stages, cycles) array, whose row sums are bit for
-    bit the sums of one stage alone.  Validates the cycle counts and weights.
-    The rotation step stays pi/(2*outer) even when the stages run
-    ``outer_cycles`` != outer outer cycles (the doubled controlled-phase
-    stage runs 2M cycles at the M-cycle step size).
+    Every stage has ``outer`` as its outer count; the stages of one pass
+    also share its number of outer cycles.  The result holds, for each
+    inner count in ``inners``, one factor pair per stage of every pass in
+    turn.  Each pass writes the entries -x of all inner counts into one
+    (inner counts, stages, cycles) array and takes one in-place log1p and
+    one sum over its last axis (see _log_sums); each contiguous row sum is
+    bit for bit the sum of that stage at that inner count alone.  Validates
+    the cycle counts and weights.  The rotation step stays pi/(2*outer)
+    even when a pass runs other than ``outer`` outer cycles (the doubled
+    controlled-phase stage runs 2M cycles at the M-cycle step size).
     """
-    cycles = outer if outer_cycles is None else outer_cycles
-    _validate_cycles(M=outer, N=inner, outer_cycles=cycles)
-    for outer_weight, inner_weight in weights:
-        _validate_weight("outer_weight", outer_weight)
-        _validate_weight("inner_weight", inner_weight)
+    outer = _cycle_count("M", outer)
+    inners = [_cycle_count("N", inner) for inner in inners]
     s_m = _sin_sq_pi(1.0 / (2 * outer))
+    s_n = [_sin_sq_pi(1.0 / (2 * inner)) for inner in inners]
+    rows = [[] for _ in inners]
+    for cycles, weights in passes:
+        cycles = _cycle_count("outer_cycles", cycles)
+        for outer_weight, inner_weight in weights:
+            _validate_weight("outer_weight", outer_weight)
+            _validate_weight("inner_weight", inner_weight)
+        outer_factors = [_survival_power(outer_weight * s_m, cycles) for outer_weight, _ in weights]
+        for row, inner, log_sums in zip(rows, inners, _log_sums(outer, cycles, weights, s_n)):
+            row += [(f_out, math.exp(inner * log_sum)) for f_out, log_sum in zip(outer_factors, log_sums)]
+    return rows
+
+
+def _log_sums(outer: int, cycles: int, weights: _Weights, s_n: list[float]) -> list[list[float]]:
+    """sum over i of log1p(-w_in * sin^2(i theta_M) * s), for each s in
+    ``s_n`` and each stage's inner weight w_in.
+
+    The (inner counts, stages, cycles) array is taken in chunks of at most
+    PASS_BLOCK entries, or of one inner count when its stages alone exceed
+    that; a chunk of one inner count is scaled in place, so a pass holds
+    the sin^2 table and one chunk at a time.
+    """
+    table = _sin_sq_table(outer, cycles)
     # -x for x = w_in * sin^2(i theta_M) * sin^2(theta_N), negated through
     # the weight: rounding is symmetric in sign, so each entry is exactly -x.
-    logs = np.array([-inner_weight for _, inner_weight in weights])[:, None] * _sin_sq_table(outer, cycles)
-    logs *= _sin_sq_pi(1.0 / (2 * inner))
-    # A blocked stage (a loss of exactly 1) sums to -inf, and exp(-inf) is 0.0.
-    with np.errstate(divide="ignore"):
-        np.log1p(logs, out=logs)
-    return [
-        (_survival_power(outer_weight * s_m, cycles), math.exp(inner * log_sum))
-        for (outer_weight, _), log_sum in zip(weights, logs.sum(1).tolist())
-    ]
+    negated = np.array([-inner_weight for _, inner_weight in weights])[None, :, None]
+    step = max(1, PASS_BLOCK // (len(weights) * cycles))
+    sums = []
+    for start in range(0, len(s_n), step):
+        part = s_n[start : start + step]
+        logs = negated * table
+        if len(part) == 1:
+            logs *= part[0]
+        else:
+            logs = logs * np.array(part)[:, None, None]
+        # A loss of exactly 1 blocks its stage: log1p gives -inf, and exp(-inf)
+        # is 0.0.  Only N = 1 has sin^2(theta_N) = 1 (elsewhere it is at most
+        # 1/2), so numpy's divide warning is silenced only for such a chunk.
+        if 1.0 in part:
+            with np.errstate(divide="ignore"):
+                np.log1p(logs, out=logs)
+        else:
+            np.log1p(logs, out=logs)
+        sums += logs.sum(-1).tolist()
+        # Dropped before the next chunk is built.
+        del logs
+    return sums
 
 
 def chained_survival(
     outer: int, inner: int, outer_weight: float, inner_weight: float, outer_cycles: int | None = None
 ) -> float:
     """Product of both factors of a chained interferometer stage."""
-    ((f_out, f_in),) = _chained_factors(outer, inner, ((outer_weight, inner_weight),), outer_cycles)
+    cycles = outer if outer_cycles is None else outer_cycles
+    (((f_out, f_in),),) = _chained_factors(outer, (inner,), ((cycles, ((outer_weight, inner_weight),)),))
     return f_out * f_in
+
+
+def _check_unit_interval(values: dict[str, float | tuple[float, float] | None]) -> None:
+    """Every value (each entry of a tuple) must lie in [0, 1]; NaN fails, None is skipped."""
+    for name, value in values.items():
+        if isinstance(value, tuple):
+            for v in value:
+                if not 0.0 <= v <= 1.0:
+                    raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+        elif value is not None and not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -297,12 +366,17 @@ class StageProbabilities:
 
     def __post_init__(self) -> None:
         # The instance dict holds the fields in declaration order.
-        for name, value in vars(self).items():
-            if value is None:
-                continue
-            for v in value if isinstance(value, tuple) else (value,):
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+        _check_unit_interval(vars(self))
+
+    @classmethod
+    def _checked(cls, values: dict[str, float | tuple[float, float]]) -> StageProbabilities:
+        """Instance from populated field values that _check_unit_interval has
+        passed, without running __init__ again.  Public construction validates."""
+        probs = object.__new__(cls)
+        attrs = probs.__dict__
+        attrs.update(_UNSET_STAGE_FIELDS)
+        attrs.update(values)
+        return probs
 
     def populated(self) -> dict[str, float | tuple[float, float]]:
         return {
@@ -312,13 +386,50 @@ class StageProbabilities:
         }
 
 
+_UNSET_STAGE_FIELDS = dict.fromkeys(field.name for field in fields(StageProbabilities))
+
 # A stage in the order a run meets it: (name, outer-discard survival,
 # inner-absorption survival).
 _Stage = tuple[str, float, float]
+# One config's populated StageProbabilities fields with its stages.
+StageRow = tuple[dict[str, float | tuple[float, float]], list[_Stage]]
 
 
-def _general_stages(cfg: CycleConfig, inp: GeneralInput) -> tuple[StageProbabilities, list[_Stage]]:
-    """Stage probabilities of the general protocol with each stage's factor pair."""
+# The chained stage at full outer and inner weight: its outer factor
+# (1 - sin^2 theta_M)^M is lambda0 (cqz_lambda0) and its inner factor is
+# lambda1 (cqz_lambda1), bit for bit.
+_FULL_WEIGHT = (1.0, 1.0)
+
+
+def _chained_pairs(
+    cfgs: Sequence[CycleConfig], passes: tuple[tuple[int, _Weights], ...]
+) -> dict[tuple[int, int], list[tuple[float, float]]]:
+    """Factor pairs of the chained stages at each distinct (M, N) of ``cfgs``.
+
+    ``passes`` holds (outer cycles as a multiple of M, stage weights) per
+    pass.  Each distinct M takes one _chained_factors call over all of its
+    distinct N.
+    """
+    inners: dict[int, dict[int, None]] = {}
+    for cfg in cfgs:
+        inners.setdefault(cfg.M, {})[cfg.N] = None
+    pairs = {}
+    for outer, distinct in inners.items():
+        outer_passes = [(multiple * outer, weights) for multiple, weights in passes]
+        factors = _chained_factors(outer, tuple(distinct), outer_passes)
+        pairs.update(zip([(outer, inner) for inner in distinct], factors))
+    return pairs
+
+
+def stage_rows_general(cfgs: Sequence[CycleConfig], inp: GeneralInput) -> list[StageRow]:
+    """Stage probabilities of the general protocol at each of ``cfgs``, in order.
+
+    Configs that share M share the chained passes (lambda0 and lambda1,
+    lambda2 and lambda4 at M outer cycles, lambda5 at 2M), and lambda3 is
+    taken once per distinct (K, N), so a sweep costs one closed-form pass
+    rather than one per row.  Each row's values are range checked and ==
+    to those of a one-config call.
+    """
     # Each squared modulus is capped at 1: an input pair may exceed unit
     # norm by NORMALIZATION_TOL, and a stage weight must not exceed 1.
     a2, b2, g2, d2 = (min(abs(c) ** 2, 1.0) for c in (inp.alpha, inp.beta, inp.gamma, inp.delta))
@@ -327,26 +438,30 @@ def _general_stages(cfg: CycleConfig, inp: GeneralInput) -> tuple[StageProbabili
 
     nabla7 = d2 * a2 * c2 + d2 * b2 * s2
     nabla8 = d2 * b2 * c2 + d2 * a2 * s2
-    # lambda1, lambda2 and lambda4 share M outer cycles; lambda5 runs 2M.
-    pair1, pair2, pair4 = _chained_factors(cfg.M, cfg.N, ((0.0, 1.0), (a2 * d2, b2 * d2), (nabla7, nabla8)))
-    lam3 = dcfo_success(cfg.K, cfg.N, d2 * s2)
-    (pair5,) = _chained_factors(cfg.M, cfg.N, ((a2 * g2, b2 * g2),), outer_cycles=2 * cfg.M)
-    lam2, lam4, lam5 = (f_out * f_in for f_out, f_in in (pair2, pair4, pair5))
-    zeta0 = 1.0 - lam2 * lam3 * lam4
-    zeta1 = 1.0 - lam2 * lam3 * lam4 * lam5
-    probs = StageProbabilities(
-        lambda0=cqz_lambda0(cfg.M),
-        lambda1=pair1[1],
-        lambda2=lam2,
-        lambda3=lam3,
-        lambda4=lam4,
-        lambda5=lam5,
-        nabla7=nabla7,
-        nabla8=nabla8,
-        zeta_m=(zeta0, zeta1),
-    )
-    stages = [("toffoli", *pair2), ("flip-chain", 1.0, lam3), ("flip-pair", *pair4), ("controlled-z", *pair5)]
-    return probs, stages
+    # lambda0/lambda1, lambda2 and lambda4 share M outer cycles; lambda5 runs 2M.
+    passes = ((1, (_FULL_WEIGHT, (a2 * d2, b2 * d2), (nabla7, nabla8))), (2, ((a2 * g2, b2 * g2),)))
+    pairs = _chained_pairs(cfgs, passes)
+    lam3s = {key: dcfo_success(*key, d2 * s2) for key in {(cfg.K, cfg.N) for cfg in cfgs}}
+    rows = []
+    for cfg in cfgs:
+        (lam0, lam1), pair2, pair4, pair5 = pairs[cfg.M, cfg.N]
+        lam3 = lam3s[cfg.K, cfg.N]
+        lam2, lam4, lam5 = pair2[0] * pair2[1], pair4[0] * pair4[1], pair5[0] * pair5[1]
+        values = {
+            "lambda0": lam0,
+            "lambda1": lam1,
+            "lambda2": lam2,
+            "lambda3": lam3,
+            "lambda4": lam4,
+            "lambda5": lam5,
+            "nabla7": nabla7,
+            "nabla8": nabla8,
+            "zeta_m": (1.0 - lam2 * lam3 * lam4, 1.0 - lam2 * lam3 * lam4 * lam5),
+        }
+        _check_unit_interval(values)
+        stages = [("toffoli", *pair2), ("flip-chain", 1.0, lam3), ("flip-pair", *pair4), ("controlled-z", *pair5)]
+        rows.append((values, stages))
+    return rows
 
 
 def stage_probabilities_general(cfg: CycleConfig, inp: GeneralInput) -> StageProbabilities:
@@ -356,31 +471,42 @@ def stage_probabilities_general(cfg: CycleConfig, inp: GeneralInput) -> StagePro
     unchanged M-cycle step size and enters the abortion rate only for the
     outcome branch m=1: zeta_m = 1 - lambda2*lambda3*lambda4*lambda5^m.
     """
-    return _general_stages(cfg, inp)[0]
+    return StageProbabilities._checked(stage_rows_general((cfg,), inp)[0][0])
 
 
-def _bell_stages(cfg: CycleConfig, inp: BellInput) -> tuple[StageProbabilities, list[_Stage]]:
-    """Stage probabilities of the Bell-type protocol with each stage's factor pair."""
-    # Capped at 1 as in _general_stages.
+def stage_rows_bell(cfgs: Sequence[CycleConfig], inp: BellInput) -> list[StageRow]:
+    """Stage probabilities of the Bell-type protocol at each of ``cfgs``, in order.
+
+    Grouped as in stage_rows_general: configs that share M share the
+    chained pass of lambda0, lambda1 and lambda7, and lambda6 is taken once
+    per distinct (K, N).
+    """
+    # Capped at 1 as in stage_rows_general.
     nab = min(abs(inp.c1 if inp.ell == 0 else inp.c0) ** 2, 1.0)
     half = inp.angles.theta / 2.0
     nabla9 = nab * math.cos(half) ** 2
     nabla10 = nab * math.sin(half) ** 2
 
-    lam6 = dcfo_success(cfg.K, cfg.N, nab * math.sin(half) ** 2)
     weights7 = (nabla9, nabla10) if inp.ell == 1 else (nabla10, nabla9)
-    pair1, pair7 = _chained_factors(cfg.M, cfg.N, ((0.0, 1.0), weights7))
-    lam7 = pair7[0] * pair7[1]
-    probs = StageProbabilities(
-        lambda0=cqz_lambda0(cfg.M),
-        lambda1=pair1[1],
-        lambda6=lam6,
-        lambda7=lam7,
-        nabla9=nabla9,
-        nabla10=nabla10,
-        zeta=1.0 - lam6 * lam7,
-    )
-    return probs, [("flip-chain", 1.0, lam6), ("controlled-z", *pair7)]
+    pairs = _chained_pairs(cfgs, ((1, (_FULL_WEIGHT, weights7)),))
+    lam6s = {key: dcfo_success(*key, nabla10) for key in {(cfg.K, cfg.N) for cfg in cfgs}}
+    rows = []
+    for cfg in cfgs:
+        (lam0, lam1), pair7 = pairs[cfg.M, cfg.N]
+        lam6 = lam6s[cfg.K, cfg.N]
+        lam7 = pair7[0] * pair7[1]
+        values = {
+            "lambda0": lam0,
+            "lambda1": lam1,
+            "lambda6": lam6,
+            "lambda7": lam7,
+            "nabla9": nabla9,
+            "nabla10": nabla10,
+            "zeta": 1.0 - lam6 * lam7,
+        }
+        _check_unit_interval(values)
+        rows.append((values, [("flip-chain", 1.0, lam6), ("controlled-z", *pair7)]))
+    return rows
 
 
 def stage_probabilities_bell(cfg: CycleConfig, inp: BellInput) -> StageProbabilities:
@@ -391,7 +517,7 @@ def stage_probabilities_bell(cfg: CycleConfig, inp: BellInput) -> StageProbabili
     Class 1 puts nabla9 on the outer factor and nabla10 on the inner one;
     class 0 swaps them.
     """
-    return _bell_stages(cfg, inp)[0]
+    return StageProbabilities._checked(stage_rows_bell((cfg,), inp)[0][0])
 
 
 class AbsorberModel(Enum):
@@ -576,11 +702,11 @@ def _gate_table(
         raise ValueError(f"polarization must be 'H' or 'V', got {polarization!r}")
     pol0 = _POL_INDEX[polarization]
     if outer is None:
-        _validate_cycles(N=inner)
+        inner = _cycle_count("N", inner)
         builder = _qz_born_rows if model is AbsorberModel.PER_CYCLE_BORN else _qz_coherent_rows
         rows = builder(a, b, pol0, inner)
     else:
-        _validate_cycles(M=outer, N=inner)
+        outer, inner = _cycle_count("M", outer), _cycle_count("N", inner)
         builder = _cqz_born_rows if model is AbsorberModel.PER_CYCLE_BORN else _cqz_coherent_rows
         rows = builder(a, b, pol0, outer, inner)
     outcomes, probs = [], []
@@ -726,6 +852,8 @@ def gate_statistics(
     ``conditional_fidelity`` averages the Success final states against
     ``expected_success_state`` when one is supplied.
     """
+    # None would ask _sample for a single trajectory instead of a campaign.
+    check_trials(trials)
     if gate not in ("qz", "cqz"):
         raise ValueError(f"gate must be 'qz' or 'cqz', got {gate!r}")
     if gate == "cqz" and outer is None:
@@ -763,14 +891,15 @@ def simulate_cct(
     factors and the collapse-chain stages).  That law is one outcome table
     with a row (m, stage, kind, fidelity of a success) per outcome m, stage
     and kind and a success row per m, sampled as the gate tables are:
-    ``trials`` follows the rule of ``hilbert.sample_counts``, and trial i
+    ``trials`` follows ``hilbert.check_trials``, and trial i
     takes the row picked by the i-th double of ``default_rng(seed)``.
     Successful trials deliver the exact logical output, so the conditional
     fidelity against the closed form is 1 by construction; it is still
     measured, not asserted.
     """
+    check_trials(trials)
     if isinstance(inp, GeneralInput):
-        _, stages = _general_stages(cfg, inp)
+        ((_, stages),) = stage_rows_general((cfg,), inp)
         p0, transcripts = _protocol.run_general_branches(inp)
         fid = [
             fidelity(transcript.psi6m, _protocol.expected_output_general(inp, m))
@@ -779,7 +908,7 @@ def simulate_cct(
         # The controlled-phase stage acts on the m=1 branch only.
         branches = [(0, p0, stages[:-1], fid[0]), (1, 1.0 - p0, stages, fid[1])]
     else:
-        _, stages = _bell_stages(cfg, inp)
+        ((_, stages),) = stage_rows_bell((cfg,), inp)
         bell_fidelity = fidelity(_protocol.run_bell(inp).psi6m, _protocol.expected_output_bell(inp))
         branches = [(None, 1.0, stages, bell_fidelity)]
 

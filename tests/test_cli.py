@@ -358,6 +358,21 @@ class TestSweepCommand:
         assert document["results"]["columns"] == list(cli.SWEEP_COLUMNS_GENERAL)
         assert len(document["results"]["rows"]) == 2
 
+    @pytest.mark.parametrize("axis", ["M", "N", "K", "diag"])
+    @pytest.mark.parametrize("mode", ["general", "bell"])
+    def test_rows_follow_the_values_order(self, tmp_path, capsys, mode, axis):
+        # One sweep shares its closed-form passes between rows; its data
+        # lines are those of one single-value sweep per value, in the order
+        # --values gives, duplicates included.
+        config = write_config(tmp_path, GENERAL_DOC if mode == "general" else bell_doc())
+
+        def data_lines(values: str) -> list[str]:
+            assert cli.main(["sweep", "--config", config, "--axis", axis, "--values", values, "--format", "csv"]) == cli.EXIT_OK
+            return capsys.readouterr().out.splitlines()[1:]
+
+        for values in ("2400,5,5,600", "5,5", "1,2400,1"):
+            assert data_lines(values) == [line for value in values.split(",") for line in data_lines(value)]
+
     def test_missing_axis_is_config_error(self, tmp_path, capsys):
         code = cli.main(["sweep", "--config", write_config(tmp_path, GENERAL_DOC), "--values", "4,8"])
         assert code == cli.EXIT_CONFIG_ERROR

@@ -49,6 +49,26 @@ BALANCED = GeneralInput(ROOT_HALF, ROOT_HALF, ROOT_HALF, ROOT_HALF, EulerAngles(
 # before the campaigns shared one tally.
 MONTE_CARLO_DIGEST = "674bad467f85ff02f67b924c49accc1a001fbea8a6c998a43724992cbe3aa1a7"
 
+# SHA-256 over _stage_documents(), recorded before configs shared a pass.
+STAGE_DIGEST = "cd2cd1497311aaf8c404f1969dfab117446039b787e28c26956f45dd38763234"
+
+
+def _stage_documents() -> list[str]:
+    """repr of the StageProbabilities of random general and Bell-type inputs
+    at random cycle counts up to 2400, one in eight a blocked N = 1 row."""
+    rng = np.random.default_rng(4711)
+    documents = []
+    for i in range(80):
+        cfg = CycleConfig(*(int(count) for count in rng.integers(1, 2401, 3)))
+        if i % 8 == 0:
+            cfg = CycleConfig(int(rng.integers(1, 5)), 1, int(rng.integers(1, 5)))
+        if i % 2:
+            probs = stage_probabilities_general(cfg, protocol.random_general_input(rng))
+        else:
+            probs = stage_probabilities_bell(cfg, protocol.random_bell_input(rng))
+        documents.append(repr(probs))
+    return documents
+
 
 def _monte_carlo_documents() -> list[str]:
     """Same-seed reports of every campaign kind, each as sorted JSON.
@@ -93,6 +113,49 @@ class TestCycleConfig:
     def test_rejects_nonpositive_counts(self, bad):
         with pytest.raises(ValueError):
             CycleConfig(*bad)
+
+    @pytest.mark.parametrize("count", [True, 2.0, 2.5, 0, -1, np.float64(3.0)], ids=repr)
+    def test_cycle_counts_follow_the_trial_count_rule(self, count):
+        # A bool or a float is not a cycle count, even one equal to an
+        # integer: qz_survival(True) and qz_survival(2.0) used to return
+        # numbers, and gate_statistics(..., 3.0, ...) failed inside range.
+        calls = [
+            lambda: CycleConfig(count, 2, 2),
+            lambda: CycleConfig(2, 2, count),
+            lambda: qz_survival(count),
+            lambda: cqz_lambda1(count, 3),
+            lambda: cqz_lambda1(3, count),
+            lambda: chained_survival(5, count, 0.5, 0.5),
+            lambda: dcfo_success(count, 3, 0.5),
+            lambda: gate_statistics("qz", (0.6, 0.8), "H", count, AbsorberModel.PER_CYCLE_BORN, 10, 1),
+            lambda: gate_statistics("cqz", (0.6, 0.8), "H", 3, AbsorberModel.COHERENT, 10, 1, outer=count),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="cycle count .* must be a positive integer"):
+                call()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16], ids=lambda t: t.__name__)
+    def test_numpy_integer_cycle_counts_match_python_ints(self, dtype):
+        # Counts are taken as Python ints, so 2 * M (at 40 000) and N * K
+        # (at 300) do not wrap for a uint16 count, nor warn of overflow.
+        big, small = dtype(40000), dtype(300)
+        cfg = CycleConfig(big, big, small)
+        assert (cfg.M, cfg.N, cfg.K) == (40000, 40000, 300) and type(cfg.M) is int
+        inp = protocol.random_bell_input(np.random.default_rng(8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stage_probabilities_bell(cfg, inp) == stage_probabilities_bell(CycleConfig(40000, 40000, 300), inp)
+            assert cqz_lambda1(big, 3) == cqz_lambda1(40000, 3)
+            assert chained_survival(3, 5, 0.5, 0.5, outer_cycles=big) == chained_survival(3, 5, 0.5, 0.5, outer_cycles=40000)
+            assert qz_survival(big) == qz_survival(40000)
+            assert cqz_lambda0(big) == cqz_lambda0(40000)
+            assert cepi_success(big, 0.5) == cepi_success(40000, 0.5)
+            assert dcfo_success(small, small, 0.5) == dcfo_success(300, 300, 0.5)
+            assert dcfo_stage_success(small, big, 0.5) == dcfo_stage_success(300, 40000, 0.5)
+            for gate, outer in (("qz", None), ("cqz", dtype(2))):
+                report = gate_statistics(gate, (0.6, 0.8), "H", big, AbsorberModel.PER_CYCLE_BORN, 100, 1, outer=outer)
+                assert report == gate_statistics(gate, (0.6, 0.8), "H", 40000, AbsorberModel.PER_CYCLE_BORN, 100, 1,
+                                                 outer=None if outer is None else 2)
 
 
 class TestSurvivalFormulas:
@@ -316,14 +379,14 @@ class TestLogSpacePrimitives:
     def test_log_space_product(self):
         # At M = 2 the sin^2 table is (1/2, 1), and at N = 1 sin^2(theta_N)
         # is 1, so the inner factor is prod((1 - w sin^2(i pi/4))^N).
-        ((_, inner),) = zeno._chained_factors(2, 1, ((0.0, 0.5),))
+        (((_, inner),),) = zeno._chained_factors(2, (1,), ((2, ((0.0, 0.5),)),))
         assert inner == pytest.approx(0.75 * 0.5, rel=1e-15)
         # A loss of exactly 1 blocks the stage: exactly 0.0, and no
         # RuntimeWarning from log1p(-1) (CI runs with warnings as errors).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert zeno._chained_factors(2, 1, ((0.0, 1.0),)) == [(1.0, 0.0)]
-        assert zeno._chained_factors(4, 100, ((0.0, 0.0),)) == [(1.0, 1.0)]
+            assert zeno._chained_factors(2, (1,), ((2, ((0.0, 1.0),)),)) == [[(1.0, 0.0)]]
+        assert zeno._chained_factors(4, (100,), ((4, ((0.0, 0.0),)),)) == [[(1.0, 1.0)]]
 
     def test_shared_pass_matches_one_stage_bit_for_bit(self):
         # Stages that share (outer, inner, cycles) are taken in one pass;
@@ -337,8 +400,8 @@ class TestLogSpacePrimitives:
                     weights = tuple(map(tuple, rng.random((3, 2)).tolist())) + ((1.0, 1.0), (0.0, 1.0))
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
-                        shared = zeno._chained_factors(outer, inner, weights, cycles)
-                        alone = [zeno._chained_factors(outer, inner, (pair,), cycles)[0] for pair in weights]
+                        (shared,) = zeno._chained_factors(outer, (inner,), ((cycles, weights),))
+                        alone = [zeno._chained_factors(outer, (inner,), ((cycles, (pair,)),))[0][0] for pair in weights]
                     assert shared == alone, (outer, inner, cycles)
                     table = zeno._sin_sq_table(outer, cycles)
                     s_n = zeno._sin_sq_pi(1.0 / (2 * inner))
@@ -350,6 +413,25 @@ class TestLogSpacePrimitives:
                             assert got == math.exp(inner * float(np.sum(np.log1p(-losses)))), (outer, inner, cycles, w_in)
                     if inner == 1:
                         assert shared[-2][1] == shared[-1][1] == 0.0
+
+    @pytest.mark.parametrize("block", [1, 40, 300, zeno.PASS_BLOCK])
+    def test_many_inner_counts_match_one_at_a_time(self, monkeypatch, block):
+        # A pass over many inner counts is cut into chunks of at most
+        # PASS_BLOCK entries (one inner count each when its stages alone
+        # exceed it); every chunking gives each inner count the factors of
+        # a call for that inner count alone.  N = 1 at full weight blocks.
+        monkeypatch.setattr(zeno, "PASS_BLOCK", block)
+        inners = (7, 1, 2400, 25, 1, 2, 150, 7)
+        weights = ((0.3, 0.7), (1.0, 1.0), (0.0, 0.25))
+        for outer in (1, 5, 24, 600):
+            passes = ((outer, weights), (2 * outer, weights[:1]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                many = zeno._chained_factors(outer, inners, passes)
+                alone = [zeno._chained_factors(outer, (inner,), passes)[0] for inner in inners]
+            assert many == alone, (outer, block)
+            assert len(many) == len(inners) and all(len(pairs) == 4 for pairs in many)
+            assert many[1][1][1] == many[4][1][1] == 0.0
 
 
 # The 50-digit reference below is written from the printed products alone.
@@ -417,7 +499,7 @@ class TestMpmathOracle:
         cycles_list = (outer, 2 * outer, 3 * outer)
         refs = _mp_chained(mp, outer, inner, mp.mpf(0.3), mp.mpf(0.7), cycles_list)
         for cycles, ref in zip(cycles_list, refs):
-            (got,) = zeno._chained_factors(outer, inner, ((0.3, 0.7),), outer_cycles=cycles)
+            ((got,),) = zeno._chained_factors(outer, (inner,), ((cycles, ((0.3, 0.7),)),))
             for value, reference, side in zip(got, ref, ("outer", "inner")):
                 _assert_close(value, reference, (outer, inner, cycles, side))
         _assert_close(cqz_lambda1(outer, inner), _mp_survival(mp, outer, inner, 0, 1, outer), (outer, inner, "lambda1"))
@@ -606,6 +688,106 @@ class TestNearUnitInputs:
         unit = BellInput(ell, 1, 0.0, 1.0, self.FLAT) if ell == 0 else BellInput(ell, 1, 1.0, 0.0, self.FLAT)
         assert stage_probabilities_bell(cfg, inp) == stage_probabilities_bell(cfg, unit)
         assert simulate_cct(cfg, inp, 2_000, 3).successes == simulate_cct(cfg, unit, 2_000, 3).successes
+
+
+def _axis_configs(axis: str, values, base: CycleConfig) -> list[CycleConfig]:
+    """The configs a sweep along ``axis`` takes, as cli._sweep_cycles builds them."""
+    if axis == "diag":
+        return [CycleConfig(v, v, v) for v in values]
+    return [CycleConfig(*(v if axis == name else getattr(base, name) for name in "MNK")) for v in values]
+
+
+UNIT_GENERAL = GeneralInput(1.0, 0.0, 0.0, 1.0, EulerAngles(0.0, math.pi, 0.0))
+UNIT_BELL = BellInput(1, 1, 1.0, 0.0, EulerAngles(0.0, math.pi, 0.0))
+
+
+class TestGroupedPass:
+    """stage_rows_* over many configs against one-config calls."""
+
+    ROWS = ((zeno.stage_rows_general, stage_probabilities_general), (zeno.stage_rows_bell, stage_probabilities_bell))
+
+    def _assert_rows_match_one_config_calls(self, cfgs, inputs):
+        for (rows_of, one_config), inp in zip(self.ROWS, inputs):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = rows_of(cfgs, inp)
+            assert len(rows) == len(cfgs)
+            for cfg, row in zip(cfgs, rows):
+                assert row[0] == one_config(cfg, inp).populated(), (cfg, inp)
+                assert [row] == rows_of((cfg,), inp), (cfg, inp)
+
+    @pytest.mark.parametrize("axis", ["M", "N", "K", "diag"])
+    def test_rows_equal_one_config_calls(self, axis):
+        rng = np.random.default_rng(7331)
+        values = (1, 2, 3, 5, 12, 25, 40, 150, 600, 2400, *(int(v) for v in rng.integers(1, 2401, 6)))
+        for _ in range(3):
+            base = CycleConfig(*(int(v) for v in rng.integers(1, 60, 3)))
+            inputs = (protocol.random_general_input(rng), protocol.random_bell_input(rng))
+            self._assert_rows_match_one_config_calls(_axis_configs(axis, values, base), inputs)
+
+    @pytest.mark.parametrize("values", [(5, 5), (2400, 5, 600), (2400, 5, 5, 600), (1, 40, 1, 2)], ids=str)
+    def test_duplicate_and_unsorted_values_keep_their_order(self, values):
+        inputs = (protocol.random_general_input(np.random.default_rng(5)), protocol.random_bell_input(np.random.default_rng(6)))
+        for axis in ("M", "N", "K", "diag"):
+            cfgs = _axis_configs(axis, values, CycleConfig(6, 7, 8))
+            self._assert_rows_match_one_config_calls(cfgs, inputs)
+
+    def test_blocked_rows_at_full_weight(self):
+        # Unit weights put a loss of exactly 1 on lambda1, lambda4 and
+        # lambda7 at N = 1; those rows are exactly 0.0, with no warning.
+        cfgs = _axis_configs("N", (1, 3, 1, 2400), CycleConfig(5, 1, 2)) + _axis_configs("diag", (1, 2), CycleConfig(1, 1, 1))
+        self._assert_rows_match_one_config_calls(cfgs, (UNIT_GENERAL, UNIT_BELL))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            general = zeno.stage_rows_general(cfgs, UNIT_GENERAL)
+            bell = zeno.stage_rows_bell(cfgs, UNIT_BELL)
+        for cfg, (g, _), (b, _) in zip(cfgs, general, bell):
+            if cfg.N == 1:
+                assert g["lambda1"] == g["lambda4"] == b["lambda7"] == 0.0
+                assert g["zeta_m"] == (1.0, 1.0) and b["zeta"] == 1.0
+
+    def test_unit_weight_inputs(self):
+        cfgs = [CycleConfig(m, n, k) for m in (1, 2, 25) for n in (1, 2, 25) for k in (1, 3)]
+        self._assert_rows_match_one_config_calls(cfgs, (UNIT_GENERAL, UNIT_BELL))
+        inputs = (GeneralInput(0.0, 1.0, 1.0, 0.0, EulerAngles(0.1, 0.0, 0.2)), BellInput(0, -1, 1.0, 0.0, EulerAngles(0.1, 0.0, 0.2)))
+        self._assert_rows_match_one_config_calls(cfgs, inputs)
+
+    def test_every_written_value_is_range_checked(self, monkeypatch):
+        # A value out of [0, 1] (here a NaN lambda3 or lambda6) fails with the
+        # StageProbabilities message, in a many-config call as in a one-config one.
+        monkeypatch.setattr(zeno, "dcfo_success", lambda chain, inner, nabla: math.nan)
+        cfgs = _axis_configs("K", (5, 6), CycleConfig(6, 7, 8))
+        with pytest.raises(ValueError, match="lambda3 must lie in \\[0, 1\\], got nan"):
+            zeno.stage_rows_general(cfgs, BALANCED)
+        with pytest.raises(ValueError, match="lambda6 must lie in \\[0, 1\\], got nan"):
+            zeno.stage_rows_bell(cfgs, UNIT_BELL)
+
+    def test_a_wide_sweep_holds_one_row_at_a_time(self):
+        # 64 inner counts at M = 200 000 share one pass per outer cycle
+        # count, cut into chunks of one inner count, so the sweep peaks near
+        # a single row (whose peak is building the 2M-entry sin^2 table),
+        # not at the (rows, 3, M) array of about 290 MB.
+        inp = protocol.random_general_input(np.random.default_rng(11))
+        outer = 200_000
+
+        def peak(cfgs):
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                rows = zeno.stage_rows_general(cfgs, inp)
+                return tracemalloc.get_traced_memory()[1] - before, rows
+            finally:
+                if started:
+                    tracemalloc.stop()
+
+        single, _ = peak([CycleConfig(outer, 25, 25)])
+        wide, rows = peak(_axis_configs("N", range(1, 65), CycleConfig(outer, 25, 25)))
+        assert len(rows) == 64
+        assert wide <= 2 * single, (wide, single)
+        assert single < 12_000_000
 
 
 class TestTrajectoryOutcome:
@@ -811,7 +993,7 @@ class TestOutcomeTables:
         def forbidden(*args, **kwargs):
             raise AssertionError("outcome tables must come from the trajectory recursion")
 
-        for name in ("qz_survival", "cqz_lambda0", "cqz_lambda1", "chained_survival", "_chained_factors",
+        for name in ("qz_survival", "cqz_lambda0", "cqz_lambda1", "chained_survival", "_chained_factors", "_log_sums",
                      "_survival_power", "cepi_success", "coherent_qz_success",
                      "_power", "_sin_sq_table", "_cos_sq_pi", "_collapse_chain_losses"):
             monkeypatch.setattr(zeno, name, forbidden)
@@ -869,6 +1051,10 @@ class TestOutcomeTables:
 
 
 class TestSameSeedBytes:
+    def test_stage_probabilities_are_pinned(self):
+        digest = hashlib.sha256("\n".join(_stage_documents()).encode()).hexdigest()
+        assert digest == STAGE_DIGEST
+
     def test_monte_carlo_reports_are_pinned(self):
         documents = _monte_carlo_documents()
         assert len(documents) == 376
@@ -925,22 +1111,25 @@ class TestSimulateCct:
     )
     def test_each_chained_stage_evaluated_once(self, monkeypatch, cfg, inp, seed, chained_pairs, counts):
         # One factor pair per chained stage (lambda2, lambda4, lambda5 or
-        # lambda7) plus lambda1, and one pass per outer cycle count: the
-        # general protocol takes lambda1, lambda2 and lambda4 at M cycles
-        # and lambda5 at 2M, the Bell-type one lambda1 and lambda7 at M.
+        # lambda7) plus the full-weight stage of lambda0 and lambda1, one
+        # pass per outer cycle count and one call for the config: the
+        # general protocol takes lambda0/lambda1, lambda2 and lambda4 at M
+        # cycles and lambda5 at 2M, the Bell-type one lambda0/lambda1 and
+        # lambda7 at M.
         # The (successes, absorbed, discarded) counts are the ones recorded
         # before the pairs were shared.
         calls = []
         original = zeno._chained_factors
 
-        def counting(outer, inner, weights, outer_cycles=None):
-            calls.append(len(weights))
-            return original(outer, inner, weights, outer_cycles)
+        def counting(outer, inners, passes):
+            assert (outer, tuple(inners)) == (cfg.M, (cfg.N,))
+            calls.append([len(weights) for _, weights in passes])
+            return original(outer, inners, passes)
 
         monkeypatch.setattr(zeno, "_chained_factors", counting)
         report = simulate_cct(cfg, inp, 5_000, seed)
-        assert calls == ([3, 1] if isinstance(inp, GeneralInput) else [2])
-        assert sum(calls) == chained_pairs
+        assert calls == ([[3, 1]] if isinstance(inp, GeneralInput) else [[2]])
+        assert sum(calls[0]) == chained_pairs
         assert (report.successes, report.absorbed, report.discarded) == counts
         assert report.conditional_fidelity == pytest.approx(1.0, abs=1e-12)
 
@@ -975,6 +1164,16 @@ class TestTrialCountRule:
     def test_every_campaign_rejects_a_bad_count(self, trials):
         for campaign in self._campaigns(trials):
             with pytest.raises(ValueError, match="trials"):
+                campaign()
+
+    def test_none_is_not_a_trial_count(self):
+        # None is the size of the single-trajectory view of simulate_qz and
+        # simulate_cqz, so a campaign given trials=None used to sample one
+        # trajectory and fail on unpacking it.  Every call but those two
+        # views (where None means one trajectory) must reject it.
+        campaigns = self._campaigns(None)
+        for campaign in campaigns[:5] + campaigns[7:]:
+            with pytest.raises(ValueError, match="trials must be an integer >= 1, got None"):
                 campaign()
 
     @pytest.mark.parametrize("trials", [np.int64(300), np.int32(300), np.uint16(300)], ids=repr)
