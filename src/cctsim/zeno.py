@@ -271,14 +271,17 @@ def _chained_factors(outer: int, inners: Sequence[int], passes: Sequence[_Pass])
     s_m = _sin_sq_pi(1.0 / (2 * outer))
     s_n = [_sin_sq_pi(1.0 / (2 * inner)) for inner in inners]
     rows = [[] for _ in inners]
-    for cycles, weights in passes:
-        cycles = _cycle_count("outer_cycles", cycles)
-        for outer_weight, inner_weight in weights:
-            _validate_weight("outer_weight", outer_weight)
-            _validate_weight("inner_weight", inner_weight)
-        outer_factors = [_survival_power(outer_weight * s_m, cycles) for outer_weight, _ in weights]
-        for row, inner, log_sums in zip(rows, inners, _log_sums(outer, cycles, weights, s_n)):
-            row += [(f_out, math.exp(inner * log_sum)) for f_out, log_sum in zip(outer_factors, log_sums)]
+    # A loss of exactly 1 blocks its stage: log1p gives -inf, and exp(-inf)
+    # is 0.0.  One errstate serves every pass of this call.
+    with np.errstate(divide="ignore"):
+        for cycles, weights in passes:
+            cycles = _cycle_count("outer_cycles", cycles)
+            for outer_weight, inner_weight in weights:
+                _validate_weight("outer_weight", outer_weight)
+                _validate_weight("inner_weight", inner_weight)
+            outer_factors = [_survival_power(outer_weight * s_m, cycles) for outer_weight, _ in weights]
+            for row, inner, log_sums in zip(rows, inners, _log_sums(outer, cycles, weights, s_n)):
+                row += [(f_out, math.exp(inner * log_sum)) for f_out, log_sum in zip(outer_factors, log_sums)]
     return rows
 
 
@@ -304,14 +307,7 @@ def _log_sums(outer: int, cycles: int, weights: _Weights, s_n: list[float]) -> l
             logs *= part[0]
         else:
             logs = logs * np.array(part)[:, None, None]
-        # A loss of exactly 1 blocks its stage: log1p gives -inf, and exp(-inf)
-        # is 0.0.  Only N = 1 has sin^2(theta_N) = 1 (elsewhere it is at most
-        # 1/2), so numpy's divide warning is silenced only for such a chunk.
-        if 1.0 in part:
-            with np.errstate(divide="ignore"):
-                np.log1p(logs, out=logs)
-        else:
-            np.log1p(logs, out=logs)
+        np.log1p(logs, out=logs)
         sums += logs.sum(-1).tolist()
         # Dropped before the next chunk is built.
         del logs
@@ -368,16 +364,6 @@ class StageProbabilities:
         # The instance dict holds the fields in declaration order.
         _check_unit_interval(vars(self))
 
-    @classmethod
-    def _checked(cls, values: dict[str, float | tuple[float, float]]) -> StageProbabilities:
-        """Instance from populated field values that _check_unit_interval has
-        passed, without running __init__ again.  Public construction validates."""
-        probs = object.__new__(cls)
-        attrs = probs.__dict__
-        attrs.update(_UNSET_STAGE_FIELDS)
-        attrs.update(values)
-        return probs
-
     def populated(self) -> dict[str, float | tuple[float, float]]:
         return {
             field.name: getattr(self, field.name)
@@ -385,8 +371,6 @@ class StageProbabilities:
             if getattr(self, field.name) is not None
         }
 
-
-_UNSET_STAGE_FIELDS = dict.fromkeys(field.name for field in fields(StageProbabilities))
 
 # A stage in the order a run meets it: (name, outer-discard survival,
 # inner-absorption survival).
@@ -471,7 +455,7 @@ def stage_probabilities_general(cfg: CycleConfig, inp: GeneralInput) -> StagePro
     unchanged M-cycle step size and enters the abortion rate only for the
     outcome branch m=1: zeta_m = 1 - lambda2*lambda3*lambda4*lambda5^m.
     """
-    return StageProbabilities._checked(stage_rows_general((cfg,), inp)[0][0])
+    return StageProbabilities(**stage_rows_general((cfg,), inp)[0][0])
 
 
 def stage_rows_bell(cfgs: Sequence[CycleConfig], inp: BellInput) -> list[StageRow]:
@@ -517,7 +501,7 @@ def stage_probabilities_bell(cfg: CycleConfig, inp: BellInput) -> StageProbabili
     Class 1 puts nabla9 on the outer factor and nabla10 on the inner one;
     class 0 swaps them.
     """
-    return StageProbabilities._checked(stage_rows_bell((cfg,), inp)[0][0])
+    return StageProbabilities(**stage_rows_bell((cfg,), inp)[0][0])
 
 
 class AbsorberModel(Enum):
