@@ -413,7 +413,8 @@ def sample_counts(probs: Sequence[float], trials: int, rng: np.random.Generator)
     """
     check_trials(trials)
     probs = np.asarray(probs, dtype=np.float64)
-    if not (np.all(np.isfinite(probs)) and np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= _TABLE_SUM_TOL):
+    # NaN and -inf fail the minimum, +inf the sum.
+    if not (probs.size > 0 and probs.min() >= 0.0 and abs(probs.sum() - 1.0) <= _TABLE_SUM_TOL):
         raise ValueError(f"outcome probabilities must be finite, nonnegative and sum to 1, got {probs!r}")
     cdf = np.cumsum(probs)
     rows = probs.size

@@ -18,6 +18,7 @@ from cctsim.hilbert import (
     factor_out,
     fidelity,
     measure,
+    sample_counts,
     schmidt_coefficients,
     schmidt_rank,
     tensor,
@@ -359,3 +360,26 @@ class TestOperator:
     def test_non_finite_entries_rejected(self, bad):
         with pytest.raises(ValueError, match="entries must be finite"):
             Operator((2,), [[bad, 0], [0, 1]])
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [math.nan, 1.0],
+            [math.inf, 0.0],
+            [-math.inf, 1.0],
+            [math.inf, -math.inf],
+            [0.6, -0.1, 0.5],
+            [],
+            [0.5, 0.4],
+            [0.5, 0.6],
+        ],
+        ids=["nan", "inf", "minus-inf", "both-infs", "negative", "empty", "sum-below-1", "sum-above-1"],
+    )
+    def test_bad_tables_raise(self, probs):
+        with pytest.raises(ValueError, match=r"^outcome probabilities must be finite, nonnegative and sum to 1, got "):
+            sample_counts(probs, 10, np.random.default_rng(1))
+
+    def test_a_zero_row_is_allowed(self):
+        assert sample_counts([0.0, 1.0, 0.0], 10, np.random.default_rng(1)) == [0, 10, 0]
