@@ -422,7 +422,8 @@ def sample_counts(probs: Sequence[float], trials: int, rng: np.random.Generator)
     for start in range(0, trials, SAMPLE_BLOCK):
         draws = rng.random(min(SAMPLE_BLOCK, trials - start))
         counts += np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=rows + 1)
-    counts[np.flatnonzero(probs)[-1]] += counts[rows]
+    if counts[rows]:
+        counts[np.flatnonzero(probs)[-1]] += counts[rows]
     return counts[:rows].tolist()
 
 

@@ -25,19 +25,6 @@ M = N = 160).  Both are reported, neither is declared authoritative.
 
 Counterfactuality bookkeeping: a trajectory counts as Success only if no
 absorption event fired, i.e. the photon was never found in the channel.
-
-Each campaign's outcome law is deterministic in its validated inputs, so
-two bounded per-process caches keep it.  A gate table (rows and read-only
-probabilities) is cached on its validated absorber, polarization, counts
-and model, for at most _GATE_TABLE_CACHE_SIZE tables of at most
-_GATE_TABLE_ROW_LIMIT rows (under 5 MB); a longer table is built on every
-call.  simulate_cct caches only the closed-form stages of each (cfg, inp),
-for at most _CCT_CACHE_SIZE keys (under 0.5 MB).  Validation, the protocol
-runs, p0 and the fidelities, which go through the gate constructors, the
-row and probability loop of the CCT table, the generator, the draws and the
-tally all stay per call, so a corrupted gate constructor (``cctsim verify
---sabotage``) still shows in every campaign.  The many-config sweep path
-(stage_rows_general/bell) is not cached.
 """
 
 from __future__ import annotations
@@ -567,8 +554,13 @@ def _validate_absorber(absorber: tuple[complex, complex]) -> tuple[complex, comp
     return a, b
 
 
+# The (absorber, photon) basis states, indexed [presence][polarization];
+# states are immutable, so every outcome that ends in one shares it.
+_JOINT_STATES = tuple(tuple(StateVector.basis((2, 2), (row, pol)) for pol in (0, 1)) for row in (0, 1))
+
+
 def _joint_state(presence: bool, pol_index: int) -> StateVector:
-    return StateVector.basis((2, 2), (1 if presence else 0, pol_index))
+    return _JOINT_STATES[presence][pol_index]
 
 
 # One row of a gate's outcome table: (probability, *TrajectoryOutcome fields).
@@ -589,9 +581,11 @@ def _qz_born_rows(a: complex, b: complex, pol0: int, inner: int) -> Iterator[_Ro
 def _exit_state(final: np.ndarray) -> tuple[float, StateVector | None]:
     """Probability of an exit branch from its unnormalized (absorber, photon)
     amplitudes, with the normalized state (None when the branch has none)."""
-    norm = float(np.linalg.norm(final))
+    amps = final.reshape(-1)
+    # np.linalg.norm's own sum for complex arrays, without its dispatch.
+    norm = math.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
     weight = norm * norm
-    return weight, (StateVector((2, 2), final.reshape(-1) / norm) if weight > 0.0 else None)
+    return weight, (StateVector._trusted((2, 2), amps / norm) if weight > 0.0 else None)
 
 
 def _rotation_step(cycles: int) -> tuple[float, float]:
@@ -674,14 +668,6 @@ def _cqz_coherent_rows(a: complex, b: complex, pol0: int, outer: int, inner: int
     yield p_exit, OutcomeKind.SUCCESS, "cqz:exit", outer, state, False
 
 
-# Most rows a cached gate table may hold: N + 2 for the single gate, 2M + 2
-# for the chained one.  A longer table is built on every call, so the cache
-# holds at most _GATE_TABLE_CACHE_SIZE * _GATE_TABLE_ROW_LIMIT rows of about
-# 140 bytes each: under 5 MB when full.
-_GATE_TABLE_ROW_LIMIT = 1 << 10
-_GATE_TABLE_CACHE_SIZE = 32
-
-
 def _gate_table(
     absorber: tuple[complex, complex],
     polarization: str,
@@ -701,35 +687,19 @@ def _gate_table(
     share that cycle's row.
     Rows of probability 0 are left out; every other row is validated as a
     TrajectoryOutcome.
-
-    Every argument is validated on every call.  Tables of at most
-    _GATE_TABLE_ROW_LIMIT rows are then cached on the validated values,
-    with a read-only probability array; longer ones are built per call.
-    Keys compare by value, so absorbers that differ only in the sign of a
-    zero component share a table: its probabilities are those of either,
-    and its states differ at most in the sign of a zero amplitude.
     """
     a, b = _validate_absorber(absorber)
     if polarization not in _POL_INDEX:
         raise ValueError(f"polarization must be 'H' or 'V', got {polarization!r}")
-    if outer is not None:
-        outer = _cycle_count("M", outer)
-    inner = _cycle_count("N", inner)
     if not isinstance(model, AbsorberModel):
         raise ValueError(f"model must be an AbsorberModel, got {model!r}")
-    rows = inner + 2 if outer is None else 2 * outer + 2
-    build = _build_gate_table if rows > _GATE_TABLE_ROW_LIMIT else _cached_gate_table
-    return build(a, b, _POL_INDEX[polarization], outer, inner, model)
-
-
-def _build_gate_table(
-    a: complex, b: complex, pol0: int, outer: int | None, inner: int, model: AbsorberModel
-) -> tuple[tuple[TrajectoryOutcome, ...], np.ndarray]:
-    """_gate_table of validated values."""
+    pol0 = _POL_INDEX[polarization]
     if outer is None:
+        inner = _cycle_count("N", inner)
         builder = _qz_born_rows if model is AbsorberModel.PER_CYCLE_BORN else _qz_coherent_rows
         rows = builder(a, b, pol0, inner)
     else:
+        outer, inner = _cycle_count("M", outer), _cycle_count("N", inner)
         builder = _cqz_born_rows if model is AbsorberModel.PER_CYCLE_BORN else _cqz_coherent_rows
         rows = builder(a, b, pol0, outer, inner)
     outcomes, probs = [], []
@@ -737,12 +707,7 @@ def _build_gate_table(
         if p > 0.0:
             outcomes.append(TrajectoryOutcome(*fields))
             probs.append(p)
-    table = np.array(probs)
-    table.flags.writeable = False
-    return tuple(outcomes), table
-
-
-_cached_gate_table = functools.lru_cache(maxsize=_GATE_TABLE_CACHE_SIZE)(_build_gate_table)
+    return tuple(outcomes), np.array(probs)
 
 
 _T = TypeVar("_T")
@@ -838,20 +803,27 @@ def _report(rows: Iterable[tuple[OutcomeKind, float | None, int]], seed: int) ->
     ``conditional_fidelity`` is None when nothing succeeded or a success
     carries no fidelity.
     """
-    tally = dict.fromkeys(OutcomeKind, 0)
+    # Counted by identity: an Enum member hashes through Python code.
+    successes = absorbed = discarded = 0
     fid_total: float | None = 0.0
     for kind, fid, count in rows:
-        tally[kind] += count
-        if kind is OutcomeKind.SUCCESS and fid_total is not None:
-            fid_total = None if fid is None else fid_total + count * fid
-    trials = sum(tally.values())
-    successes = tally[OutcomeKind.SUCCESS]
+        if kind is OutcomeKind.SUCCESS:
+            successes += count
+            if fid_total is not None:
+                fid_total = None if fid is None else fid_total + count * fid
+        elif kind is OutcomeKind.ABSORBED_BY_ELECTRON:
+            absorbed += count
+        elif kind is OutcomeKind.DISCARDED_AT_DETECTOR:
+            discarded += count
+        else:
+            raise ValueError(f"not an OutcomeKind: {kind!r}")
+    trials = successes + absorbed + discarded
     abort = 1.0 - successes / trials
     return MonteCarloReport(
         trials=trials,
         successes=successes,
-        absorbed=tally[OutcomeKind.ABSORBED_BY_ELECTRON],
-        discarded=tally[OutcomeKind.DISCARDED_AT_DETECTOR],
+        absorbed=absorbed,
+        discarded=discarded,
         abort_rate_estimate=abort,
         standard_error=math.sqrt(abort * (1.0 - abort) / trials),
         conditional_fidelity=fid_total / successes if successes and fid_total is not None else None,
@@ -874,9 +846,8 @@ def gate_statistics(
 
     ``outer`` is required for the chained gate and refused for the single
     one.  The trials are one ``simulate_qz``/``simulate_cqz`` call: the
-    gate's outcome table (cached per process, see _gate_table) is sampled
-    once, and trial i takes the row picked by the i-th double of
-    ``default_rng(seed)``.  Every Success row that is
+    gate's outcome table is built once and trial i takes the row picked by
+    the i-th double of ``default_rng(seed)``.  Every Success row that is
     sampled is asserted never to have touched the channel.
     ``conditional_fidelity`` averages the Success final states against
     ``expected_success_state`` when one is supplied.
@@ -906,51 +877,13 @@ def gate_statistics(
     return _report(rows, seed)
 
 
-# Most (cfg, inp) keys whose stages _cct_stages keeps: each entry is a few
-# stage tuples with its key, under 2 KB, so under 0.5 MB when full.
-_CCT_CACHE_SIZE = 256
-
-
-def _build_cct_stages(cfg: CycleConfig, inp: GeneralInput | BellInput) -> tuple[_Stage, ...]:
-    """The stages of a one-config stage_rows_general/bell call, in the order a run meets them."""
-    stage_rows = stage_rows_general if isinstance(inp, GeneralInput) else stage_rows_bell
-    ((_, stages),) = stage_rows((cfg,), inp)
-    return tuple(stages)
-
-
-_cached_cct_stages = functools.lru_cache(maxsize=_CCT_CACHE_SIZE)(_build_cct_stages)
-
-
-def _cct_stages(cfg: CycleConfig, inp: GeneralInput | BellInput) -> tuple[_Stage, ...]:
-    """_build_cct_stages, cached on (cfg, inp); closed forms only, so no gate
-    constructor reaches the cache."""
-    try:
-        hash(inp)
-    except TypeError:
-        # A field the constructors accept may be unhashable, such as a 0-d
-        # array amplitude; such an input is built on every call.
-        return _build_cct_stages(cfg, inp)
-    return _cached_cct_stages(cfg, inp)
-
-
-def _clear_caches() -> None:
-    """Empty the gate-table and CCT-stage caches."""
-    _cached_gate_table.cache_clear()
-    _cached_cct_stages.cache_clear()
-
-
 def _cct_table(
     cfg: CycleConfig, inp: GeneralInput | BellInput
 ) -> tuple[tuple[tuple[int | None, str, OutcomeKind, float | None], ...], np.ndarray]:
     """simulate_cct's outcome table: a row (m, stage, kind, fidelity of a
-    success) per outcome m, stage and kind, and a success row per m.
-
-    Only the stages come from a cache (_cct_stages).  The protocol runs, p0
-    and the fidelities go through the gate constructors on every call, so a
-    corrupted gate still shows in the success fidelity.
-    """
-    stages = _cct_stages(cfg, inp)
+    success) per outcome m, stage and kind, and a success row per m."""
     if isinstance(inp, GeneralInput):
+        ((_, stages),) = stage_rows_general((cfg,), inp)
         p0, transcripts = _protocol.run_general_branches(inp)
         fid = [
             fidelity(transcript.psi6m, _protocol.expected_output_general(inp, m))
@@ -959,6 +892,7 @@ def _cct_table(
         # The controlled-phase stage acts on the m=1 branch only.
         branches = [(0, p0, stages[:-1], fid[0]), (1, 1.0 - p0, stages, fid[1])]
     else:
+        ((_, stages),) = stage_rows_bell((cfg,), inp)
         bell_fidelity = fidelity(_protocol.run_bell(inp).psi6m, _protocol.expected_output_bell(inp))
         branches = [(None, 1.0, stages, bell_fidelity)]
 

@@ -3,16 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cctsim import zeno
-
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
-
-
-@pytest.fixture(autouse=True)
-def cold_zeno_caches() -> None:
-    """Start every test without cached gate tables or CCT stages, so a test
-    that counts or forbids closed-form calls sees them whatever ran before."""
-    zeno._clear_caches()

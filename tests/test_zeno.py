@@ -53,13 +53,6 @@ MONTE_CARLO_DIGEST = "674bad467f85ff02f67b924c49accc1a001fbea8a6c998a43724992cbe
 STAGE_DIGEST = "cd2cd1497311aaf8c404f1969dfab117446039b787e28c26956f45dd38763234"
 
 
-def _outcome_key(outcome: TrajectoryOutcome) -> tuple:
-    """Every field of an outcome, with its state as bytes."""
-    state = outcome.final_state
-    amps = None if state is None else state.amps.tobytes()
-    return outcome.kind, outcome.stage, outcome.cycle_index, amps, outcome.photon_entered_channel
-
-
 def _stage_documents() -> list[str]:
     """repr of the StageProbabilities of random general and Bell-type inputs
     at random cycle counts up to 2400, one in eight a blocked N = 1 row."""
@@ -1018,14 +1011,18 @@ class TestOutcomeTables:
 
     def test_size_tallies_the_single_trajectory_views(self):
         # ``size`` traversals read the same doubles as that many one-at-a-time calls.
+        def key(outcome):
+            state = outcome.final_state
+            return outcome.kind, outcome.stage, outcome.cycle_index, None if state is None else state.amps.tobytes()
+
         for model in AbsorberModel:
             for simulate, args in ((simulate_qz, ((0.6, 0.8), "H", 5, model)),
                                    (simulate_cqz, ((0.6, 0.8), "V", 4, 3, model))):
                 single, batch = np.random.default_rng(9), np.random.default_rng(9)
-                one_at_a_time = Counter(_outcome_key(simulate(*args, single)) for _ in range(500))
+                one_at_a_time = Counter(key(simulate(*args, single)) for _ in range(500))
                 tallied = simulate(*args, batch, 500)
                 assert sum(count for _, count in tallied) == 500
-                assert {_outcome_key(outcome): count for outcome, count in tallied} == dict(one_at_a_time)
+                assert {key(outcome): count for outcome, count in tallied} == dict(one_at_a_time)
                 assert single.random() == batch.random()
 
     def test_nan_absorber_rejected(self):
@@ -1065,16 +1062,6 @@ class TestSameSeedBytes:
         assert digest == MONTE_CARLO_DIGEST
 
 
-# (cfg, inp, seed, chained pairs, (successes, absorbed, discarded)) of
-# TestSimulateCct.test_each_chained_stage_evaluated_once.
-CHAINED_STAGE_CASES = [
-    (CycleConfig(6, 6, 6), BALANCED, 73, 4, (752, 3457, 791)),
-    (CycleConfig(150, 150, 5), GeneralInput(0.6, 0.8j, 0.8, 0.6, EulerAngles(0.2, 1.3, 0.4)), 74, 4, (1855, 3112, 33)),
-    (CycleConfig(6, 6, 6), BellInput(1, -1, 0.6, 0.8, EulerAngles(0.4, 2.0, 1.3)), 79, 2, (1645, 3258, 97)),
-    (CycleConfig(5, 2400, 7), BellInput(0, 1, 0.8, 0.6, EulerAngles(0.4, 2.0, 1.3)), 80, 2, (4028, 431, 541)),
-]
-
-
 class TestSimulateCct:
     def test_bell_zero_weight_never_aborts(self):
         inp = BellInput(0, 1, 1.0, 0.0, EulerAngles(0.7, 1.9, 0.2))
@@ -1103,6 +1090,16 @@ class TestSimulateCct:
         se = math.sqrt(expected * (1 - expected) / trials)
         assert abs(report.abort_rate_estimate - expected) < 4 * se
 
+    def test_a_sabotaged_gate_lowers_the_fidelity_after_a_clean_run(self):
+        # The protocol runs behind the success fidelity go through the gate
+        # constructors on every call, so a corrupted one shows at once.
+        cfg = CycleConfig(6, 6, 6)
+        clean = simulate_cct(cfg, BALANCED, 2_000, 3)
+        with checks._sabotaged_gate("q1"):
+            sabotaged = simulate_cct(cfg, BALANCED, 2_000, 3)
+        assert sabotaged.conditional_fidelity < clean.conditional_fidelity - 0.01
+        assert simulate_cct(cfg, BALANCED, 2_000, 3) == clean
+
     def test_seeded_reproducibility(self):
         cfg = CycleConfig(8, 8, 8)
         first = simulate_cct(cfg, BALANCED, 5_000, 61)
@@ -1113,7 +1110,15 @@ class TestSimulateCct:
         with pytest.raises(ValueError):
             simulate_cct(CycleConfig(2, 2, 2), BALANCED, 0, 1)
 
-    @pytest.mark.parametrize("cfg,inp,seed,chained_pairs,counts", CHAINED_STAGE_CASES)
+    @pytest.mark.parametrize(
+        "cfg,inp,seed,chained_pairs,counts",
+        [
+            (CycleConfig(6, 6, 6), BALANCED, 73, 4, (752, 3457, 791)),
+            (CycleConfig(150, 150, 5), GeneralInput(0.6, 0.8j, 0.8, 0.6, EulerAngles(0.2, 1.3, 0.4)), 74, 4, (1855, 3112, 33)),
+            (CycleConfig(6, 6, 6), BellInput(1, -1, 0.6, 0.8, EulerAngles(0.4, 2.0, 1.3)), 79, 2, (1645, 3258, 97)),
+            (CycleConfig(5, 2400, 7), BellInput(0, 1, 0.8, 0.6, EulerAngles(0.4, 2.0, 1.3)), 80, 2, (4028, 431, 541)),
+        ],
+    )
     def test_each_chained_stage_evaluated_once(self, monkeypatch, cfg, inp, seed, chained_pairs, counts):
         # One factor pair per chained stage (lambda2, lambda4, lambda5 or
         # lambda7) plus the full-weight stage of lambda0 and lambda1, one
@@ -1219,142 +1224,6 @@ class TestGateStatisticsValidation:
         counts = {model: (report.successes, report.absorbed) for model, report in reports.items()}
         assert counts == {AbsorberModel.COHERENT: (444, 1556), AbsorberModel.PER_CYCLE_BORN: (618, 1382)}
 
-
-def _sampled_key(sampled) -> object:
-    if isinstance(sampled, TrajectoryOutcome):
-        return _outcome_key(sampled)
-    return [(_outcome_key(outcome), count) for outcome, count in sampled]
-
-
-class TestCampaignCaches:
-    """Gate tables and CCT stages are cached per process; every result
-    equals the one of a cold cache, and nothing gate-dependent is cached."""
-
-    ABSORBERS = ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (0.6j, -0.8))
-    EXPECTED = StateVector((2, 2), [0.5, 0.5j, -0.5, 0.5])
-
-    @pytest.mark.parametrize("model", list(AbsorberModel))
-    @pytest.mark.parametrize("polarization", ["H", "V"])
-    @pytest.mark.parametrize("outer", [None, 4])
-    def test_cached_gate_campaigns_equal_cold_ones(self, model, polarization, outer):
-        def campaign(absorber):
-            if outer is None:
-                simulate = functools.partial(simulate_qz, absorber, polarization, 5, model)
-            else:
-                simulate = functools.partial(simulate_cqz, absorber, polarization, outer, 5, model)
-            rows, probs = zeno._gate_table(absorber, polarization, outer, 5, model)
-            return (
-                [_outcome_key(row) for row in rows],
-                probs.tobytes(),
-                gate_statistics("qz" if outer is None else "cqz", absorber, polarization, 5, model, 2_000, 7,
-                                outer=outer, expected_success_state=self.EXPECTED),
-                _sampled_key(simulate(np.random.default_rng(3))),
-                _sampled_key(simulate(np.random.default_rng(3), 500)),
-            )
-
-        for absorber in self.ABSORBERS:
-            zeno._clear_caches()
-            cold = campaign(absorber)
-            hits = zeno._cached_gate_table.cache_info().hits
-            warm = campaign(absorber)
-            assert zeno._cached_gate_table.cache_info().hits == hits + 4
-            assert warm == cold
-
-    @pytest.mark.parametrize("inp", [case[1] for case in CHAINED_STAGE_CASES], ids=["general", "general-complex", "bell-1", "bell-0"])
-    def test_cached_cct_campaigns_equal_cold_ones(self, inp):
-        cfg = CycleConfig(6, 7, 5)
-
-        def campaign():
-            rows, probs = zeno._cct_table(cfg, inp)
-            return rows, probs.tobytes(), simulate_cct(cfg, inp, 3_000, 11)
-
-        cold = campaign()
-        warm = campaign()
-        info = zeno._cached_cct_stages.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
-        assert warm == cold
-        stage_rows = zeno.stage_rows_general if isinstance(inp, GeneralInput) else zeno.stage_rows_bell
-        assert zeno._cct_stages(cfg, inp) == tuple(stage_rows((cfg,), inp)[0][1])
-
-    def test_cached_probabilities_are_read_only(self):
-        rows, probs = zeno._gate_table((0.6, 0.8), "H", 5, 5, AbsorberModel.COHERENT)
-        assert zeno._gate_table((0.6, 0.8), "H", 5, 5, AbsorberModel.COHERENT)[1] is probs
-        with pytest.raises(ValueError, match="read-only"):
-            probs[0] = 1.0
-        assert isinstance(rows, tuple)
-
-    def test_the_row_limit_decides_what_is_cached(self):
-        limit = zeno._GATE_TABLE_ROW_LIMIT
-        # N + 2 rows for the single gate, 2M + 2 for the chained one.
-        for outer, inner in ((None, limit - 2), (limit // 2 - 1, 1)):
-            zeno._gate_table((0.6, 0.8), "H", outer, inner, AbsorberModel.PER_CYCLE_BORN)
-        assert zeno._cached_gate_table.cache_info().currsize == 2
-        for outer, inner in ((None, limit - 1), (limit // 2, 1)):
-            table = zeno._gate_table((0.6, 0.8), "H", outer, inner, AbsorberModel.PER_CYCLE_BORN)
-            assert not table[1].flags.writeable
-        assert zeno._cached_gate_table.cache_info().currsize == 2
-
-    def test_long_tables_leave_nothing_cached(self):
-        # 40 chained-gate campaigns whose tables exceed the row limit peak
-        # near one table, and none of them stays in the cache.
-        first = zeno._GATE_TABLE_ROW_LIMIT // 2
-
-        def campaign(outer):
-            return gate_statistics("cqz", (0.6, 0.8), "H", 1, AbsorberModel.COHERENT, 50, outer, outer=outer)
-
-        # Untraced, so one-time allocations of a first campaign stay out.
-        campaign(first + 100)
-        tracemalloc.start()
-        try:
-            campaign(first)
-            one = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            for outer in range(first, first + 40):
-                campaign(outer)
-            forty = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert zeno._cached_gate_table.cache_info().currsize == 0
-        assert forty <= 1.5 * one
-
-    def test_an_unhashable_input_is_not_cached(self):
-        # complex() accepts a 0-d array amplitude, so such an input is valid.
-        inp = GeneralInput(np.array(ROOT_HALF), ROOT_HALF, ROOT_HALF, np.array(ROOT_HALF), BALANCED.angles)
-        cfg = CycleConfig(6, 6, 6)
-        assert simulate_cct(cfg, inp, 2_000, 5) == simulate_cct(cfg, BALANCED, 2_000, 5)
-        assert zeno._cached_cct_stages.cache_info().currsize == 1
-
-    def test_a_sabotaged_gate_still_lowers_the_cct_fidelity(self):
-        cfg = CycleConfig(6, 6, 6)
-        clean = simulate_cct(cfg, BALANCED, 2_000, 3)
-        with checks._sabotaged_gate("q1"):
-            sabotaged = simulate_cct(cfg, BALANCED, 2_000, 3)
-        assert zeno._cached_cct_stages.cache_info().hits == 1
-        assert sabotaged.conditional_fidelity < clean.conditional_fidelity - 0.01
-        assert simulate_cct(cfg, BALANCED, 2_000, 3) == clean
-
-    def test_warm_keys_do_not_hide_what_the_detection_tests_detect(self, monkeypatch):
-        # With the exact keys of test_tables_do_not_use_the_closed_forms and
-        # test_each_chained_stage_evaluated_once warm, a campaign evaluates no
-        # closed form; once the caches are cleared, as the autouse fixture
-        # does before each test, both tests see every evaluation again.
-        for model in AbsorberModel:
-            zeno._gate_table((0.6, 0.8), "H", None, 5, model)
-            zeno._gate_table((0.6, 0.8), "H", 5, 5, model)
-        for cfg, inp, seed, *_ in CHAINED_STAGE_CASES:
-            simulate_cct(cfg, inp, 5_000, seed)
-
-        calls = []
-        original = zeno._chained_factors
-        monkeypatch.setattr(zeno, "_chained_factors", lambda *args: calls.append(args) or original(*args))
-        for cfg, inp, seed, *_ in CHAINED_STAGE_CASES:
-            simulate_cct(cfg, inp, 5_000, seed)
-        assert calls == []
-        monkeypatch.undo()
-
-        zeno._clear_caches()
-        TestOutcomeTables().test_tables_do_not_use_the_closed_forms(monkeypatch)
-        monkeypatch.undo()
-        for case in CHAINED_STAGE_CASES:
-            TestSimulateCct().test_each_chained_stage_evaluated_once(monkeypatch, *case)
-            monkeypatch.undo()
+    def test_the_tally_refuses_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="not an OutcomeKind"):
+            zeno._report([(OutcomeKind.SUCCESS, None, 2), ("success", None, 1)], 1)
