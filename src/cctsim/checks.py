@@ -277,8 +277,8 @@ _DIAGONAL = (5, 10, 20, 40, 80)
 
 def _diagonal_scan() -> dict[str, list[float]]:
     cfgs = [zeno.CycleConfig(c, c, c) for c in _DIAGONAL]
-    general = [values for values, _ in zeno.stage_rows_general(cfgs, _balanced_general())]
-    bell = [values for values, _ in zeno.stage_rows_bell(cfgs, _balanced_bell(1))]
+    general = [values for values, _ in zeno.stage_rows(cfgs, _balanced_general())]
+    bell = [values for values, _ in zeno.stage_rows(cfgs, _balanced_bell(1))]
     return {
         "zeta0": [values["zeta_m"][0] for values in general],
         "zeta1": [values["zeta_m"][1] for values in general],

@@ -36,9 +36,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
 _SWEEP_AXES = ("M", "N", "K", "diag")
-# Fixed, documented column orders; the golden-file tests pin these.
-SWEEP_COLUMNS_GENERAL = ("axis", "value", "lambda2", "lambda3", "lambda4", "lambda5", "zeta0", "zeta1")
-SWEEP_COLUMNS_BELL = ("axis", "value", "lambda6", "lambda7", "zeta")
+# Column orders read off each protocol's stage schedule; the golden-file tests pin these.
+SWEEP_COLUMNS_GENERAL = ("axis", "value", *zeno.GENERAL_SCHEDULE.lambdas, *zeno.GENERAL_SCHEDULE.zetas)
+SWEEP_COLUMNS_BELL = ("axis", "value", *zeno.BELL_SCHEDULE.lambdas, *zeno.BELL_SCHEDULE.zetas)
 
 
 class ConfigError(Exception):
@@ -301,17 +301,10 @@ def _sweep_cycles(config: RunConfig, axis: str, value: int) -> CycleConfig:
 
 def _sweep_rows(config: RunConfig, axis: str, values: tuple[int, ...]) -> tuple[tuple[str, ...], list[list]]:
     cfgs = [_sweep_cycles(config, axis, value) for value in values]
-    if config.mode == "general":
-        rows = [
-            [axis, value, p["lambda2"], p["lambda3"], p["lambda4"], p["lambda5"], *p["zeta_m"]]
-            for value, (p, _) in zip(values, zeno.stage_rows_general(cfgs, config.protocol_input))
-        ]
-        return SWEEP_COLUMNS_GENERAL, rows
-    rows = [
-        [axis, value, p["lambda6"], p["lambda7"], p["zeta"]]
-        for value, (p, _) in zip(values, zeno.stage_rows_bell(cfgs, config.protocol_input))
-    ]
-    return SWEEP_COLUMNS_BELL, rows
+    schedule = zeno.schedule_of(config.protocol_input)
+    rows = [[axis, value, *map(p.__getitem__, schedule.lambdas), *schedule.abort_rates(p)]
+            for value, (p, _) in zip(values, zeno.stage_rows(cfgs, config.protocol_input))]
+    return ("axis", "value", *schedule.lambdas, *schedule.zetas), rows
 
 
 def _format_cell(value) -> str:
@@ -323,10 +316,11 @@ def _format_cell(value) -> str:
 def cmd_sweep(config: RunConfig, axis: str | None, values: tuple[int, ...] | None) -> int:
     """Tabulate stage probabilities along one cycle-count axis.
 
-    The rows are one closed-form evaluation (``zeno.stage_rows_general`` or
-    ``zeno.stage_rows_bell``): values that share M share one pass in chunks
-    of the fixed ``zeno.PASS_BLOCK`` budget.  Rows come in the order of
-    ``values``, duplicates included, and each is == to a one-value sweep.
+    The rows are one closed-form evaluation (``zeno.stage_rows``), with the
+    columns of the protocol's stage schedule: values that share M share one
+    pass in chunks of the fixed ``zeno.PASS_BLOCK`` budget.  Rows come in
+    the order of ``values``, duplicates included, and each is == to a
+    one-value sweep.
     """
     axis = axis or config.sweep_axis
     values = values or config.sweep_values
@@ -353,13 +347,9 @@ def cmd_sweep(config: RunConfig, axis: str | None, values: tuple[int, ...] | Non
 def cmd_montecarlo(config: RunConfig) -> int:
     """Run the stage-composed protocol campaign and emit its JSON report."""
     report = zeno.simulate_cct(config.cycles, config.protocol_input, config.trials, config.seed)
-    if config.mode == "general":
-        probs = zeno.stage_probabilities_general(config.cycles, config.protocol_input)
-        analytic = {"zeta0": probs.zeta_m[0], "zeta1": probs.zeta_m[1]}
-    else:
-        probs = zeno.stage_probabilities_bell(config.cycles, config.protocol_input)
-        analytic = {"zeta": probs.zeta}
-    results = {"report": report.as_dict(), "analytic": analytic}
+    schedule = zeno.schedule_of(config.protocol_input)
+    ((values, _),) = zeno.stage_rows((config.cycles,), config.protocol_input)
+    results = {"report": report.as_dict(), "analytic": dict(zip(schedule.zetas, schedule.abort_rates(values)))}
     _emit(_envelope(config, results), config.out)
     return EXIT_OK
 

@@ -2,11 +2,11 @@
 
 The analytic half evaluates, exactly as printed, the closed-form success
 and abortion probabilities of every interferometric gate and protocol
-stage (the lambda/nabla/zeta family).  ``stage_rows_general/bell`` take a
-whole sequence of cycle configurations at once: configs that share M
-share one log1p pass per outer cycle count, cut into chunks of at most
-PASS_BLOCK entries, and every row is == to a one-config call, which runs
-the same code (``stage_probabilities_general/bell``).
+stage (the lambda/nabla/zeta family).  ``stage_rows`` evaluates a
+protocol's stage schedule (GENERAL_SCHEDULE, BELL_SCHEDULE) over a whole
+sequence of cycle configurations: configs that share M share one log1p
+pass per outer cycle count, in chunks of at most PASS_BLOCK entries, and
+every row is == to a one-config call (``stage_probabilities_general/bell``).
 
 The Monte Carlo half simulates the gates trajectory by trajectory under
 two explicitly named absorber models:
@@ -34,6 +34,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
+from operator import itemgetter
 from typing import TypeVar
 
 import numpy as np
@@ -162,8 +163,12 @@ def _cycle_count(name: str, value: int) -> int:
     return int(value)
 
 
-def _validate_weight(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
+def _check_unit_interval(name: str, value: float | tuple[float, ...] | None) -> None:
+    """``value`` (each entry of a tuple) must lie in [0, 1]; NaN fails, None is skipped."""
+    if isinstance(value, tuple):
+        for v in value:
+            _check_unit_interval(name, v)
+    elif value is not None and not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
@@ -189,7 +194,7 @@ def cqz_lambda1(outer: int, inner: int) -> float:
 
 def _collapse_success(name: str, inner: int, weight: float) -> float:
     inner = _cycle_count("N", inner)
-    _validate_weight(name, weight)
+    _check_unit_interval(name, weight)
     return _survival_power(weight * _sin_sq_pi(1.0 / (2 * inner)), inner) * weight
 
 
@@ -211,14 +216,14 @@ def coherent_qz_success(inner: int, nabla: float) -> float:
     but differs at finite N.
     """
     _cycle_count("N", inner)
-    _validate_weight("nabla", nabla)
+    _check_unit_interval("nabla", nabla)
     return nabla * qz_survival(inner)
 
 
 def _collapse_chain_losses(chain: int, inner: int, nabla: float) -> tuple[float, float]:
     """Per-cycle losses (nabla cos^2 theta_K sin^2 theta_N, nabla sin^2 theta_K) of a
     collapse stage, for counts that _cycle_count has returned."""
-    _validate_weight("nabla", nabla)
+    _check_unit_interval("nabla", nabla)
     y = 1.0 / (2 * chain)
     return nabla * _cos_sq_pi(y) * _sin_sq_pi(1.0 / (2 * inner)), nabla * _sin_sq_pi(y)
 
@@ -263,8 +268,8 @@ def _chained_factors(outer: int, inners: Sequence[int], passes: Sequence[_Pass])
     one sum over its last axis (see _log_sums); each contiguous row sum is
     bit for bit the sum of that stage at that inner count alone.  Validates
     the cycle counts and weights.  The rotation step stays pi/(2*outer)
-    even when a pass runs other than ``outer`` outer cycles (the doubled
-    controlled-phase stage runs 2M cycles at the M-cycle step size).
+    even when a pass runs other than ``outer`` outer cycles (a pass of 2M
+    cycles keeps the M-cycle step size).
     """
     outer = _cycle_count("M", outer)
     inners = [_cycle_count("N", inner) for inner in inners]
@@ -277,8 +282,8 @@ def _chained_factors(outer: int, inners: Sequence[int], passes: Sequence[_Pass])
         for cycles, weights in passes:
             cycles = _cycle_count("outer_cycles", cycles)
             for outer_weight, inner_weight in weights:
-                _validate_weight("outer_weight", outer_weight)
-                _validate_weight("inner_weight", inner_weight)
+                _check_unit_interval("outer_weight", outer_weight)
+                _check_unit_interval("inner_weight", inner_weight)
             outer_factors = [_survival_power(outer_weight * s_m, cycles) for outer_weight, _ in weights]
             for row, inner, log_sums in zip(rows, inners, _log_sums(outer, cycles, weights, s_n)):
                 row += [(f_out, math.exp(inner * log_sum)) for f_out, log_sum in zip(outer_factors, log_sums)]
@@ -323,26 +328,13 @@ def chained_survival(
     return f_out * f_in
 
 
-def _check_unit_interval(values: dict[str, float | tuple[float, float] | None]) -> None:
-    """Every value (each entry of a tuple) must lie in [0, 1]; NaN fails, None is skipped."""
-    for name, value in values.items():
-        if isinstance(value, tuple):
-            for v in value:
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-        elif value is not None and not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-
-
 @dataclass(frozen=True)
 class StageProbabilities:
     """All derived stage probabilities of one configuration and input.
 
-    Fields not defined for the protocol variant at hand stay None: the
-    general protocol populates lambda2..lambda5, nabla7, nabla8 and the
-    zeta_m pair; the Bell-type protocol populates lambda6, lambda7,
-    nabla9, nabla10 and zeta.  lambda0/lambda1 depend on the cycle counts
-    alone and are always filled.
+    lambda0/lambda1 depend on the cycle counts alone and are always filled;
+    a protocol fills the lambdas of its Schedule, its printed weights and
+    its abort rate (zeta_m or zeta), and the other fields stay None.
     """
 
     lambda0: float
@@ -362,7 +354,8 @@ class StageProbabilities:
 
     def __post_init__(self) -> None:
         # The instance dict holds the fields in declaration order.
-        _check_unit_interval(vars(self))
+        for name, value in vars(self).items():
+            _check_unit_interval(name, value)
 
     def populated(self) -> dict[str, float | tuple[float, float]]:
         return {
@@ -385,123 +378,151 @@ StageRow = tuple[dict[str, float | tuple[float, float]], list[_Stage]]
 _FULL_WEIGHT = (1.0, 1.0)
 
 
-def _chained_pairs(
-    cfgs: Sequence[CycleConfig], passes: tuple[tuple[int, _Weights], ...]
-) -> dict[tuple[int, int], list[tuple[float, float]]]:
-    """Factor pairs of the chained stages at each distinct (M, N) of ``cfgs``.
+class Schedule:
+    """A protocol's stages in run order, each (name, printed lambda, pass,
+    branches), with their layout worked out once.  The pass is the outer
+    cycles as a multiple of M (at the M-cycle step) or None for a collapse
+    chain (dcfo_success); the branches are the outcomes m the stage acts
+    on, each meeting a prefix of the schedule, and m is None in a protocol
+    without an outcome, whose one abort rate is zeta, not zeta_m.
+    ``weights(inp)`` gives the printed weights and each stage's ((outer,
+    inner) or a nabla); ``outcomes(inp)`` each branch's (probability,
+    success fidelity) from dense runs."""
 
-    ``passes`` holds (outer cycles as a multiple of M, stage weights) per
-    pass.  Each distinct M takes one _chained_factors call over all of its
-    distinct N.
-    """
-    inners: dict[int, dict[int, None]] = {}
-    for cfg in cfgs:
-        inners.setdefault(cfg.M, {})[cfg.N] = None
-    pairs = {}
-    for outer, distinct in inners.items():
-        outer_passes = [(multiple * outer, weights) for multiple, weights in passes]
-        factors = _chained_factors(outer, tuple(distinct), outer_passes)
-        pairs.update(zip([(outer, inner) for inner in distinct], factors))
-    return pairs
+    def __init__(self, stages: tuple[tuple[str, str, int | None, tuple[int | None, ...]], ...], weights, outcomes):
+        self.stages, self.weights, self.outcomes = stages, weights, outcomes
+        names, self.lambdas, multiples, acts_on = zip(*stages)
+        # Chained passes in order of first appearance, each (multiple of M,
+        # stage positions); the full-weight stage (None) leads the one at M.
+        self.passes: dict[int, list[int | None]] = {1: [None]}
+        for i, multiple in enumerate(multiples):
+            if multiple is not None:
+                self.passes.setdefault(multiple, []).append(i)
+        self.chains = [i for i, multiple in enumerate(multiples) if multiple is None]
+        # Each stage reads its pair among a config's factor pairs: the
+        # chained ones in pass order, then (1.0, lambda) per collapse chain.
+        order = [i for positions in self.passes.values() for i in positions] + self.chains
+        self.lookup = [(name, lam, order.index(i)) for i, (name, lam) in enumerate(zip(names, self.lambdas))]
+        ms = dict.fromkeys(m for branches in acts_on for m in branches)
+        self.branches = [(m, sum(m in branches for branches in acts_on)) for m in ms]
+        if any(m not in branches for m, end in self.branches for branches in acts_on[:end]):
+            raise ValueError("each outcome branch must meet a prefix of the schedule")
+        # Several branches give the zeta_m tuple, a single one the scalar zeta.
+        self.pick_zeta = itemgetter(*(end - 1 for _, end in self.branches))
+        self.zeta, self.zetas = ("zeta_m", tuple(f"zeta{m}" for m in ms)) if len(ms) > 1 else ("zeta", ("zeta",))
+
+    def abort_rates(self, values: dict) -> tuple[float, ...]:
+        """A stage_rows row's abort rates, one per branch (the sweep's zeta columns)."""
+        return values["zeta_m"] if self.zeta == "zeta_m" else (values["zeta"],)
 
 
-def stage_rows_general(cfgs: Sequence[CycleConfig], inp: GeneralInput) -> list[StageRow]:
-    """Stage probabilities of the general protocol at each of ``cfgs``, in order.
-
-    Configs that share M share the chained passes (lambda0 and lambda1,
-    lambda2 and lambda4 at M outer cycles, lambda5 at 2M), and lambda3 is
-    taken once per distinct (K, N), so a sweep costs one closed-form pass
-    rather than one per row.  Each row's values are range checked and ==
-    to those of a one-config call.
-    """
+def _general_weights(inp: GeneralInput) -> tuple[dict[str, float], tuple]:
     # Each squared modulus is capped at 1: an input pair may exceed unit
     # norm by NORMALIZATION_TOL, and a stage weight must not exceed 1.
     a2, b2, g2, d2 = (min(abs(c) ** 2, 1.0) for c in (inp.alpha, inp.beta, inp.gamma, inp.delta))
     half = inp.angles.theta / 2.0
     c2, s2 = math.cos(half) ** 2, math.sin(half) ** 2
-
     nabla7 = d2 * a2 * c2 + d2 * b2 * s2
     nabla8 = d2 * b2 * c2 + d2 * a2 * s2
-    # lambda0/lambda1, lambda2 and lambda4 share M outer cycles; lambda5 runs 2M.
-    passes = ((1, (_FULL_WEIGHT, (a2 * d2, b2 * d2), (nabla7, nabla8))), (2, ((a2 * g2, b2 * g2),)))
-    pairs = _chained_pairs(cfgs, passes)
-    lam3s = {key: dcfo_success(*key, d2 * s2) for key in {(cfg.K, cfg.N) for cfg in cfgs}}
+    return {"nabla7": nabla7, "nabla8": nabla8}, ((a2 * d2, b2 * d2), d2 * s2, (nabla7, nabla8), (a2 * g2, b2 * g2))
+
+
+def _general_outcomes(inp: GeneralInput) -> Iterable[tuple[float, float]]:
+    p0, transcripts = _protocol.run_general_branches(inp)
+    fids = [fidelity(t.psi6m, _protocol.expected_output_general(inp, m)) for m, t in enumerate(transcripts)]
+    return zip((p0, 1.0 - p0), fids)
+
+
+GENERAL_SCHEDULE = Schedule(
+    (
+        ("toffoli", "lambda2", 1, (0, 1)),
+        ("flip-chain", "lambda3", None, (0, 1)),
+        ("flip-pair", "lambda4", 1, (0, 1)),
+        ("controlled-z", "lambda5", 2, (1,)),
+    ),
+    _general_weights,
+    _general_outcomes,
+)
+
+
+def _bell_weights(inp: BellInput) -> tuple[dict[str, float], tuple]:
+    # The blocking weight is |c1|^2 for class 0 and |c0|^2 for class 1 (the
+    # component Bob's photon can be absorbed from), capped at 1.  nabla9
+    # weighs the chained stage's outer factor in class 1, the inner in class 0.
+    nab = min(abs(inp.c1 if inp.ell == 0 else inp.c0) ** 2, 1.0)
+    half = inp.angles.theta / 2.0
+    nabla9 = nab * math.cos(half) ** 2
+    nabla10 = nab * math.sin(half) ** 2
+    return {"nabla9": nabla9, "nabla10": nabla10}, (nabla10, (nabla9, nabla10) if inp.ell == 1 else (nabla10, nabla9))
+
+
+def _bell_outcomes(inp: BellInput) -> Iterable[tuple[float, float]]:
+    return [(1.0, fidelity(_protocol.run_bell(inp).psi6m, _protocol.expected_output_bell(inp)))]
+
+
+BELL_SCHEDULE = Schedule(
+    (
+        ("flip-chain", "lambda6", None, (None,)),
+        ("controlled-z", "lambda7", 1, (None,)),
+    ),
+    _bell_weights,
+    _bell_outcomes,
+)
+
+
+def schedule_of(inp: GeneralInput | BellInput) -> Schedule:
+    return GENERAL_SCHEDULE if isinstance(inp, GeneralInput) else BELL_SCHEDULE
+
+
+def stage_rows(cfgs: Sequence[CycleConfig], inp: GeneralInput | BellInput) -> list[StageRow]:
+    """Stage probabilities of ``inp``'s protocol at each of ``cfgs``, in order.
+
+    Configs that share M share one _chained_factors call, one pass per outer
+    cycle count, and each collapse chain is taken once per distinct (K, N).
+    A branch's abort rate is 1 minus the running product of its stages'
+    lambdas.  Each row's values are range checked and == to a one-config call's.
+    """
+    schedule = schedule_of(inp)
+    printed, weights = schedule.weights(inp)
+    passes = [(mult, [_FULL_WEIGHT if i is None else weights[i] for i in at]) for mult, at in schedule.passes.items()]
+    inners: dict[int, dict[int, None]] = {}
+    for cfg in cfgs:
+        inners.setdefault(cfg.M, {})[cfg.N] = None
+    pairs = {}
+    for outer, distinct in inners.items():
+        factors = _chained_factors(outer, tuple(distinct), [(mult * outer, w) for mult, w in passes])
+        pairs.update(zip([(outer, inner) for inner in distinct], factors))
+    chains = {}
+    for cfg in cfgs:
+        if (cfg.K, cfg.N) not in chains:
+            chains[cfg.K, cfg.N] = [(1.0, dcfo_success(cfg.K, cfg.N, weights[i])) for i in schedule.chains]
     rows = []
     for cfg in cfgs:
-        (lam0, lam1), pair2, pair4, pair5 = pairs[cfg.M, cfg.N]
-        lam3 = lam3s[cfg.K, cfg.N]
-        lam2, lam4, lam5 = pair2[0] * pair2[1], pair4[0] * pair4[1], pair5[0] * pair5[1]
-        values = {
-            "lambda0": lam0,
-            "lambda1": lam1,
-            "lambda2": lam2,
-            "lambda3": lam3,
-            "lambda4": lam4,
-            "lambda5": lam5,
-            "nabla7": nabla7,
-            "nabla8": nabla8,
-            "zeta_m": (1.0 - lam2 * lam3 * lam4, 1.0 - lam2 * lam3 * lam4 * lam5),
-        }
-        _check_unit_interval(values)
-        stages = [("toffoli", *pair2), ("flip-chain", 1.0, lam3), ("flip-pair", *pair4), ("controlled-z", *pair5)]
+        found = pairs[cfg.M, cfg.N] + chains[cfg.K, cfg.N]
+        (lam0, lam1), stages, aborts, survival = found[0], [], [], 1.0
+        values = {"lambda0": lam0, "lambda1": lam1}
+        for name, lam_name, at in schedule.lookup:
+            f_out, f_in = found[at]
+            stages.append((name, f_out, f_in))
+            values[lam_name] = lam = f_out * f_in
+            survival *= lam
+            aborts.append(1.0 - survival)
+        values.update(printed)
+        values[schedule.zeta] = schedule.pick_zeta(aborts)
+        for name, value in values.items():
+            _check_unit_interval(name, value)
         rows.append((values, stages))
     return rows
 
 
 def stage_probabilities_general(cfg: CycleConfig, inp: GeneralInput) -> StageProbabilities:
-    """Evaluate every printed stage probability of the general protocol.
-
-    The controlled-phase stage (lambda5) runs 2M outer cycles at the
-    unchanged M-cycle step size and enters the abortion rate only for the
-    outcome branch m=1: zeta_m = 1 - lambda2*lambda3*lambda4*lambda5^m.
-    """
-    return StageProbabilities(**stage_rows_general((cfg,), inp)[0][0])
-
-
-def stage_rows_bell(cfgs: Sequence[CycleConfig], inp: BellInput) -> list[StageRow]:
-    """Stage probabilities of the Bell-type protocol at each of ``cfgs``, in order.
-
-    Grouped as in stage_rows_general: configs that share M share the
-    chained pass of lambda0, lambda1 and lambda7, and lambda6 is taken once
-    per distinct (K, N).
-    """
-    # Capped at 1 as in stage_rows_general.
-    nab = min(abs(inp.c1 if inp.ell == 0 else inp.c0) ** 2, 1.0)
-    half = inp.angles.theta / 2.0
-    nabla9 = nab * math.cos(half) ** 2
-    nabla10 = nab * math.sin(half) ** 2
-
-    weights7 = (nabla9, nabla10) if inp.ell == 1 else (nabla10, nabla9)
-    pairs = _chained_pairs(cfgs, ((1, (_FULL_WEIGHT, weights7)),))
-    lam6s = {key: dcfo_success(*key, nabla10) for key in {(cfg.K, cfg.N) for cfg in cfgs}}
-    rows = []
-    for cfg in cfgs:
-        (lam0, lam1), pair7 = pairs[cfg.M, cfg.N]
-        lam6 = lam6s[cfg.K, cfg.N]
-        lam7 = pair7[0] * pair7[1]
-        values = {
-            "lambda0": lam0,
-            "lambda1": lam1,
-            "lambda6": lam6,
-            "lambda7": lam7,
-            "nabla9": nabla9,
-            "nabla10": nabla10,
-            "zeta": 1.0 - lam6 * lam7,
-        }
-        _check_unit_interval(values)
-        rows.append((values, [("flip-chain", 1.0, lam6), ("controlled-z", *pair7)]))
-    return rows
+    """Evaluate every printed stage probability of the general protocol (GENERAL_SCHEDULE)."""
+    return StageProbabilities(**stage_rows((cfg,), inp)[0][0])
 
 
 def stage_probabilities_bell(cfg: CycleConfig, inp: BellInput) -> StageProbabilities:
-    """Evaluate the printed Bell-type stage probabilities.
-
-    The blocking weight is the squared coefficient of the component Bob's
-    photon can be absorbed from: |c1|^2 for class 0, |c0|^2 for class 1.
-    Class 1 puts nabla9 on the outer factor and nabla10 on the inner one;
-    class 0 swaps them.
-    """
-    return StageProbabilities(**stage_rows_bell((cfg,), inp)[0][0])
+    """Evaluate the printed Bell-type stage probabilities (BELL_SCHEDULE)."""
+    return StageProbabilities(**stage_rows((cfg,), inp)[0][0])
 
 
 class AbsorberModel(Enum):
@@ -881,26 +902,14 @@ def _cct_table(
     cfg: CycleConfig, inp: GeneralInput | BellInput
 ) -> tuple[tuple[tuple[int | None, str, OutcomeKind, float | None], ...], np.ndarray]:
     """simulate_cct's outcome table: a row (m, stage, kind, fidelity of a
-    success) per outcome m, stage and kind, and a success row per m."""
-    if isinstance(inp, GeneralInput):
-        ((_, stages),) = stage_rows_general((cfg,), inp)
-        p0, transcripts = _protocol.run_general_branches(inp)
-        fid = [
-            fidelity(transcript.psi6m, _protocol.expected_output_general(inp, m))
-            for m, transcript in enumerate(transcripts)
-        ]
-        # The controlled-phase stage acts on the m=1 branch only.
-        branches = [(0, p0, stages[:-1], fid[0]), (1, 1.0 - p0, stages, fid[1])]
-    else:
-        ((_, stages),) = stage_rows_bell((cfg,), inp)
-        bell_fidelity = fidelity(_protocol.run_bell(inp).psi6m, _protocol.expected_output_bell(inp))
-        branches = [(None, 1.0, stages, bell_fidelity)]
-
+    success) per outcome m, stage m meets and kind, and a success row per m."""
+    schedule = schedule_of(inp)
+    ((_, stages),) = stage_rows((cfg,), inp)
     rows: list[tuple[int | None, str, OutcomeKind, float | None]] = []
     probs: list[float] = []
-    for m, weight, stages, branch_fidelity in branches:
+    for (m, end), (weight, branch_fidelity) in zip(schedule.branches, schedule.outcomes(inp)):
         alive = weight
-        for stage, f_discard, f_absorb in stages:
+        for stage, f_discard, f_absorb in stages[:end]:
             rows.append((m, stage, OutcomeKind.DISCARDED_AT_DETECTOR, None))
             probs.append(alive * (1.0 - f_discard))
             alive *= f_discard

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -214,6 +215,23 @@ class TestSurvivalFormulas:
             dcfo_success(3, 3, -0.1)
         with pytest.raises(ValueError):
             qz_survival(0)
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.1], ids=repr)
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            ("nabla0", lambda w: cepi_success(3, w)),
+            ("nabla1", lambda w: dcepi_success(3, w)),
+            ("nabla", lambda w: coherent_qz_success(3, w)),
+            ("nabla", lambda w: dcfo_success(3, 3, w)),
+            ("nabla", lambda w: dcfo_stage_success(3, 3, w)),
+            ("outer_weight", lambda w: chained_survival(3, 3, w, 0.5)),
+            ("inner_weight", lambda w: chained_survival(3, 3, 0.5, w)),
+        ],
+    )
+    def test_every_weight_has_one_range_check(self, name, call, bad):
+        with pytest.raises(ValueError, match=f"^{name} must lie in \\[0, 1\\], got {bad!r}$"):
+            call(bad)
 
 
 class TestFlipChainFormulas:
@@ -702,9 +720,9 @@ UNIT_BELL = BellInput(1, 1, 1.0, 0.0, EulerAngles(0.0, math.pi, 0.0))
 
 
 class TestGroupedPass:
-    """stage_rows_* over many configs against one-config calls."""
+    """stage_rows over many configs against one-config calls."""
 
-    ROWS = ((zeno.stage_rows_general, stage_probabilities_general), (zeno.stage_rows_bell, stage_probabilities_bell))
+    ROWS = ((zeno.stage_rows, stage_probabilities_general), (zeno.stage_rows, stage_probabilities_bell))
 
     def _assert_rows_match_one_config_calls(self, cfgs, inputs):
         for (rows_of, one_config), inp in zip(self.ROWS, inputs):
@@ -739,8 +757,8 @@ class TestGroupedPass:
         self._assert_rows_match_one_config_calls(cfgs, (UNIT_GENERAL, UNIT_BELL))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            general = zeno.stage_rows_general(cfgs, UNIT_GENERAL)
-            bell = zeno.stage_rows_bell(cfgs, UNIT_BELL)
+            general = zeno.stage_rows(cfgs, UNIT_GENERAL)
+            bell = zeno.stage_rows(cfgs, UNIT_BELL)
         for cfg, (g, _), (b, _) in zip(cfgs, general, bell):
             if cfg.N == 1:
                 assert g["lambda1"] == g["lambda4"] == b["lambda7"] == 0.0
@@ -758,9 +776,29 @@ class TestGroupedPass:
         monkeypatch.setattr(zeno, "dcfo_success", lambda chain, inner, nabla: math.nan)
         cfgs = _axis_configs("K", (5, 6), CycleConfig(6, 7, 8))
         with pytest.raises(ValueError, match="lambda3 must lie in \\[0, 1\\], got nan"):
-            zeno.stage_rows_general(cfgs, BALANCED)
+            zeno.stage_rows(cfgs, BALANCED)
         with pytest.raises(ValueError, match="lambda6 must lie in \\[0, 1\\], got nan"):
-            zeno.stage_rows_bell(cfgs, UNIT_BELL)
+            zeno.stage_rows(cfgs, UNIT_BELL)
+
+    def test_rows_do_not_depend_on_phi_or_varphi(self):
+        # Only theta enters a stage weight, so every row, values and stage
+        # factors, is bit for bit the same under any other phi and varphi.
+        rng = np.random.default_rng(1618)
+        for i in range(300):
+            cfgs = [CycleConfig(*(int(c) for c in rng.integers(1, 40, 3))) for _ in range(2)]
+            inp = protocol.random_general_input(rng) if i % 2 else protocol.random_bell_input(rng)
+            phi, varphi = (float(a) for a in rng.uniform(-7.0, 7.0, 2))
+            turned = dataclasses.replace(inp, angles=EulerAngles(phi, inp.angles.theta, varphi))
+            assert repr(zeno.stage_rows(cfgs, turned)) == repr(zeno.stage_rows(cfgs, inp)), (cfgs, inp, phi, varphi)
+
+    def test_a_branch_must_meet_a_prefix_of_the_schedule(self):
+        # Abort rates are running products over a prefix, so a branch that
+        # skips an earlier stage is refused when the schedule is built.
+        stages = (("first", "lambda2", 1, (1,)), ("second", "lambda3", None, (0, 1)))
+        with pytest.raises(ValueError, match="prefix of the schedule"):
+            zeno.Schedule(stages, None, None)
+        schedule = zeno.Schedule(stages[::-1], None, None)
+        assert schedule.branches == [(0, 1), (1, 2)] and schedule.zetas == ("zeta0", "zeta1")
 
     def test_a_wide_sweep_holds_one_row_at_a_time(self):
         # 64 inner counts at M = 200 000 share one pass per outer cycle
@@ -777,7 +815,7 @@ class TestGroupedPass:
             try:
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                rows = zeno.stage_rows_general(cfgs, inp)
+                rows = zeno.stage_rows(cfgs, inp)
                 return tracemalloc.get_traced_memory()[1] - before, rows
             finally:
                 if started:
@@ -1099,6 +1137,27 @@ class TestSimulateCct:
             sabotaged = simulate_cct(cfg, BALANCED, 2_000, 3)
         assert sabotaged.conditional_fidelity < clean.conditional_fidelity - 0.01
         assert simulate_cct(cfg, BALANCED, 2_000, 3) == clean
+
+    def test_the_outcome_table_carries_the_analytic_abort_rate(self):
+        # Without sampling: the table's abort mass is p0 zeta0 + (1 - p0)
+        # zeta1 for the general protocol and zeta for the Bell-type one, and
+        # the controlled-z stage acts on the m = 1 branch only.
+        rng = np.random.default_rng(2718)
+        for i in range(300):
+            cfg = CycleConfig(*(int(c) for c in rng.integers(1, 200, 3)))
+            if i % 2:
+                inp = protocol.random_general_input(rng)
+                p0 = protocol.run_general_branches(inp)[0]
+                zeta0, zeta1 = stage_probabilities_general(cfg, inp).zeta_m
+                expected, branches, controlled_z = p0 * zeta0 + (1.0 - p0) * zeta1, {0, 1}, {1}
+            else:
+                inp = protocol.random_bell_input(rng)
+                expected, branches, controlled_z = stage_probabilities_bell(cfg, inp).zeta, {None}, {None}
+            rows, probs = zeno._cct_table(cfg, inp)
+            abort = sum(p for (_, _, kind, _), p in zip(rows, probs) if kind is not OutcomeKind.SUCCESS)
+            assert abs(abort - expected) <= 1e-15, (cfg, inp, abort, expected)
+            assert {m for m, _, _, _ in rows} == branches
+            assert {m for m, stage, _, _ in rows if stage == "controlled-z"} == controlled_z
 
     def test_seeded_reproducibility(self):
         cfg = CycleConfig(8, 8, 8)
