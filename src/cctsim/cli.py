@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import io
 import json
 import math
 import os
@@ -115,22 +114,25 @@ def _check_pair_norm(label: str, c0: complex, c1: complex, errors: list[str]) ->
         errors.append(f"{label}: {error}")
 
 
-def _non_finite_fields(value, path: str) -> Iterator[str]:
-    """Paths of the NaN and infinite numbers in a parsed JSON document."""
-    if isinstance(value, float) and not math.isfinite(value):
-        yield path
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            yield from _non_finite_fields(item, f"{path}.{key}" if path else str(key))
-    elif isinstance(value, list):
-        for index, item in enumerate(value):
-            yield from _non_finite_fields(item, f"{path}[{index}]")
+def _non_finite_fields(value: dict | list, trail: tuple = ()) -> Iterator[str]:
+    """Paths of the NaN and infinite numbers in a parsed JSON document, in
+    document order; a path is built only on the way to one of them."""
+    indexed = isinstance(value, list)
+    for key, item in enumerate(value) if indexed else value.items():
+        if isinstance(item, (dict, list)):
+            yield from _non_finite_fields(item, (*trail, (key, indexed)))
+        elif isinstance(item, float) and not math.isfinite(item):
+            path = ""
+            for part, in_list in (*trail, (key, indexed)):
+                path = f"{path}[{part}]" if in_list else f"{path}.{part}" if path else str(part)
+            yield path
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a config document, applying flag overrides."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as handle:
+            raw = handle.read().decode("utf-8")
     except OSError as exc:
         raise ConfigError([f"config: cannot read {path}: {exc}"]) from exc
     try:
@@ -146,7 +148,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
 
     # Reports echo the whole document, so a non-finite number anywhere in it
     # would make them invalid JSON.
-    errors = [f"{field}: NaN and Infinity are not allowed" for field in _non_finite_fields(doc, "")]
+    errors = [f"{field}: NaN and Infinity are not allowed" for field in _non_finite_fields(doc)]
     mode = doc.get("mode")
     if mode not in ("general", "bell"):
         errors.append(f"mode: expected 'general' or 'bell', got {mode!r}")
@@ -228,13 +230,19 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # mkstemp opens the temp file exclusively with mode 0600.
-    fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    path, data = Path(path), memoryview(text.encode("utf-8"))
+    # mkstemp opens the temp file exclusively with mode 0600; parents are made only when missing.
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(temp, path)
     except BaseException:
         os.unlink(temp)
@@ -307,12 +315,6 @@ def _sweep_rows(config: RunConfig, axis: str, values: tuple[int, ...]) -> tuple[
     return ("axis", "value", *schedule.lambdas, *schedule.zetas), rows
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def cmd_sweep(config: RunConfig, axis: str | None, values: tuple[int, ...] | None) -> int:
     """Tabulate stage probabilities along one cycle-count axis.
 
@@ -333,11 +335,9 @@ def cmd_sweep(config: RunConfig, axis: str | None, values: tuple[int, ...] | Non
         raise ConfigError(problems)
     columns, rows = _sweep_rows(config, axis, tuple(values))
     if config.fmt == "csv":
-        buffer = io.StringIO()
-        buffer.write(",".join(columns) + "\n")
-        for row in rows:
-            buffer.write(",".join(_format_cell(cell) for cell in row) + "\n")
-        _emit(buffer.getvalue(), config.out)
+        lines = [",".join(columns)]
+        lines += [f"{axis},{value}," + ",".join([format(x, ".17g") for x in cells]) for _, value, *cells in rows]
+        _emit("\n".join(lines) + "\n", config.out)
     else:
         results = {"columns": list(columns), "rows": [[cell for cell in row] for row in rows]}
         _emit(_envelope(config, results), config.out)

@@ -148,6 +148,26 @@ class TestConfigLoading:
         assert config.seed == 99
         assert config.trials == 7
 
+    def test_every_non_finite_number_is_named_in_document_order(self, tmp_path):
+        # NaN and infinities inside dicts in lists in dicts, beside bools,
+        # ints and strings, and one passed as an override: each is named by
+        # its full path, in the order the document lists them.
+        doc = dict(
+            GENERAL_DOC,
+            note={
+                "runs": [{"ok": True, "scale": math.nan, "n": 3}, "inf", [1.5, {"": [-math.inf]}], {"0": math.inf}],
+                "flag": False,
+                "tail": {"deep": [[0, math.nan]]},
+            },
+            last=-math.inf,
+        )
+        with pytest.raises(cli.ConfigError) as err:
+            cli.load_config(write_config(tmp_path, doc), {"seed": math.nan, "trials": None})
+        assert [message for message in err.value.errors if "NaN and Infinity" in message] == [
+            f"{path}: NaN and Infinity are not allowed"
+            for path in ("seed", "note.runs[0].scale", "note.runs[2][1].[0]", "note.runs[3].0", "note.tail.deep[0][1]", "last")
+        ]
+
 
 class TestReadmeExample:
     def test_examples_json_is_the_readme_config(self):
@@ -266,6 +286,45 @@ class TestRunCommand:
             cli._atomic_write(out, "lost\n")
         assert out.read_text() == "new\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv"]
+
+    def test_atomic_write_finishes_short_writes(self, tmp_path, monkeypatch):
+        # os.write may take fewer bytes than it is given; the rest follows,
+        # so the file holds exactly the UTF-8 bytes of the text.
+        real_write = cli.os.write
+        monkeypatch.setattr(cli.os, "write", lambda fd, data: real_write(fd, data[:3]))
+        out = tmp_path / "report.csv"
+        text = "axis,value,\u03b6\nM,5,0.5 \u2014 \u00bd\n"
+        cli._atomic_write(out, text)
+        assert out.read_bytes() == text.encode("utf-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv"]
+
+    def test_atomic_write_failure_keeps_the_old_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "report.csv"
+        out.write_text("old\n", encoding="utf-8")
+
+        def failing(fd, data):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "write", failing)
+        with pytest.raises(OSError, match="disk full"):
+            cli._atomic_write(out, "new\n")
+        assert out.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv"]
+
+    def test_atomic_write_creates_missing_parents(self, tmp_path):
+        out = tmp_path / "a" / "b" / "report.csv"
+        cli._atomic_write(out, "x\n")
+        assert out.read_text() == "x\n"
+        assert sorted(p.name for p in out.parent.iterdir()) == ["report.csv"]
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["parent", "grandparent"])
+    def test_atomic_write_under_a_regular_file_raises(self, tmp_path, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        with pytest.raises(OSError):
+            cli._atomic_write(blocker.joinpath(*below, "report.csv"), "x\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+        assert blocker.read_text() == ""
 
 
 class TestSweepCommand:

@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -826,6 +827,36 @@ class TestGroupedPass:
         assert len(rows) == 64
         assert wide <= 2 * single, (wide, single)
         assert single < 12_000_000
+
+
+class TestProtocolDispatch:
+    """Each protocol's entry points take that protocol's input class only."""
+
+    CFG = CycleConfig(5, 5, 5)
+    BELL = BellInput(1, 1, 0.6, 0.8, EulerAngles(0.3, 1.2, 0.5))
+
+    def test_each_wrapper_names_its_input_class(self):
+        with pytest.raises(TypeError, match="^stage_probabilities_general expects a GeneralInput, got BellInput$"):
+            stage_probabilities_general(self.CFG, self.BELL)
+        with pytest.raises(TypeError, match="^stage_probabilities_bell expects a BellInput, got GeneralInput$"):
+            stage_probabilities_bell(self.CFG, BALANCED)
+        assert stage_probabilities_general(self.CFG, BALANCED).zeta_m is not None
+        assert stage_probabilities_bell(self.CFG, self.BELL).zeta is not None
+
+    def test_a_plain_object_is_not_an_input(self):
+        # Fields that look like a Bell-type input do not make one: it used to
+        # be read as Bell-type and fail later with an AttributeError.
+        plain = SimpleNamespace(ell=1, sign=1, c0=0.6, c1=0.8, angles=EulerAngles(0.3, 1.2, 0.5))
+        message = "^expected a GeneralInput or a BellInput, got SimpleNamespace$"
+        with pytest.raises(TypeError, match=message):
+            zeno.schedule_of(plain)
+        with pytest.raises(TypeError, match=message):
+            zeno.stage_rows((self.CFG,), plain)
+        with pytest.raises(TypeError, match="^stage_probabilities_general expects a GeneralInput, got SimpleNamespace$"):
+            stage_probabilities_general(self.CFG, plain)
+        with pytest.raises(TypeError, match="^stage_probabilities_bell expects a BellInput, got SimpleNamespace$"):
+            stage_probabilities_bell(self.CFG, plain)
+        assert zeno.schedule_of(BALANCED) is zeno.GENERAL_SCHEDULE and zeno.schedule_of(self.BELL) is zeno.BELL_SCHEDULE
 
 
 class TestTrajectoryOutcome:
