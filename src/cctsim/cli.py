@@ -101,8 +101,10 @@ def _take_angles(doc: dict, errors: list[str]) -> EulerAngles:
     values = []
     for key in ("phi", "theta", "varphi"):
         part = raw.get(key)
-        if not isinstance(part, (int, float)) or isinstance(part, bool) or not math.isfinite(part):
+        if not isinstance(part, (int, float)) or isinstance(part, bool):
             errors.append(f"angles.{key}: expected a finite number, got {part!r}")
+            part = 0.0
+        elif not math.isfinite(part):  # already named by load_config's non-finite scan
             part = 0.0
         values.append(float(part))
     return EulerAngles(*values)
@@ -307,12 +309,11 @@ def _sweep_cycles(config: RunConfig, axis: str, value: int) -> CycleConfig:
     )
 
 
-def _sweep_rows(config: RunConfig, axis: str, values: tuple[int, ...]) -> tuple[tuple[str, ...], list[list]]:
+def _sweep_rows(config: RunConfig, axis: str, values: tuple[int, ...]) -> list[list]:
     cfgs = [_sweep_cycles(config, axis, value) for value in values]
     schedule = zeno.schedule_of(config.protocol_input)
-    rows = [[axis, value, *map(p.__getitem__, schedule.lambdas), *schedule.abort_rates(p)]
+    return [[axis, value, *map(p.__getitem__, schedule.lambdas), *schedule.abort_rates(p)]
             for value, (p, _) in zip(values, zeno.stage_rows(cfgs, config.protocol_input))]
-    return ("axis", "value", *schedule.lambdas, *schedule.zetas), rows
 
 
 def cmd_sweep(config: RunConfig, axis: str | None, values: tuple[int, ...] | None) -> int:
@@ -333,13 +334,14 @@ def cmd_sweep(config: RunConfig, axis: str | None, values: tuple[int, ...] | Non
         problems.append("values: a nonempty list of cycle counts is required")
     if problems:
         raise ConfigError(problems)
-    columns, rows = _sweep_rows(config, axis, tuple(values))
+    rows = _sweep_rows(config, axis, tuple(values))
+    columns = SWEEP_COLUMNS_GENERAL if config.mode == "general" else SWEEP_COLUMNS_BELL
     if config.fmt == "csv":
         lines = [",".join(columns)]
         lines += [f"{axis},{value}," + ",".join([format(x, ".17g") for x in cells]) for _, value, *cells in rows]
         _emit("\n".join(lines) + "\n", config.out)
     else:
-        results = {"columns": list(columns), "rows": [[cell for cell in row] for row in rows]}
+        results = {"columns": columns, "rows": rows}
         _emit(_envelope(config, results), config.out)
     return EXIT_OK
 

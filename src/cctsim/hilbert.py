@@ -392,17 +392,12 @@ def is_count(value: object) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
 
 
-def check_trials(trials: int) -> None:
-    """Raise ``ValueError`` naming ``trials`` unless it is a count (``is_count``)."""
-    if not is_count(trials):
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-
-
 def sample_counts(probs: Sequence[float], trials: int, rng: np.random.Generator) -> list[int]:
     """How many of ``trials`` draws land on each row of a discrete outcome table.
 
-    Every Monte Carlo campaign samples through it, so every trial count
-    meets ``check_trials`` here.
+    Every Monte Carlo campaign samples through it, so every trial count is
+    checked here: a ``ValueError`` names ``trials`` unless it is a count
+    (``is_count``).
 
     Trial i takes the i-th double of ``rng`` and the row whose interval of
     the cumulative distribution holds it, so row 0 is chosen exactly when
@@ -411,7 +406,8 @@ def sample_counts(probs: Sequence[float], trials: int, rng: np.random.Generator)
     the last rounded cumulative value goes to the last row of positive
     probability.
     """
-    check_trials(trials)
+    if not is_count(trials):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     probs = np.asarray(probs, dtype=np.float64)
     # NaN and -inf fail the minimum, +inf the sum.
     if not (probs.size > 0 and probs.min() >= 0.0 and abs(probs.sum() - 1.0) <= _TABLE_SUM_TOL):

@@ -44,7 +44,7 @@ from typing import TypeVar
 import numpy as np
 
 from . import protocol as _protocol
-from .hilbert import StateVector, check_trials, fidelity, is_count, sample_counts, unit_pair_error
+from .hilbert import StateVector, fidelity, is_count, sample_counts, unit_pair_error
 from .protocol import BellInput, GeneralInput
 
 @dataclass(frozen=True)
@@ -560,22 +560,23 @@ class TrajectoryOutcome:
     order absorber {|0>=absence, |1>=presence} and photon {|0>=H, |1>=V}.
     For Success it is the delivered joint state; for an absorption at the
     exit port it records the state diverted into the absorber.
-    ``photon_entered_channel`` is True exactly when an absorption event
-    fired, so Success trajectories always carry False.
+    ``photon_entered_channel`` is derived from ``kind``: True exactly when
+    an absorption event fired, so a Success never touched the channel by
+    construction.
     """
 
     kind: OutcomeKind
     stage: str
     cycle_index: int
     final_state: StateVector | None
-    photon_entered_channel: bool
 
     def __post_init__(self) -> None:
-        if self.kind is OutcomeKind.SUCCESS:
-            if self.final_state is None or not self.final_state.is_normalized(1e-9):
-                raise ValueError("Success outcomes must carry a normalized final state")
-            if self.photon_entered_channel:
-                raise ValueError("Success outcomes cannot have touched the channel")
+        if self.kind is OutcomeKind.SUCCESS and (self.final_state is None or not self.final_state.is_normalized(1e-9)):
+            raise ValueError("Success outcomes must carry a normalized final state")
+
+    @property
+    def photon_entered_channel(self) -> bool:
+        return self.kind is OutcomeKind.ABSORBED_BY_ELECTRON
 
 
 _POL_INDEX = {"H": 0, "V": 1}
@@ -599,7 +600,7 @@ def _joint_state(presence: bool, pol_index: int) -> StateVector:
 
 
 # One row of a gate's outcome table: (probability, *TrajectoryOutcome fields).
-_Row = tuple[float, OutcomeKind, str, int, StateVector | None, bool]
+_Row = tuple[float, OutcomeKind, str, int, StateVector | None]
 
 
 def _qz_born_rows(a: complex, b: complex, pol0: int, inner: int) -> Iterator[_Row]:
@@ -607,10 +608,10 @@ def _qz_born_rows(a: complex, b: complex, pol0: int, inner: int) -> Iterator[_Ro
     p_cycle = weight * _sin_sq_pi(1.0 / (2 * inner))
     alive = 1.0
     for index in range(1, inner + 1):
-        yield alive * p_cycle, OutcomeKind.ABSORBED_BY_ELECTRON, "qz:channel", index, None, True
+        yield alive * p_cycle, OutcomeKind.ABSORBED_BY_ELECTRON, "qz:channel", index, None
         alive *= 1.0 - p_cycle
-    yield alive * weight, OutcomeKind.SUCCESS, "qz:exit", inner, _joint_state(True, pol0), False
-    yield alive * (1.0 - weight), OutcomeKind.ABSORBED_BY_ELECTRON, "qz:exit", inner, _joint_state(False, 1 - pol0), True
+    yield alive * weight, OutcomeKind.SUCCESS, "qz:exit", inner, _joint_state(True, pol0)
+    yield alive * (1.0 - weight), OutcomeKind.ABSORBED_BY_ELECTRON, "qz:exit", inner, _joint_state(False, 1 - pol0)
 
 
 def _exit_state(final: np.ndarray) -> tuple[float, StateVector | None]:
@@ -641,7 +642,7 @@ def _qz_coherent_rows(a: complex, b: complex, pol0: int, inner: int) -> Iterator
     cos_t, sin_t = _rotation_step(inner)
     design = complex(a)
     for index in range(1, inner + 1):
-        yield abs(sin_t * design) ** 2, OutcomeKind.ABSORBED_BY_ELECTRON, "qz:channel", index, None, True
+        yield abs(sin_t * design) ** 2, OutcomeKind.ABSORBED_BY_ELECTRON, "qz:channel", index, None
         design *= cos_t
     # Exit splitter: the presence row leaves in the design polarization as
     # Success, the absence row in the channel polarization.
@@ -650,7 +651,7 @@ def _qz_coherent_rows(a: complex, b: complex, pol0: int, inner: int) -> Iterator
         final = np.zeros((2, 2), dtype=np.complex128)
         final[row, pol_index] = amplitude
         p_exit, state = _exit_state(final)
-        yield p_exit, kind, "qz:exit", inner, state, row == 0
+        yield p_exit, kind, "qz:exit", inner, state
 
 
 def _cqz_born_rows(a: complex, b: complex, pol0: int, outer: int, inner: int) -> Iterator[_Row]:
@@ -664,11 +665,11 @@ def _cqz_born_rows(a: complex, b: complex, pol0: int, outer: int, inner: int) ->
         for _ in range(inner):
             absorbed += alive * p_absorb
             alive *= 1.0 - p_absorb
-        yield absorbed, OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i, None, True
-        yield alive * p_detector, OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", i, None, False
+        yield absorbed, OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i, None
+        yield alive * p_detector, OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", i, None
         alive *= 1.0 - p_detector
-    yield alive * weight, OutcomeKind.SUCCESS, "cqz:exit", outer, _joint_state(True, 1 - pol0), False
-    yield alive * (1.0 - weight), OutcomeKind.SUCCESS, "cqz:exit", outer, _joint_state(False, pol0), False
+    yield alive * weight, OutcomeKind.SUCCESS, "cqz:exit", outer, _joint_state(True, 1 - pol0)
+    yield alive * (1.0 - weight), OutcomeKind.SUCCESS, "cqz:exit", outer, _joint_state(False, pol0)
 
 
 def _cqz_coherent_rows(a: complex, b: complex, pol0: int, outer: int, inner: int) -> Iterator[_Row]:
@@ -692,15 +693,15 @@ def _cqz_coherent_rows(a: complex, b: complex, pol0: int, outer: int, inner: int
         for _ in range(inner):
             absorbed += abs(sin_n * presence_channel) ** 2
             presence_channel *= cos_n
-        yield absorbed, OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i, None, True
-        yield abs(absence_channel) ** 2, OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", i, None, False
+        yield absorbed, OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i, None
+        yield abs(absence_channel) ** 2, OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", i, None
         absence_channel = 0j
     # Map the gate frame back onto (H, V) and deliver the coherent exit state.
     final = np.zeros((2, 2), dtype=np.complex128)
     final[:, pol0] = absence, presence
     final[:, 1 - pol0] = absence_channel, presence_channel
     p_exit, state = _exit_state(final)
-    yield p_exit, OutcomeKind.SUCCESS, "cqz:exit", outer, state, False
+    yield p_exit, OutcomeKind.SUCCESS, "cqz:exit", outer, state
 
 
 def _gate_table(
@@ -746,17 +747,12 @@ def _gate_table(
 
 
 _T = TypeVar("_T")
-_Sampled = TrajectoryOutcome | list[tuple[TrajectoryOutcome, int]]
 
 
-def _sample(
-    table: tuple[tuple[_T, ...], np.ndarray], rng: np.random.Generator, size: int | None
-) -> _T | list[tuple[_T, int]]:
-    """One row of a (rows, probabilities) table with ``size`` None; otherwise
-    each row that ``size`` trials reach, with its count, by ``sample_counts``."""
+def _sample(table: tuple[tuple[_T, ...], np.ndarray], rng: np.random.Generator, size: int) -> list[tuple[_T, int]]:
+    """Each row of a (rows, probabilities) table that ``size`` trials reach,
+    with its count, by ``sample_counts``."""
     rows, probs = table
-    if size is None:
-        return rows[sample_counts(probs, 1, rng).index(1)]
     return [(row, count) for row, count in zip(rows, sample_counts(probs, size, rng)) if count]
 
 
@@ -766,8 +762,8 @@ def simulate_qz(
     inner: int,
     model: AbsorberModel,
     rng: np.random.Generator,
-    size: int | None = None,
-) -> _Sampled:
+    size: int,
+) -> list[tuple[TrajectoryOutcome, int]]:
     """Traversals of the single-interferometer gate with its exit port.
 
     ``absorber`` is (presence amplitude, absence amplitude).  The photon
@@ -780,10 +776,9 @@ def simulate_qz(
     state attached.  A pure-absence absorber therefore shows a
     deterministic polarization flip and never yields Success.
 
-    Outcomes are drawn from the gate's outcome table, one ``rng.random()``
-    per traversal.  With ``size`` None this returns one outcome; otherwise
-    it runs ``size`` traversals and returns each outcome that occurred with
-    its count.
+    Runs ``size`` traversals, drawn from the gate's outcome table with one
+    ``rng.random()`` each, and returns each outcome that occurred with its
+    count.
     """
     return _sample(_gate_table(absorber, polarization, None, inner, model), rng, size)
 
@@ -795,8 +790,8 @@ def simulate_cqz(
     inner: int,
     model: AbsorberModel,
     rng: np.random.Generator,
-    size: int | None = None,
-) -> _Sampled:
+    size: int,
+) -> list[tuple[TrajectoryOutcome, int]]:
     """Traversals of the chained gate: M outer cycles nesting an N-cycle gate.
 
     An absent blocker makes the inner gate route the channel component to
@@ -882,13 +877,11 @@ def gate_statistics(
     ``outer`` is required for the chained gate and refused for the single
     one.  The trials are one ``simulate_qz``/``simulate_cqz`` call: the
     gate's outcome table is built once and trial i takes the row picked by
-    the i-th double of ``default_rng(seed)``.  Every Success row that is
-    sampled is asserted never to have touched the channel.
+    the i-th double of ``default_rng(seed)``.  No Success touched the
+    channel: ``photon_entered_channel`` follows from the outcome kind.
     ``conditional_fidelity`` averages the Success final states against
     ``expected_success_state`` when one is supplied.
     """
-    # None would ask _sample for a single trajectory instead of a campaign.
-    check_trials(trials)
     if gate not in ("qz", "cqz"):
         raise ValueError(f"gate must be 'qz' or 'cqz', got {gate!r}")
     if gate == "cqz" and outer is None:
@@ -903,11 +896,8 @@ def gate_statistics(
     rows = []
     for outcome, count in sampled:
         fid = None
-        if outcome.kind is OutcomeKind.SUCCESS:
-            if outcome.photon_entered_channel:
-                raise RuntimeError("counterfactuality bookkeeping violated: Success touched the channel")
-            if expected_success_state is not None:
-                fid = fidelity(outcome.final_state, expected_success_state)
+        if outcome.kind is OutcomeKind.SUCCESS and expected_success_state is not None:
+            fid = fidelity(outcome.final_state, expected_success_state)
         rows.append((outcome.kind, fid, count))
     return _report(rows, seed)
 
@@ -947,12 +937,11 @@ def simulate_cct(
     probability; the first failure aborts the trial, classified as a
     detector discard (outer factors) or an electron absorption (inner
     factors and the collapse-chain stages).  That law is one outcome table
-    (_cct_table), sampled as the gate tables are: ``trials`` follows
-    ``hilbert.check_trials``, and trial i takes the row picked by the i-th
+    (_cct_table), sampled as the gate tables are: ``hilbert.sample_counts``
+    checks ``trials``, and trial i takes the row picked by the i-th
     double of ``default_rng(seed)``.  Successful trials deliver the exact
     logical output, so the conditional fidelity against the closed form is
     1 by construction; it is still measured, not asserted.
     """
-    check_trials(trials)
     sampled = _sample(_cct_table(cfg, inp), np.random.default_rng(seed), trials)
     return _report(((kind, fid, count) for (_, _, kind, fid), count in sampled), seed)

@@ -168,6 +168,18 @@ class TestConfigLoading:
             for path in ("seed", "note.runs[0].scale", "note.runs[2][1].[0]", "note.runs[3].0", "note.tail.deep[0][1]", "last")
         ]
 
+    @pytest.mark.parametrize("key,value", [("phi", math.nan), ("varphi", -math.inf)])
+    def test_a_non_finite_angle_is_named_once(self, tmp_path, capsys, key, value):
+        doc = dict(GENERAL_DOC, angles=dict(GENERAL_DOC["angles"], **{key: value}))
+        path = write_config(tmp_path, doc)
+        with pytest.raises(cli.ConfigError) as err:
+            cli.load_config(path)
+        assert err.value.errors == [f"angles.{key}: NaN and Infinity are not allowed"]
+        assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: angles.{key}: NaN and Infinity are not allowed\n"
+
 
 class TestReadmeExample:
     def test_examples_json_is_the_readme_config(self):

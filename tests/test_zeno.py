@@ -860,14 +860,15 @@ class TestProtocolDispatch:
 
 
 class TestTrajectoryOutcome:
-    def test_success_requires_clean_channel(self):
+    def test_success_never_entered_the_channel(self):
         state = StateVector.basis((2, 2), (1, 0))
-        with pytest.raises(ValueError):
-            TrajectoryOutcome(OutcomeKind.SUCCESS, "qz:exit", 1, state, True)
+        assert TrajectoryOutcome(OutcomeKind.SUCCESS, "qz:exit", 1, state).photon_entered_channel is False
+        assert TrajectoryOutcome(OutcomeKind.ABSORBED_BY_ELECTRON, "qz:exit", 1, state).photon_entered_channel is True
+        assert TrajectoryOutcome(OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", 1, None).photon_entered_channel is False
 
     def test_success_requires_final_state(self):
         with pytest.raises(ValueError):
-            TrajectoryOutcome(OutcomeKind.SUCCESS, "qz:exit", 1, None, False)
+            TrajectoryOutcome(OutcomeKind.SUCCESS, "qz:exit", 1, None)
 
 
 class TestSimulateQz:
@@ -883,9 +884,9 @@ class TestSimulateQz:
         assert report.conditional_fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_absence_flips_deterministically(self):
-        for index in range(300):
-            rng = np.random.default_rng([17, index])
-            outcome = simulate_qz((0.0, 1.0), "H", 6, AbsorberModel.PER_CYCLE_BORN, rng)
+        sampled = simulate_qz((0.0, 1.0), "H", 6, AbsorberModel.PER_CYCLE_BORN, np.random.default_rng(17), 300)
+        assert sum(count for _, count in sampled) == 300
+        for outcome, _ in sampled:
             assert outcome.kind is OutcomeKind.ABSORBED_BY_ELECTRON
             assert outcome.photon_entered_channel
             assert outcome.stage == "qz:exit"
@@ -908,18 +909,20 @@ class TestSimulateQz:
         assert abs(report.successes / trials - expected) < 4 * se
 
     def test_v_gate_frame(self, rng):
-        outcome = simulate_qz((1.0, 0.0), "V", 200, AbsorberModel.COHERENT, rng)
-        if outcome.kind is OutcomeKind.SUCCESS:
+        sampled = simulate_qz((1.0, 0.0), "V", 200, AbsorberModel.COHERENT, rng, 100)
+        successes = [outcome for outcome, _ in sampled if outcome.kind is OutcomeKind.SUCCESS]
+        assert successes
+        for outcome in successes:
             # Design polarization for the V gate is V itself.
             assert abs(outcome.final_state.amplitude((1, 1))) == pytest.approx(1.0, abs=1e-9)
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):
-            simulate_qz((1.0, 1.0), "H", 3, AbsorberModel.COHERENT, rng)
+            simulate_qz((1.0, 1.0), "H", 3, AbsorberModel.COHERENT, rng, 1)
         with pytest.raises(ValueError):
-            simulate_qz((1.0, 0.0), "D", 3, AbsorberModel.COHERENT, rng)
+            simulate_qz((1.0, 0.0), "D", 3, AbsorberModel.COHERENT, rng, 1)
         with pytest.raises(ValueError):
-            simulate_qz((1.0, 0.0), "H", 0, AbsorberModel.COHERENT, rng)
+            simulate_qz((1.0, 0.0), "H", 0, AbsorberModel.COHERENT, rng, 1)
 
 
 def _coherent_cqz_oracle(outer: int, inner: int):
@@ -966,10 +969,9 @@ class TestSimulateCqz:
         assert report.discarded == 0  # the inner gate mirrors, nothing reaches the detector
 
     def test_single_cycle_presence_never_succeeds(self):
-        for index in range(200):
-            rng = np.random.default_rng([41, index])
-            outcome = simulate_cqz((1.0, 0.0), "H", 1, 1, AbsorberModel.PER_CYCLE_BORN, rng)
-            assert outcome.kind is not OutcomeKind.SUCCESS
+        sampled = simulate_cqz((1.0, 0.0), "H", 1, 1, AbsorberModel.PER_CYCLE_BORN, np.random.default_rng(41), 200)
+        assert sum(count for _, count in sampled) == 200
+        assert all(outcome.kind is not OutcomeKind.SUCCESS for outcome, _ in sampled)
 
     def test_coherent_presence_matches_amplitude_recursion(self):
         outer = inner = 4
@@ -1046,6 +1048,11 @@ class TestOutcomeTables:
                             assert len(outcomes) == len(probs), case
                             assert np.all(probs > 0.0), case
                             assert abs(probs.sum() - 1.0) <= 1e-12, case
+                            for outcome in outcomes:
+                                absorbed = outcome.kind is OutcomeKind.ABSORBED_BY_ELECTRON
+                                assert outcome.photon_entered_channel is absorbed, (case, outcome)
+                                if outcome.kind is OutcomeKind.SUCCESS:
+                                    assert outcome.final_state.is_normalized(1e-9), (case, outcome)
 
     @pytest.mark.parametrize("model", list(AbsorberModel))
     @pytest.mark.parametrize("cycles", [1, 2, 5, 40])
@@ -1070,16 +1077,8 @@ class TestOutcomeTables:
             zeno._gate_table((0.6, 0.8), "H", None, 5, model)
             zeno._gate_table((0.6, 0.8), "H", 5, 5, model)
 
-    def test_single_trajectory_views_draw_one_uniform(self):
-        for model in AbsorberModel:
-            view, reference = np.random.default_rng(5), np.random.default_rng(5)
-            simulate_qz((0.6, 0.8), "H", 5, model, view)
-            simulate_cqz((0.6, 0.8), "H", 5, 5, model, view)
-            reference.random(2)
-            assert view.random() == reference.random()
-
-    def test_size_tallies_the_single_trajectory_views(self):
-        # ``size`` traversals read the same doubles as that many one-at-a-time calls.
+    def test_campaigns_of_one_tally_to_one_campaign(self):
+        # A campaign of n traversals reads the same n doubles as n campaigns of one.
         def key(outcome):
             state = outcome.final_state
             return outcome.kind, outcome.stage, outcome.cycle_index, None if state is None else state.amps.tobytes()
@@ -1088,7 +1087,10 @@ class TestOutcomeTables:
             for simulate, args in ((simulate_qz, ((0.6, 0.8), "H", 5, model)),
                                    (simulate_cqz, ((0.6, 0.8), "V", 4, 3, model))):
                 single, batch = np.random.default_rng(9), np.random.default_rng(9)
-                one_at_a_time = Counter(key(simulate(*args, single)) for _ in range(500))
+                one_at_a_time = Counter()
+                for _ in range(500):
+                    ((outcome, count),) = simulate(*args, single, 1)
+                    one_at_a_time[key(outcome)] += count
                 tallied = simulate(*args, batch, 500)
                 assert sum(count for _, count in tallied) == 500
                 assert {key(outcome): count for outcome, count in tallied} == dict(one_at_a_time)
@@ -1267,13 +1269,12 @@ class TestTrialCountRule:
                 campaign()
 
     def test_none_is_not_a_trial_count(self):
-        # None is the size of the single-trajectory view of simulate_qz and
-        # simulate_cqz, so a campaign given trials=None used to sample one
-        # trajectory and fail on unpacking it.  Every call but those two
-        # views (where None means one trajectory) must reject it.
+        # A campaign given trials=None used to sample one trajectory and fail
+        # on unpacking it; every sampler now rejects it by the one rule.
         campaigns = self._campaigns(None)
-        for campaign in campaigns[:5] + campaigns[7:]:
-            with pytest.raises(ValueError, match="trials must be an integer >= 1, got None"):
+        assert len(campaigns) == 8
+        for campaign in campaigns:
+            with pytest.raises(ValueError, match="^trials must be an integer >= 1, got None$"):
                 campaign()
 
     @pytest.mark.parametrize("trials", [np.int64(300), np.int32(300), np.uint16(300)], ids=repr)
