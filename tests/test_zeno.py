@@ -1077,7 +1077,17 @@ class TestOutcomeTables:
             zeno._gate_table((0.6, 0.8), "H", None, 5, model)
             zeno._gate_table((0.6, 0.8), "H", 5, 5, model)
 
-    def test_campaigns_of_one_tally_to_one_campaign(self):
+    def test_single_trajectory_views_draw_one_uniform(self):
+        # A campaign of one traversal reads exactly one double.
+        for model in AbsorberModel:
+            view, reference = np.random.default_rng(5), np.random.default_rng(5)
+            ((_, qz_count),) = simulate_qz((0.6, 0.8), "H", 5, model, view, 1)
+            ((_, cqz_count),) = simulate_cqz((0.6, 0.8), "H", 5, 5, model, view, 1)
+            assert qz_count == cqz_count == 1
+            reference.random(2)
+            assert view.random() == reference.random()
+
+    def test_size_tallies_the_single_trajectory_views(self):
         # A campaign of n traversals reads the same n doubles as n campaigns of one.
         def key(outcome):
             state = outcome.final_state
