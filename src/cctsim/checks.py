@@ -458,19 +458,19 @@ def check_concealment_api_shape() -> str:
     return "no Alice-side constructor accepts angle parameters"
 
 
-# Registry: (key, human name, callable, budget seconds or None, expected_failure)
-CHECKS: tuple[tuple[str, str, object, float | None, bool], ...] = (
-    ("gates", "gate unitarity and permutations", check_gate_unitarity_and_permutations, 1.0, False),
-    ("protocol-fidelity", "protocol matches closed forms", check_protocol_fidelity, 10.0, False),
-    ("outcome-law", "measurement outcome law", check_outcome_law, None, False),
-    ("teleportation", "unitary teleportation special case", check_unitary_teleportation, None, False),
-    ("bell-determinism", "Bell-type determinism", check_bell_determinism, None, False),
-    ("probability-pins", "analytic probability pins", check_probability_pins, None, False),
-    ("asymptotics-monotone", "abort-rate monotonicity", check_asymptotics_monotone, 5.0, False),
-    ("asymptotics-halving", "abort-rate halving on the diagonal", check_asymptotics_halving, 5.0, True),
-    ("montecarlo", "Monte Carlo agreement", check_montecarlo_agreement, 60.0, False),
-    ("model-convergence", "absorber model convergence", check_model_convergence, None, False),
-    ("concealment", "concealment API shape", check_concealment_api_shape, None, False),
+# Registry: (key, callable, budget seconds or None, expected_failure)
+CHECKS: tuple[tuple[str, object, float | None, bool], ...] = (
+    ("gates", check_gate_unitarity_and_permutations, 1.0, False),
+    ("protocol-fidelity", check_protocol_fidelity, 10.0, False),
+    ("outcome-law", check_outcome_law, None, False),
+    ("teleportation", check_unitary_teleportation, None, False),
+    ("bell-determinism", check_bell_determinism, None, False),
+    ("probability-pins", check_probability_pins, None, False),
+    ("asymptotics-monotone", check_asymptotics_monotone, 5.0, False),
+    ("asymptotics-halving", check_asymptotics_halving, 5.0, True),
+    ("montecarlo", check_montecarlo_agreement, 60.0, False),
+    ("model-convergence", check_model_convergence, None, False),
+    ("concealment", check_concealment_api_shape, None, False),
 )
 
 
@@ -501,7 +501,7 @@ def run_all(sabotage: str | None = None) -> list[CheckResult]:
     """Run every check, returning results in registry order."""
     results = []
     with _sabotaged_gate(sabotage):
-        for key, _, fn, budget, expected_failure in CHECKS:
+        for key, fn, budget, expected_failure in CHECKS:
             start = time.perf_counter()
             try:
                 detail = fn()

@@ -1,10 +1,11 @@
 """Command-line front end: run, sweep, montecarlo, and verify subcommands.
 
-Configuration lives in a single JSON document; a few flags override it so
-sweeps and campaigns stay scriptable.  Complex amplitudes are written as
-[re, im] pairs and angles in radians.  Every report echoes the full
-configuration and the seed, and files are written atomically (temp file
-plus rename).  Exit codes: 0 success, 1 verification failure, 2
+Configuration lives in a single JSON document; ``--seed``, ``--trials``,
+``--out`` and ``--format`` override its fields, and a sweep's axis and
+values come only from ``--axis`` and ``--values``.  Complex amplitudes are
+written as [re, im] pairs and angles in radians.  Every report echoes the
+full configuration and the seed, and files are written atomically (temp
+file plus rename).  Exit codes: 0 success, 1 verification failure, 2
 configuration error.
 """
 
@@ -57,21 +58,24 @@ class RunConfig:
     seed: int
     out: str | None
     fmt: str
-    sweep_axis: str | None
-    sweep_values: tuple[int, ...] | None
     echo: dict
 
 
-def _take_complex(doc: dict, field: str, errors: list[str]) -> complex:
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _take_complex(doc: dict, field: str, errors: list[str]) -> complex | None:
+    """The [re, im] pair at ``field``, or None once a diagnostic names it."""
     value = doc.get(field)
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
         errors.append(f"{field}: expected a [re, im] number pair, got {value!r}")
-        return 0j
-    return complex(float(value[0]), float(value[1]))
+        return None
+    try:
+        return complex(float(value[0]), float(value[1]))
+    except OverflowError:  # a JSON integer beyond the float range
+        errors.append(f"{field}: number too large for a float")
+        return None
 
 
 def _take_int(doc: dict, field: str, errors: list[str], minimum: int, default: int | None = None) -> int:
@@ -101,16 +105,22 @@ def _take_angles(doc: dict, errors: list[str]) -> EulerAngles:
     values = []
     for key in ("phi", "theta", "varphi"):
         part = raw.get(key)
-        if not isinstance(part, (int, float)) or isinstance(part, bool):
+        if not _is_number(part):
             errors.append(f"angles.{key}: expected a finite number, got {part!r}")
             part = 0.0
-        elif not math.isfinite(part):  # already named by load_config's non-finite scan
+        try:
+            part = float(part)
+        except OverflowError:  # a JSON integer beyond the float range
+            errors.append(f"angles.{key}: number too large for a float")
             part = 0.0
-        values.append(float(part))
+        # A NaN or infinite angle is already named by load_config's non-finite scan.
+        values.append(part if math.isfinite(part) else 0.0)
     return EulerAngles(*values)
 
 
-def _check_pair_norm(label: str, c0: complex, c1: complex, errors: list[str]) -> None:
+def _check_pair_norm(label: str, c0: complex | None, c1: complex | None, errors: list[str]) -> None:
+    if c0 is None or c1 is None:  # _take_complex has named the malformed amplitude
+        return
     error = unit_pair_error(c0, c1)
     if error:
         errors.append(f"{label}: {error}")
@@ -189,27 +199,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         errors.append(f"output: expected a path string, got {out!r}")
         out = None
 
-    sweep_axis = None
-    sweep_values: tuple[int, ...] | None = None
-    sweep = doc.get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, dict):
-            errors.append(f"sweep: expected an object with axis/values, got {sweep!r}")
-        else:
-            sweep_axis = sweep.get("axis")
-            if sweep_axis not in _SWEEP_AXES:
-                errors.append(f"sweep.axis: expected one of {_SWEEP_AXES}, got {sweep_axis!r}")
-                sweep_axis = None
-            raw_values = sweep.get("values")
-            if (
-                not isinstance(raw_values, list)
-                or not raw_values
-                or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in raw_values)
-            ):
-                errors.append(f"sweep.values: expected a nonempty list of positive integers, got {raw_values!r}")
-            else:
-                sweep_values = tuple(raw_values)
-
     if errors:
         raise ConfigError(errors)
 
@@ -225,8 +214,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         seed=seed,
         out=out,
         fmt=fmt,
-        sweep_axis=sweep_axis,
-        sweep_values=sweep_values,
         echo=doc,
     )
 
@@ -319,14 +306,16 @@ def _sweep_rows(config: RunConfig, axis: str, values: tuple[int, ...]) -> list[l
 def cmd_sweep(config: RunConfig, axis: str | None, values: tuple[int, ...] | None) -> int:
     """Tabulate stage probabilities along one cycle-count axis.
 
+    ``axis`` and ``values`` are the ``--axis`` and ``--values`` flags, the
+    only source of a sweep request; a config ``sweep`` key is echoed and
+    otherwise ignored, like any other field the loader does not read.
+
     The rows are one closed-form evaluation (``zeno.stage_rows``), with the
     columns of the protocol's stage schedule: values that share M share one
     pass in chunks of the fixed ``zeno.PASS_BLOCK`` budget.  Rows come in
     the order of ``values``, duplicates included, and each is == to a
     one-value sweep.
     """
-    axis = axis or config.sweep_axis
-    values = values or config.sweep_values
     problems = []
     if axis not in _SWEEP_AXES:
         problems.append(f"axis: expected one of {_SWEEP_AXES}, got {axis!r}")
@@ -334,7 +323,7 @@ def cmd_sweep(config: RunConfig, axis: str | None, values: tuple[int, ...] | Non
         problems.append("values: a nonempty list of cycle counts is required")
     if problems:
         raise ConfigError(problems)
-    rows = _sweep_rows(config, axis, tuple(values))
+    rows = _sweep_rows(config, axis, values)
     columns = SWEEP_COLUMNS_GENERAL if config.mode == "general" else SWEEP_COLUMNS_BELL
     if config.fmt == "csv":
         lines = [",".join(columns)]
@@ -374,20 +363,7 @@ def cmd_verify(out: str | None = None, sabotage: str | None = None) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if out is not None:
-        payload = {
-            "version": __version__,
-            "checks": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "expected_failure": r.expected_failure,
-                    "duration": r.duration,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-            "ok": all_ok,
-        }
+        payload = {"version": __version__, "checks": [dataclasses.asdict(r) for r in results], "ok": all_ok}
         _atomic_write(out, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 

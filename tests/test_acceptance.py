@@ -17,7 +17,7 @@ import pytest
 
 from cctsim import checks
 
-_BUDGETS = {key: budget for key, _, _, budget, _ in checks.CHECKS}
+_BUDGETS = {key: budget for key, _, budget, _ in checks.CHECKS}
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,35 @@ class TestConfigLoading:
         assert captured.out == ""
         assert captured.err == f"config error: angles.{key}: NaN and Infinity are not allowed\n"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"mode": "general",}',
+             "config: invalid JSON at line 1, column 20: Expecting property name enclosed in double quotes"),
+            ("[1, 2]", "config: top level must be a JSON object"),
+            (json.dumps(dict(GENERAL_DOC, M="ten")), "M: expected an integer, got 'ten'"),
+            (json.dumps(dict(GENERAL_DOC, angles=[0, 1, 2])),
+             "angles: expected an object with phi/theta/varphi, got [0, 1, 2]"),
+            (json.dumps(dict(GENERAL_DOC, angles=dict(GENERAL_DOC["angles"], phi="x"))),
+             "angles.phi: expected a finite number, got 'x'"),
+            (json.dumps(dict(GENERAL_DOC, format="xml")), "format: expected 'json' or 'csv', got 'xml'"),
+            (json.dumps(dict(GENERAL_DOC, output=5)), "output: expected a path string, got 5"),
+            # json reads 1 followed by 400 zeros as an int, which float() cannot hold.
+            (json.dumps(dict(GENERAL_DOC, angles=dict(GENERAL_DOC["angles"], phi=10**400))),
+             "angles.phi: number too large for a float"),
+            (json.dumps(dict(GENERAL_DOC, alpha=[10**400, 0.0])), "alpha: number too large for a float"),
+        ],
+        ids=["invalid-json", "top-level-array", "M-string", "angles-list", "angle-string", "format-xml", "output-number",
+             "angle-too-large", "amplitude-too-large"],
+    )
+    def test_each_malformed_field_gets_one_exact_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
 
 class TestReadmeExample:
     def test_examples_json_is_the_readme_config(self):
@@ -254,6 +284,15 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "note.scale[1]: NaN and Infinity are not allowed" in captured.err
+
+    def test_a_config_sweep_key_is_echoed_and_ignored(self, tmp_path, capsys):
+        # Only --axis/--values request a sweep, so the loader reads no "sweep"
+        # key: a malformed one is echoed like any other unread field.
+        doc = dict(GENERAL_DOC, sweep={"axis": "Q", "values": "many"})
+        assert cli.main(["run", "--config", write_config(tmp_path, doc)]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["config"]["sweep"] == {"axis": "Q", "values": "many"}
 
     def test_verification_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         from cctsim.protocol import VerificationReport
@@ -453,6 +492,30 @@ class TestSweepCommand:
         code = cli.main(["sweep", "--config", write_config(tmp_path, GENERAL_DOC), "--axis", "M", "--values", "3,zero"])
         assert code == cli.EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--axis", "M"], "values: a nonempty list of cycle counts is required"),
+            (["--axis", "M", "--values", "0,3"], "values: expected positive integers, got '0,3'"),
+        ],
+        ids=["no-values", "zero-value"],
+    )
+    def test_sweep_flag_errors_are_exact(self, tmp_path, capsys, flags, message):
+        assert cli.main(["sweep", "--config", write_config(tmp_path, GENERAL_DOC), *flags]) == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+    def test_a_config_sweep_key_does_not_drive_a_sweep(self, tmp_path, capsys):
+        doc = dict(GENERAL_DOC, sweep={"axis": "M", "values": [5, 10]})
+        assert cli.main(["sweep", "--config", write_config(tmp_path, doc)]) == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: axis: expected one of ('M', 'N', 'K', 'diag'), got None\n"
+            "config error: values: a nonempty list of cycle counts is required\n"
+        )
+
     def test_parser_reused_after_a_usage_error(self, tmp_path, capsys):
         # The parser is built once per process; a rejected command line must
         # leave nothing behind for the next call.
@@ -535,6 +598,25 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         assert payload["ok"] is True
         assert {c["name"] for c in payload["checks"]} == {"gates", "probability-pins"}
+
+    def test_expected_failure_prints_xfail_and_exits_zero(self, capsys, monkeypatch, tmp_path):
+        halving = tuple(entry for entry in checks.CHECKS if entry[0] == "asymptotics-halving")
+        monkeypatch.setattr(checks, "CHECKS", halving)
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", "--out", str(out)]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("asymptotics-halving  XFAIL  ")
+        assert lines[1] == "result: OK"
+        (entry,) = json.loads(out.read_text())["checks"]
+        assert sorted(entry) == ["detail", "duration", "expected_failure", "name", "passed"]
+        assert (entry["name"], entry["passed"], entry["expected_failure"]) == ("asymptotics-halving", False, True)
+
+    def test_a_check_over_its_budget_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "CHECKS", (("instant", lambda: "fine", 0.0, False),))
+        assert cli.main(["verify"]) == cli.EXIT_VERIFY_FAILED
+        line, result = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"instant  FAIL  +\d+\.\d{3}s  runtime \d+\.\d{2}s exceeded the 0s budget \(fine\)", line)
+        assert result == "result: FAILED"
 
     def test_sabotaged_gate_is_caught(self, fast_checks, capsys):
         code = cli.main(["verify", "--sabotage", "q1"])
