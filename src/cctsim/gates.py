@@ -125,9 +125,33 @@ def rotation_z(varphi: float) -> Operator:
     return Operator._trusted((2,), _rz(varphi))
 
 
+def _rz_ry(phi: float, theta: float) -> np.ndarray:
+    """Entries of rotation_z(phi) . rotation_y(theta), written without a matmul:
+    [[e^{-i phi/2} c, -e^{-i phi/2} s], [e^{i phi/2} s, e^{i phi/2} c]] with
+    c, s = cos, sin of theta/2."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    phase = cmath.exp(1j * phi / 2.0)
+    left = phase.conjugate()
+    entries = np.empty((2, 2), dtype=np.complex128)
+    entries[0, 0] = left * c
+    entries[0, 1] = left * -s
+    entries[1, 0] = phase * s
+    entries[1, 1] = phase * c
+    return entries
+
+
 def _euler(phi: float, theta: float, varphi: float) -> np.ndarray:
-    """Entries of rotation_z(phi) . rotation_y(theta) . rotation_z(varphi)."""
-    return _rz(phi) @ _ry(theta) @ _rz(varphi)
+    """Entries of rotation_z(phi) . rotation_y(theta) . rotation_z(varphi).
+
+    The first product, rotation_z(phi) . rotation_y(theta), is written out
+    entry by entry (``_rz_ry``): each of its entries is one phase times one
+    real number, the other term of the matmul's sum being an exact zero, so
+    each is the same correctly rounded product the matmul forms, on any BLAS;
+    only the sign of an exact zero can differ.  The second product, by the
+    phases of rotation_z(varphi), sums two complex products and stays one
+    ``@``, so its rounding is the BLAS kernel's, as before.
+    """
+    return _rz_ry(phi, theta) @ _rz(varphi)
 
 
 def euler_unitary(angles: EulerAngles) -> Operator:
@@ -170,7 +194,7 @@ def _v11_entries(angles: EulerAngles) -> np.ndarray:
 
 
 def _v13_block(angles: EulerAngles) -> np.ndarray:
-    return _rz(angles.phi) @ _ry(angles.theta)
+    return _rz_ry(angles.phi, angles.theta)
 
 
 @lru_cache(maxsize=_ANGLE_CACHE_SIZE)

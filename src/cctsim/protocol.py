@@ -140,10 +140,14 @@ class VerificationReport:
 
     @classmethod
     def from_stages(cls, stage_fidelities: list[tuple[str, float]]) -> VerificationReport:
-        values = [f for _, f in stage_fidelities]
-        # min() would drop a NaN that is not the first element.
-        worst = math.nan if any(math.isnan(f) for f in values) else min(values)
-        return cls(tuple(stage_fidelities), worst, worst >= 1.0 - FIDELITY_TOL)
+        stages = tuple(stage_fidelities)
+        worst = stages[0][1]
+        for _, f in stages:
+            # A NaN stage is taken wherever it sits, and kept: nothing compares
+            # below it (min() would drop a NaN that is not the first element).
+            if f < worst or f != f:
+                worst = f
+        return cls(stages, worst, worst >= 1.0 - FIDELITY_TOL)
 
 
 def _at(dims: tuple[int, ...], *labels: tuple[int, ...]) -> np.ndarray:

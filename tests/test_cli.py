@@ -4,7 +4,10 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,6 +51,17 @@ README_DOC = {
 RUN_DIGESTS = {
     "general": "7702923ca6fd93a95570c96cfb467e1277e1b66775ba83f4c6d12ad01be76e93",
     "bell": "c8d257ada4b511d0e5680bffc03f4596fa6412ac83554ed824785d6d911b29cb",
+}
+
+# The same for README_DOC and bell_doc() at EDGE_TRIPLE, where v1, tilde_v1
+# and the Euler product hold exact zeros whose sign depends on how their
+# entries are multiplied out, and the reports print exact zeros too.  Recorded
+# while rotation_z . rotation_y was still a matmul, so a zero-sign change
+# inside the gates that reaches a report shows up here.
+EDGE_TRIPLE = {"phi": -math.pi, "theta": 0.0, "varphi": 2 * math.pi}
+EDGE_RUN_DIGESTS = {
+    "general": "cad35abbb330f813ac872f3879eaf3732d777666c948b1f063ba97c4aa08ad11",
+    "bell": "85c64dc228ccdc000f4c9b21751700466ac52053ef9b2724a0d9d605850333af",
 }
 
 # Schema-stable golden rows: column order and 17-significant-digit floats.
@@ -244,6 +258,13 @@ class TestRunCommand:
         assert cli.main(["run", "--config", write_config(tmp_path, doc)]) == cli.EXIT_OK
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(out).hexdigest() == RUN_DIGESTS[mode]
+
+    @pytest.mark.parametrize("mode", ["general", "bell"])
+    def test_report_bytes_are_pinned_at_an_edge_triple(self, tmp_path, capsys, mode):
+        doc = dict(README_DOC if mode == "general" else bell_doc(), angles=EDGE_TRIPLE)
+        assert cli.main(["run", "--config", write_config(tmp_path, doc)]) == cli.EXIT_OK
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == EDGE_RUN_DIGESTS[mode]
 
     def test_teleportation_flags_separable_output(self, tmp_path, capsys):
         doc = dict(GENERAL_DOC, gamma=[0.0, 0.0], delta=[1.0, 0.0])
@@ -617,6 +638,15 @@ class TestVerifyCommand:
         line, result = capsys.readouterr().out.splitlines()
         assert re.fullmatch(r"instant  FAIL  +\d+\.\d{3}s  runtime \d+\.\d{2}s exceeded the 0s budget \(fine\)", line)
         assert result == "result: FAILED"
+
+    def test_importing_the_cli_leaves_the_checklist_unloaded(self):
+        # run, sweep and montecarlo never use the checklist; only verify
+        # imports it.  A fresh interpreter, since this one has loaded it.
+        code = "import sys, cctsim.cli; print('cctsim.checks' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
     def test_sabotaged_gate_is_caught(self, fast_checks, capsys):
         code = cli.main(["verify", "--sabotage", "q1"])

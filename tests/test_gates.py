@@ -212,8 +212,33 @@ class TestRotations:
         assert np.allclose(got, expected, atol=1e-15)
 
     def test_euler_is_bitwise_the_constructor_product(self):
-        product = gates.rotation_z(ANGLES.phi) @ gates.rotation_y(ANGLES.theta) @ gates.rotation_z(ANGLES.varphi)
-        assert np.array_equal(gates.euler_unitary(ANGLES).entries, product.entries)
+        # Each angle gate's Euler block against the public factor product,
+        # multiplied through Operator.__matmul__: equal values at every triple
+        # and equal bytes at the random ones.  At EDGE_ANGLES, the last
+        # len(EDGE_ANGLES) triples, only the sign of an exact zero may differ.
+        triples = _edge_and_random_angles()
+        random_count = len(triples) - len(EDGE_ANGLES)
+        for i, angles in enumerate(triples):
+            zy = gates.rotation_z(angles.phi) @ gates.rotation_y(angles.theta)
+            u = (zy @ gates.rotation_z(angles.varphi)).entries
+            u_minus_theta = (
+                gates.rotation_z(angles.phi) @ gates.rotation_y(-angles.theta) @ gates.rotation_z(angles.varphi)
+            ).entries
+            v13 = gates.v13(angles).entries
+            tilde = [gates.tilde_v1(angles, ell).entries[1::2, 1::2] for ell in (0, 1)]
+            pairs = [
+                (gates.euler_unitary(angles).entries, u),
+                (gates.u_m(angles, 0).entries, u),
+                (gates.u_m(angles, 1).entries, u_minus_theta),
+                (v13[1::3, 1::3], zy.entries),
+                (v13[2::3, 2::3], zy.entries),
+                (tilde[0], u[::-1]),
+                (tilde[1], u[:, ::-1]),
+            ]
+            for got, expected in pairs:
+                assert np.array_equal(got, expected), angles
+                if i < random_count:
+                    assert got.tobytes() == expected.tobytes(), angles
 
 
 class TestOutcomeUnitary:
