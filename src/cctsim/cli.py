@@ -6,7 +6,7 @@ values come only from ``--axis`` and ``--values``.  Complex amplitudes are
 written as [re, im] pairs and angles in radians.  Every report echoes the
 full configuration and the seed, and files are written atomically (temp
 file plus rename).  Exit codes: 0 success, 1 verification failure, 2
-configuration error.
+configuration error, an output that cannot be written included.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, protocol, zeno
 from .gates import EulerAngles
-from .hilbert import schmidt_rank, unit_pair_error
+from .hilbert import _is_integer, schmidt_rank, unit_pair_error
 from .protocol import BellInput, GeneralInput
 from .zeno import CycleConfig
 
@@ -80,7 +80,7 @@ def _take_complex(doc: dict, field: str, errors: list[str]) -> complex | None:
 
 def _take_int(doc: dict, field: str, errors: list[str], minimum: int, default: int | None = None) -> int:
     value = doc.get(field, default)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_integer(value):
         errors.append(f"{field}: expected an integer, got {value!r}")
         return minimum
     if value < minimum:
@@ -91,7 +91,7 @@ def _take_int(doc: dict, field: str, errors: list[str], minimum: int, default: i
 
 def _take_choice(doc: dict, field: str, choices: tuple[int, int], errors: list[str]) -> int:
     value = doc.get(field)
-    if not isinstance(value, int) or isinstance(value, bool) or value not in choices:
+    if not _is_integer(value) or value not in choices:
         errors.append(f"{field}: expected {choices[0]} or {choices[1]}, got {value!r}")
         return choices[0]
     return value
@@ -185,10 +185,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     n = _take_int(doc, "N", errors, 1, default=25)
     k = _take_int(doc, "K", errors, 1, default=25)
     trials = _take_int(doc, "trials", errors, 1, default=10_000)
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        errors.append(f"seed: expected an integer, got {seed!r}")
-        seed = 0
+    seed = _take_int(doc, "seed", errors, 0, default=0)
 
     fmt = doc.get("format", "json")
     if fmt not in ("json", "csv"):
@@ -239,10 +236,16 @@ def _atomic_write(path: str | Path, text: str) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to standard output, or atomically to ``out``; the one
+    writer of every command's output.  A failed write is a config error,
+    named by the OS reason alone: the full error names the random temp file."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         _atomic_write(out, text)
+    except OSError as exc:
+        raise ConfigError([f"out: cannot write {out}: {exc.strerror or exc}"]) from exc
 
 
 def _pair(value: complex) -> list[float]:
@@ -363,11 +366,10 @@ def cmd_verify(out: str | None = None, sabotage: str | None = None) -> int:
         lines.append(f"{r.name:<{width}}  {status:<5}  {r.duration:8.3f}s  {r.detail}")
     all_ok = all(r.ok for r in results)
     lines.append("result: " + ("OK" if all_ok else "FAILED"))
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", None)
     if out is not None:
         payload = {"version": __version__, "checks": [dataclasses.asdict(r) for r in results], "ok": all_ok}
-        _atomic_write(out, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
@@ -433,12 +435,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "montecarlo":
             return cmd_montecarlo(config)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except ConfigError as exc:
-        for message in exc.errors:
+    except (ConfigError, ValueError) as exc:
+        for message in exc.errors if isinstance(exc, ConfigError) else [exc]:
             print(f"config error: {message}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 

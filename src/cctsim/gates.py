@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import NORMALIZATION_TOL, Operator
+from .hilbert import NORMALIZATION_TOL, Operator, _is_integer
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,6 @@ _IDENTITY_ON_BC = {c_dim: np.eye(2 * c_dim, dtype=np.complex128) for c_dim in (2
 # Entries kept per angle-keyed constructor: a campaign over many distinct
 # angles must not hold one operator per angle for the life of the process.
 _ANGLE_CACHE_SIZE = 256
-
-
-def _is_integer(value) -> bool:
-    """True for Python and numpy integers; False for bools and floats, although
-    True and 1.0 compare equal to 1."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_bit(value: int, what: str) -> None:

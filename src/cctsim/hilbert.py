@@ -386,10 +386,23 @@ def unit_pair_error(c0: complex, c1: complex) -> str | None:
     return f"amplitudes must be finite with |c0|^2 + |c1|^2 = 1, got {total!r}"
 
 
+def _check_unit_pair(label: str, c0: complex, c1: complex) -> None:
+    """Raise unit_pair_error's diagnostic, prefixed with ``label``, as a ValueError."""
+    error = unit_pair_error(c0, c1)
+    if error:
+        raise ValueError(f"{label} {error}")
+
+
+def _is_integer(value: object) -> bool:
+    """True for Python and numpy integers; False for bools and floats, although
+    True and 1.0 compare equal to 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def is_count(value: object) -> bool:
     """The rule for trial and cycle counts: a Python or numpy integer >= 1.
     A bool, a float (even an integral one) and None are not counts."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
+    return _is_integer(value) and value >= 1
 
 
 def sample_counts(probs: Sequence[float], trials: int, rng: np.random.Generator) -> list[int]:

@@ -28,13 +28,14 @@ from .hilbert import (
     FIDELITY_TOL,
     StateVector,
     _branch_weight,
+    _check_unit_pair,
     _factor_out,
     _fidelity,
+    _is_integer,
     _unit,
     apply,
     born_probabilities,
     sample_counts,
-    unit_pair_error,
 )
 
 # Ancilla weight above which the measurement's third level signals a fault.
@@ -48,12 +49,6 @@ class ProtocolFault(RuntimeError):
     """Internal consistency violation (not a bad input)."""
 
 
-def _check_amplitude_pair(label: str, c0: complex, c1: complex) -> None:
-    error = unit_pair_error(c0, c1)
-    if error:
-        raise ValueError(f"{label} {error}")
-
-
 @dataclass(frozen=True)
 class GeneralInput:
     """Product input: (alpha, beta) on A, (gamma, delta) on B, plus Bob's angles."""
@@ -65,8 +60,8 @@ class GeneralInput:
     angles: EulerAngles
 
     def __post_init__(self) -> None:
-        _check_amplitude_pair("target (alpha, beta)", self.alpha, self.beta)
-        _check_amplitude_pair("control (gamma, delta)", self.gamma, self.delta)
+        _check_unit_pair("target (alpha, beta)", self.alpha, self.beta)
+        _check_unit_pair("control (gamma, delta)", self.gamma, self.delta)
 
 
 @dataclass(frozen=True)
@@ -85,9 +80,9 @@ class BellInput:
 
     def __post_init__(self) -> None:
         gates._check_bit(self.ell, "class index")
-        if not gates._is_integer(self.sign) or self.sign not in (1, -1):
+        if not _is_integer(self.sign) or self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        _check_amplitude_pair("(c0, c1)", self.c0, self.c1)
+        _check_unit_pair("(c0, c1)", self.c0, self.c1)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from typing import TypeVar
 import numpy as np
 
 from . import protocol as _protocol
-from .hilbert import StateVector, fidelity, is_count, sample_counts, unit_pair_error
+from .hilbert import StateVector, _check_unit_pair, fidelity, is_count, sample_counts
 from .protocol import BellInput, GeneralInput
 
 @dataclass(frozen=True)
@@ -59,18 +59,6 @@ class CycleConfig:
         if not (type(self.M) is type(self.N) is type(self.K) is int and min(self.M, self.N, self.K) >= 1):
             for name in ("M", "N", "K"):
                 object.__setattr__(self, name, _cycle_count(name, getattr(self, name)))
-
-    @property
-    def theta_m(self) -> float:
-        return math.pi / (2 * self.M)
-
-    @property
-    def theta_n(self) -> float:
-        return math.pi / (2 * self.N)
-
-    @property
-    def theta_k(self) -> float:
-        return math.pi / (2 * self.K)
 
 
 def _half_turn_reduced(y: float) -> float:
@@ -143,7 +131,11 @@ _cached_sin_sq_table = functools.lru_cache(maxsize=32)(_build_sin_sq_table)
 
 
 def _survival_power(x: float, n: int) -> float:
-    """(1 - x)^n = exp(n log1p(-x)) for a per-cycle loss x in [0, 1]."""
+    """(1 - x)^n = exp(n log1p(-x)) for a per-cycle loss x in [0, 1].
+
+    It stays apart from _power: routed through _power, two GOLDEN_SWEEP
+    cells at diag=5 (lambda2, zeta0) move in their last digits.
+    """
     return math.exp(n * math.log1p(-x)) if x < 1.0 else 0.0
 
 
@@ -167,12 +159,12 @@ def _cycle_count(name: str, value: int) -> int:
     raise ValueError(f"cycle count {name} must be a positive integer, got {value!r}")
 
 
-def _check_unit_interval(name: str, value: float | tuple[float, ...] | None) -> None:
-    """``value`` (each entry of a tuple) must lie in [0, 1]; NaN fails, None is skipped."""
+def _check_unit_interval(name: str, value: float | tuple[float, ...]) -> None:
+    """``value`` (each entry of a tuple) must lie in [0, 1]; NaN fails."""
     if isinstance(value, tuple):
         for v in value:
             _check_unit_interval(name, v)
-    elif value is not None and not 0.0 <= value <= 1.0:
+    elif not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
@@ -340,7 +332,8 @@ class StageProbabilities:
 
     lambda0/lambda1 depend on the cycle counts alone and are always filled;
     a protocol fills the lambdas of its Schedule, its printed weights and
-    its abort rate (zeta_m or zeta), and the other fields stay None.
+    its abort rate (zeta_m or zeta), and the other fields stay None.  The
+    values come from stage_rows, which has range checked each of them.
     """
 
     lambda0: float
@@ -357,11 +350,6 @@ class StageProbabilities:
     nabla10: float | None = None
     zeta_m: tuple[float, float] | None = None
     zeta: float | None = None
-
-    def __post_init__(self) -> None:
-        # The instance dict holds the fields in declaration order.
-        for name, value in vars(self).items():
-            _check_unit_interval(name, value)
 
     def populated(self) -> dict[str, float | tuple[float, float]]:
         return {
@@ -488,7 +476,9 @@ def stage_rows(cfgs: Sequence[CycleConfig], inp: GeneralInput | BellInput) -> li
     Configs that share M share one _chained_factors call, one pass per outer
     cycle count, and each collapse chain is taken once per distinct (K, N).
     A branch's abort rate is 1 minus the running product of its stages'
-    lambdas.  Each row's values are range checked and == to a one-config call's.
+    lambdas.  Each row's values are == to a one-config call's and range
+    checked: a ValueError names the first value out of [0, 1].  This is the
+    one range check of every StageProbabilities field.
     """
     schedule = schedule_of(inp)
     printed, weights = schedule.weights(inp)
@@ -580,14 +570,6 @@ class TrajectoryOutcome:
 
 
 _POL_INDEX = {"H": 0, "V": 1}
-
-
-def _validate_absorber(absorber: tuple[complex, complex]) -> tuple[complex, complex]:
-    a, b = complex(absorber[0]), complex(absorber[1])
-    error = unit_pair_error(a, b)
-    if error:
-        raise ValueError(f"absorber {error}")
-    return a, b
 
 
 # The (absorber, photon) basis states, indexed [presence][polarization];
@@ -724,7 +706,8 @@ def _gate_table(
     Rows of probability 0 are left out; every other row is validated as a
     TrajectoryOutcome.
     """
-    a, b = _validate_absorber(absorber)
+    a, b = complex(absorber[0]), complex(absorber[1])
+    _check_unit_pair("absorber", a, b)
     if polarization not in _POL_INDEX:
         raise ValueError(f"polarization must be 'H' or 'V', got {polarization!r}")
     if not isinstance(model, AbsorberModel):

@@ -592,6 +592,57 @@ class TestMonteCarloCommand:
         assert document["results"]["report"]["seed"] == 77
 
 
+COMMAND_ARGV = {
+    "run": ["run"],
+    "sweep": ["sweep", "--axis", "M", "--values", "5"],
+    "montecarlo": ["montecarlo", "--trials", "100"],
+    "verify": ["verify"],
+}
+
+
+class TestOneErrorPath:
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+    def test_out_onto_an_existing_directory_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
+        # The rename over a directory fails: one named line and exit 2, no
+        # traceback, no temp file left beside the target, the directory as it was.
+        monkeypatch.setattr(checks, "CHECKS", tuple(entry for entry in checks.CHECKS if entry[0] == "gates"))
+        config = write_config(tmp_path, GENERAL_DOC)
+        target = tmp_path / "taken"
+        target.mkdir()
+        (target / "kept.txt").write_text("kept\n", encoding="utf-8")
+        flags = [] if command == "verify" else ["--config", config]
+        assert cli.main([*COMMAND_ARGV[command], *flags, "--out", str(target)]) == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        # The OS reason alone, so the line does not name the random temp file.
+        assert captured.err == f"config error: out: cannot write {target}: Is a directory\n"
+        if command != "verify":  # verify prints its matrix before it writes the JSON
+            assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+        assert [(p.name, p.read_text(encoding="utf-8")) for p in target.iterdir()] == [("kept.txt", "kept\n")]
+
+    def test_out_under_a_regular_file_is_a_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        target = blocker / "report.json"
+        assert cli.main(["run", "--config", write_config(tmp_path, GENERAL_DOC), "--out", str(target)]) == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"config error: out: cannot write {target}: Not a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "montecarlo"])
+    @pytest.mark.parametrize("mode", ["general", "bell"])
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_a_negative_seed_is_a_config_error(self, tmp_path, capsys, command, mode, source):
+        doc = GENERAL_DOC if mode == "general" else bell_doc()
+        doc = dict(doc, seed=-3) if source == "config" else doc
+        flags = ["--seed", "-3"] if source == "flag" else []
+        argv = [*COMMAND_ARGV[command], "--config", write_config(tmp_path, doc), *flags]
+        assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: seed: must be >= 0, got -3\n"
+
+
 # Every gates constructor the gates check's table calls.  v11 to v14 and
 # euler_unitary are among them because the table calls them itself: v1 and
 # tilde_v1 are built without them.

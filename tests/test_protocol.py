@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cctsim import gates, protocol
+from cctsim import gates, protocol, zeno
 from cctsim.gates import EulerAngles
 from cctsim.hilbert import (
     FIDELITY_TOL,
@@ -81,6 +81,25 @@ class TestInputValidation:
     @pytest.mark.parametrize("sign", [1, -1, np.int64(-1)])
     def test_bell_sign_accepts_integers(self, sign):
         assert BellInput(0, sign, 0.6, 0.8, IDENTITY).sign == sign
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: general(0.9, 0.6, 1.0, 0.0), "target (alpha, beta) amplitudes must be finite with |c0|^2 + |c1|^2 = 1, got 1.17"),
+            (lambda: general(1.0, 0.0, math.nan, 0.0), "control (gamma, delta) amplitudes must be finite with |c0|^2 + |c1|^2 = 1, got nan"),
+            (lambda: BellInput(0, 1, 0.6, 0.6j, IDENTITY), "(c0, c1) amplitudes must be finite with |c0|^2 + |c1|^2 = 1, got 0.72"),
+            (lambda: zeno.gate_statistics("qz", (math.inf, 0.0), "H", 3, zeno.AbsorberModel.PER_CYCLE_BORN, 10, 1),
+             "absorber amplitudes must be finite with |c0|^2 + |c1|^2 = 1, got inf"),
+            (lambda: zeno.gate_statistics("cqz", (0.5, 0.5), "H", 3, zeno.AbsorberModel.COHERENT, 10, 1, outer=2),
+             "absorber amplitudes must be finite with |c0|^2 + |c1|^2 = 1, got 0.5"),
+        ],
+        ids=["target", "control", "bell-pair", "absorber-inf", "absorber-norm"],
+    )
+    def test_every_unit_pair_edge_names_its_pair(self, call, message):
+        # Inputs and absorbers raise one diagnostic, prefixed with the pair's name.
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("ell", [True, 1.0, 0.0])
     def test_bell_class_must_be_an_integer(self, ell):

@@ -105,12 +105,6 @@ def _monte_carlo_documents() -> list[str]:
 
 
 class TestCycleConfig:
-    def test_angles(self):
-        cfg = CycleConfig(2, 4, 8)
-        assert cfg.theta_m == math.pi / 4
-        assert cfg.theta_n == math.pi / 8
-        assert cfg.theta_k == math.pi / 16
-
     @pytest.mark.parametrize("bad", [(0, 1, 1), (1, -2, 1), (1, 1, 0)])
     def test_rejects_nonpositive_counts(self, bad):
         with pytest.raises(ValueError):
@@ -772,14 +766,20 @@ class TestGroupedPass:
         self._assert_rows_match_one_config_calls(cfgs, inputs)
 
     def test_every_written_value_is_range_checked(self, monkeypatch):
-        # A value out of [0, 1] (here a NaN lambda3 or lambda6) fails with the
-        # StageProbabilities message, in a many-config call as in a one-config one.
+        # A value out of [0, 1] (here a NaN lambda3 or lambda6) is named by
+        # stage_rows, in a many-config call as in a one-config one, and the
+        # StageProbabilities records get their one check from the same place.
         monkeypatch.setattr(zeno, "dcfo_success", lambda chain, inner, nabla: math.nan)
         cfgs = _axis_configs("K", (5, 6), CycleConfig(6, 7, 8))
-        with pytest.raises(ValueError, match="lambda3 must lie in \\[0, 1\\], got nan"):
-            zeno.stage_rows(cfgs, BALANCED)
-        with pytest.raises(ValueError, match="lambda6 must lie in \\[0, 1\\], got nan"):
-            zeno.stage_rows(cfgs, UNIT_BELL)
+        calls = [
+            ("lambda3", lambda: zeno.stage_rows(cfgs, BALANCED)),
+            ("lambda6", lambda: zeno.stage_rows(cfgs, UNIT_BELL)),
+            ("lambda3", lambda: stage_probabilities_general(cfgs[0], BALANCED)),
+            ("lambda6", lambda: stage_probabilities_bell(cfgs[0], UNIT_BELL)),
+        ]
+        for name, call in calls:
+            with pytest.raises(ValueError, match=f"^{name} must lie in \\[0, 1\\], got nan$"):
+                call()
 
     def test_rows_do_not_depend_on_phi_or_varphi(self):
         # Only theta enters a stage weight, so every row, values and stage
