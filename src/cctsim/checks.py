@@ -280,10 +280,10 @@ def _diagonal_scan() -> dict[str, list[float]]:
     general = [values for values, _ in zeno.stage_rows(cfgs, _balanced_general())]
     bell = [values for values, _ in zeno.stage_rows(cfgs, _balanced_bell(1))]
     return {
-        "zeta0": [values["zeta_m"][0] for values in general],
-        "zeta1": [values["zeta_m"][1] for values in general],
+        "zeta0": [values["zeta0"] for values in general],
+        "zeta1": [values["zeta1"] for values in general],
         "zeta": [values["zeta"] for values in bell],
-        "lambda1": [values["lambda1"] for values in general],
+        "lambda1": [zeno.cqz_lambda1(c, c) for c in _DIAGONAL],
     }
 
 

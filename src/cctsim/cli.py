@@ -302,7 +302,8 @@ def _sweep_cycles(config: RunConfig, axis: str, value: int) -> CycleConfig:
 def _sweep_rows(config: RunConfig, axis: str, values: tuple[int, ...]) -> list[list]:
     cfgs = [_sweep_cycles(config, axis, value) for value in values]
     schedule = zeno.schedule_of(config.protocol_input)
-    return [[axis, value, *map(p.__getitem__, schedule.lambdas), *schedule.abort_rates(p)]
+    keys = schedule.lambdas + schedule.zetas
+    return [[axis, value, *map(p.__getitem__, keys)]
             for value, (p, _) in zip(values, zeno.stage_rows(cfgs, config.protocol_input))]
 
 
@@ -343,7 +344,7 @@ def cmd_montecarlo(config: RunConfig) -> int:
     report = zeno.simulate_cct(config.cycles, config.protocol_input, config.trials, config.seed)
     schedule = zeno.schedule_of(config.protocol_input)
     ((values, _),) = zeno.stage_rows((config.cycles,), config.protocol_input)
-    results = {"report": report.as_dict(), "analytic": dict(zip(schedule.zetas, schedule.abort_rates(values)))}
+    results = {"report": report.as_dict(), "analytic": {z: values[z] for z in schedule.zetas}}
     _emit(_envelope(config, results), config.out)
     return EXIT_OK
 

@@ -187,10 +187,6 @@ def _v11_entries(angles: EulerAngles) -> np.ndarray:
     return _blocks_on_b(3, {1: _rz(angles.varphi)[:, ::-1]})
 
 
-def _v13_block(angles: EulerAngles) -> np.ndarray:
-    return _rz_ry(angles.phi, angles.theta)
-
-
 @lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def v11(angles: EulerAngles) -> Operator:
     """On B (x) C: apply rotation_z(varphi).X to B when C=1, identity when C is 0 or 2."""
@@ -206,7 +202,7 @@ def v12() -> Operator:
 @lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def v13(angles: EulerAngles) -> Operator:
     """On B (x) C: apply rotation_z(phi).rotation_y(theta) to B when C is 1 or 2."""
-    b2 = _v13_block(angles)
+    b2 = _rz_ry(angles.phi, angles.theta)
     return Operator._trusted((2, 3), _blocks_on_b(3, {1: b2, 2: b2}))
 
 
@@ -225,7 +221,7 @@ def v1(angles: EulerAngles) -> Operator:
     value to the three-factor product: rows |b, 1> take it from columns
     |0, 1> and |1, 2>, rows |b, 2> (B flipped) from columns |0, 2> and |1, 1>.
     """
-    b2 = _v13_block(angles)
+    b2 = _rz_ry(angles.phi, angles.theta)
     w = np.zeros((6, 6), dtype=np.complex128)
     w[0, 0] = w[3, 3] = 1.0
     w[1::3, 1::4] = b2

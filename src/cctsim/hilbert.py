@@ -337,11 +337,7 @@ def _branch_weight(outcome: int, probs: np.ndarray) -> float:
 
 def factor_out(state: StateVector, subsystem: int, outcome: int, tol: float = NORMALIZATION_TOL) -> StateVector:
     """Drop a subsystem that is (up to ``tol``) in the basis state ``outcome``."""
-    return _factor_out(state, subsystem, outcome, born_probabilities(state, subsystem), tol)
-
-
-def _factor_out(state: StateVector, subsystem: int, outcome: int, probs: np.ndarray, tol: float) -> StateVector:
-    """factor_out, given ``probs = born_probabilities(state, subsystem)``."""
+    probs = born_probabilities(state, subsystem)
     residual = float(probs.sum() - probs[outcome])
     if residual > tol:
         raise ValueError(f"subsystem {subsystem} is not in basis state {outcome}: residual weight {residual}")

@@ -29,7 +29,6 @@ from .hilbert import (
     StateVector,
     _branch_weight,
     _check_unit_pair,
-    _factor_out,
     _fidelity,
     _is_integer,
     _unit,
@@ -273,7 +272,7 @@ def run_bell(inp: BellInput) -> Transcript:
     leak = float(1.0 - probs[0])
     if leak > FIDELITY_TOL:
         raise ProtocolFault(f"ancilla not separable in |0> after the Bell-type run: weight {leak!r} leaked")
-    psi6m = _factor_out(final_abc, 2, 0, probs, FIDELITY_TOL)
+    psi6m = StateVector._trusted((2, 2), _unit(final_abc.amps[0::2]))  # |a, b, 0> sits at a*4 + b*2
     return Transcript(
         psi0=psi0,
         psi1=psi1,

@@ -6,7 +6,8 @@ stage (the lambda/nabla/zeta family).  ``stage_rows`` evaluates a
 protocol's stage schedule (GENERAL_SCHEDULE, BELL_SCHEDULE) over a whole
 sequence of cycle configurations: configs that share M share one log1p
 pass per outer cycle count, in chunks of at most PASS_BLOCK entries, and
-every row is == to a one-config call (``stage_probabilities_general/bell``).
+every row is == to a one-config call.  ``stage_probabilities_general/bell``
+wrap a one-config call as a record, with lambda0/lambda1 added.
 A ``cctsim sweep`` call spends about a quarter of its time in these closed
 forms (``_chained_factors``, ``dcfo_success``); argparse, reading the config,
 the atomic write and formatting the rows take most of the rest.
@@ -38,7 +39,6 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
-from operator import itemgetter
 from typing import TypeVar
 
 import numpy as np
@@ -159,12 +159,9 @@ def _cycle_count(name: str, value: int) -> int:
     raise ValueError(f"cycle count {name} must be a positive integer, got {value!r}")
 
 
-def _check_unit_interval(name: str, value: float | tuple[float, ...]) -> None:
-    """``value`` (each entry of a tuple) must lie in [0, 1]; NaN fails."""
-    if isinstance(value, tuple):
-        for v in value:
-            _check_unit_interval(name, v)
-    elif not 0.0 <= value <= 1.0:
+def _check_unit_interval(name: str, value: float) -> None:
+    """``value`` must lie in [0, 1]; NaN fails."""
+    if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
@@ -330,10 +327,11 @@ def chained_survival(
 class StageProbabilities:
     """All derived stage probabilities of one configuration and input.
 
-    lambda0/lambda1 depend on the cycle counts alone and are always filled;
-    a protocol fills the lambdas of its Schedule, its printed weights and
-    its abort rate (zeta_m or zeta), and the other fields stay None.  The
-    values come from stage_rows, which has range checked each of them.
+    lambda0/lambda1 depend on the cycle counts alone and are always filled,
+    from cqz_lambda0/cqz_lambda1; a protocol fills the lambdas of its
+    Schedule, its printed weights and its abort rates (zeta_m, the pair
+    zeta0/zeta1, or zeta), and the other fields stay None.  Those values
+    come from stage_rows, which has range checked each of them.
     """
 
     lambda0: float
@@ -362,14 +360,9 @@ class StageProbabilities:
 # A stage in the order a run meets it: (name, outer-discard survival,
 # inner-absorption survival).
 _Stage = tuple[str, float, float]
-# One config's populated StageProbabilities fields with its stages.
-StageRow = tuple[dict[str, float | tuple[float, float]], list[_Stage]]
-
-
-# The chained stage at full outer and inner weight: its outer factor
-# (1 - sin^2 theta_M)^M is lambda0 (cqz_lambda0) and its inner factor is
-# lambda1 (cqz_lambda1), bit for bit.
-_FULL_WEIGHT = (1.0, 1.0)
+# One config's values (its Schedule's lambdas, printed weights and abort
+# rates, keyed by name) with its stages.
+StageRow = tuple[dict[str, float], list[_Stage]]
 
 
 class Schedule:
@@ -378,17 +371,17 @@ class Schedule:
     cycles as a multiple of M (at the M-cycle step) or None for a collapse
     chain (dcfo_success); the branches are the outcomes m the stage acts
     on, each meeting a prefix of the schedule, and m is None in a protocol
-    without an outcome, whose one abort rate is zeta, not zeta_m.
-    ``weights(inp)`` gives the printed weights and each stage's ((outer,
-    inner) or a nabla); ``outcomes(inp)`` each branch's (probability,
-    success fidelity) from dense runs."""
+    without an outcome.  ``zetas`` names each branch's abort rate: zeta{m},
+    or zeta for m None.  ``weights(inp)`` gives the printed weights and each
+    stage's ((outer, inner) or a nabla); ``outcomes(inp)`` each branch's
+    (probability, success fidelity) from dense runs."""
 
     def __init__(self, stages: tuple[tuple[str, str, int | None, tuple[int | None, ...]], ...], weights, outcomes):
         self.stages, self.weights, self.outcomes = stages, weights, outcomes
         names, self.lambdas, multiples, acts_on = zip(*stages)
         # Chained passes in order of first appearance, each (multiple of M,
-        # stage positions); the full-weight stage (None) leads the one at M.
-        self.passes: dict[int, list[int | None]] = {1: [None]}
+        # stage positions).
+        self.passes: dict[int, list[int]] = {}
         for i, multiple in enumerate(multiples):
             if multiple is not None:
                 self.passes.setdefault(multiple, []).append(i)
@@ -401,13 +394,7 @@ class Schedule:
         self.branches = [(m, sum(m in branches for branches in acts_on)) for m in ms]
         if any(m not in branches for m, end in self.branches for branches in acts_on[:end]):
             raise ValueError("each outcome branch must meet a prefix of the schedule")
-        # Several branches give the zeta_m tuple, a single one the scalar zeta.
-        self.pick_zeta = itemgetter(*(end - 1 for _, end in self.branches))
-        self.zeta, self.zetas = ("zeta_m", tuple(f"zeta{m}" for m in ms)) if len(ms) > 1 else ("zeta", ("zeta",))
-
-    def abort_rates(self, values: dict) -> tuple[float, ...]:
-        """A stage_rows row's abort rates, one per branch (the sweep's zeta columns)."""
-        return values["zeta_m"] if self.zeta == "zeta_m" else (values["zeta"],)
+        self.zetas = tuple("zeta" if m is None else f"zeta{m}" for m in ms)
 
 
 def _general_weights(inp: GeneralInput) -> tuple[dict[str, float], tuple]:
@@ -475,14 +462,15 @@ def stage_rows(cfgs: Sequence[CycleConfig], inp: GeneralInput | BellInput) -> li
 
     Configs that share M share one _chained_factors call, one pass per outer
     cycle count, and each collapse chain is taken once per distinct (K, N).
-    A branch's abort rate is 1 minus the running product of its stages'
-    lambdas.  Each row's values are == to a one-config call's and range
+    A row's values are keyed by the schedule's lambdas, its printed weights
+    and its zetas: a branch's abort rate is 1 minus the running product of
+    its stages' lambdas.  Each row is == to a one-config call's and range
     checked: a ValueError names the first value out of [0, 1].  This is the
-    one range check of every StageProbabilities field.
+    one range check of every StageProbabilities field but lambda0/lambda1.
     """
     schedule = schedule_of(inp)
     printed, weights = schedule.weights(inp)
-    passes = [(mult, [_FULL_WEIGHT if i is None else weights[i] for i in at]) for mult, at in schedule.passes.items()]
+    passes = [(mult, [weights[i] for i in at]) for mult, at in schedule.passes.items()]
     inners: dict[int, dict[int, None]] = {}
     for cfg in cfgs:
         inners.setdefault(cfg.M, {})[cfg.N] = None
@@ -497,8 +485,7 @@ def stage_rows(cfgs: Sequence[CycleConfig], inp: GeneralInput | BellInput) -> li
     rows = []
     for cfg in cfgs:
         found = pairs[cfg.M, cfg.N] + chains[cfg.K, cfg.N]
-        (lam0, lam1), stages, aborts, survival = found[0], [], [], 1.0
-        values = {"lambda0": lam0, "lambda1": lam1}
+        values, stages, aborts, survival = {}, [], [], 1.0
         for name, lam_name, at in schedule.lookup:
             f_out, f_in = found[at]
             stages.append((name, f_out, f_in))
@@ -506,9 +493,9 @@ def stage_rows(cfgs: Sequence[CycleConfig], inp: GeneralInput | BellInput) -> li
             survival *= lam
             aborts.append(1.0 - survival)
         values.update(printed)
-        in_range = all(0.0 <= v <= 1.0 for v in (*values.values(), *aborts))  # every zeta is among the aborts
-        values[schedule.zeta] = schedule.pick_zeta(aborts)
-        if not in_range:  # name the first value out of [0, 1]
+        for zeta, (_, end) in zip(schedule.zetas, schedule.branches):
+            values[zeta] = aborts[end - 1]
+        if not all(0.0 <= v <= 1.0 for v in values.values()):  # name the first value out of [0, 1]
             for name, value in values.items():
                 _check_unit_interval(name, value)
         rows.append((values, stages))
@@ -519,14 +506,17 @@ def stage_probabilities_general(cfg: CycleConfig, inp: GeneralInput) -> StagePro
     """Evaluate every printed stage probability of the general protocol (GENERAL_SCHEDULE)."""
     if not isinstance(inp, GeneralInput):
         raise TypeError(f"stage_probabilities_general expects a GeneralInput, got {type(inp).__name__}")
-    return StageProbabilities(**stage_rows((cfg,), inp)[0][0])
+    ((values, _),) = stage_rows((cfg,), inp)
+    zeta_m = values.pop("zeta0"), values.pop("zeta1")
+    return StageProbabilities(cqz_lambda0(cfg.M), cqz_lambda1(cfg.M, cfg.N), **values, zeta_m=zeta_m)
 
 
 def stage_probabilities_bell(cfg: CycleConfig, inp: BellInput) -> StageProbabilities:
     """Evaluate the printed Bell-type stage probabilities (BELL_SCHEDULE)."""
     if not isinstance(inp, BellInput):
         raise TypeError(f"stage_probabilities_bell expects a BellInput, got {type(inp).__name__}")
-    return StageProbabilities(**stage_rows((cfg,), inp)[0][0])
+    ((values, _),) = stage_rows((cfg,), inp)
+    return StageProbabilities(cqz_lambda0(cfg.M), cqz_lambda1(cfg.M, cfg.N), **values)
 
 
 class AbsorberModel(Enum):

@@ -352,6 +352,15 @@ class TestOperator:
         assert not gates.q3(1).is_permutation()
         assert gates.q3(0).is_permutation()
 
+    @pytest.mark.parametrize("entries", [[[1, 1], [0, 0]], [[1, 0], [1, 0]]], ids=["two-in-a-row", "two-in-a-column"])
+    def test_one_entry_per_row_and_column_is_required(self, entries):
+        # As many nonzero entries as rows, but a row or a column holds two:
+        # no permutation, and apply takes the dense product.
+        op = Operator((2,), entries)
+        assert not op.is_permutation()
+        state = StateVector((2,), [0.6, 0.8j])
+        np.testing.assert_array_equal(apply(op, state, [0]).amps, np.array(entries) @ state.amps)
+
     def test_compose_requires_matching_dims(self):
         with pytest.raises(ValueError):
             gates.cnot() @ gates.hadamard_on_qutrit()
@@ -383,3 +392,12 @@ class TestSampleCounts:
 
     def test_a_zero_row_is_allowed(self):
         assert sample_counts([0.0, 1.0, 0.0], 10, np.random.default_rng(1)) == [0, 10, 0]
+
+    def test_draw_past_the_rounded_table_goes_to_the_last_positive_row(self):
+        # The table sums to 1 - 1e-10, within tolerance; a double at or past
+        # its last cumulative value lands on row 1, not on the zero row 2.
+        class Past:
+            def random(self, n):
+                return np.full(n, 0.99999999995)
+
+        assert sample_counts([0.5, 0.5 - 1e-10, 0.0], 1, Past()) == [0, 1, 0]

@@ -726,7 +726,14 @@ class TestGroupedPass:
                 rows = rows_of(cfgs, inp)
             assert len(rows) == len(cfgs)
             for cfg, row in zip(cfgs, rows):
-                assert row[0] == one_config(cfg, inp).populated(), (cfg, inp)
+                # A row holds the record's fields but lambda0/lambda1, which
+                # the record takes from cqz_lambda0/1, with zeta_m split into
+                # its branches' zeta0/zeta1.
+                record = one_config(cfg, inp).populated()
+                assert (record.pop("lambda0"), record.pop("lambda1")) == (cqz_lambda0(cfg.M), cqz_lambda1(cfg.M, cfg.N))
+                if "zeta_m" in record:
+                    record["zeta0"], record["zeta1"] = record.pop("zeta_m")
+                assert row[0] == record, (cfg, inp)
                 assert [row] == rows_of((cfg,), inp), (cfg, inp)
 
     @pytest.mark.parametrize("axis", ["M", "N", "K", "diag"])
@@ -756,8 +763,8 @@ class TestGroupedPass:
             bell = zeno.stage_rows(cfgs, UNIT_BELL)
         for cfg, (g, _), (b, _) in zip(cfgs, general, bell):
             if cfg.N == 1:
-                assert g["lambda1"] == g["lambda4"] == b["lambda7"] == 0.0
-                assert g["zeta_m"] == (1.0, 1.0) and b["zeta"] == 1.0
+                assert cqz_lambda1(cfg.M, cfg.N) == g["lambda4"] == b["lambda7"] == 0.0
+                assert g["zeta0"] == g["zeta1"] == b["zeta"] == 1.0
 
     def test_unit_weight_inputs(self):
         cfgs = [CycleConfig(m, n, k) for m in (1, 2, 25) for n in (1, 2, 25) for k in (1, 3)]
@@ -1213,7 +1220,7 @@ class TestSimulateCct:
             simulate_cct(CycleConfig(2, 2, 2), BALANCED, 0, 1)
 
     @pytest.mark.parametrize(
-        "cfg,inp,seed,chained_pairs,counts",
+        "cfg,inp,seed,stages,counts",
         [
             (CycleConfig(6, 6, 6), BALANCED, 73, 4, (752, 3457, 791)),
             (CycleConfig(150, 150, 5), GeneralInput(0.6, 0.8j, 0.8, 0.6, EulerAngles(0.2, 1.3, 0.4)), 74, 4, (1855, 3112, 33)),
@@ -1221,27 +1228,33 @@ class TestSimulateCct:
             (CycleConfig(5, 2400, 7), BellInput(0, 1, 0.8, 0.6, EulerAngles(0.4, 2.0, 1.3)), 80, 2, (4028, 431, 541)),
         ],
     )
-    def test_each_chained_stage_evaluated_once(self, monkeypatch, cfg, inp, seed, chained_pairs, counts):
+    def test_each_chained_stage_evaluated_once(self, monkeypatch, cfg, inp, seed, stages, counts):
         # One factor pair per chained stage (lambda2, lambda4, lambda5 or
-        # lambda7) plus the full-weight stage of lambda0 and lambda1, one
-        # pass per outer cycle count and one call for the config: the
-        # general protocol takes lambda0/lambda1, lambda2 and lambda4 at M
-        # cycles and lambda5 at 2M, the Bell-type one lambda0/lambda1 and
-        # lambda7 at M.
+        # lambda7), one pass per outer cycle count and one call for the
+        # config: the general protocol takes lambda2 and lambda4 at M cycles
+        # and lambda5 at 2M, the Bell-type one lambda7 at M.  With the one
+        # collapse chain (lambda3 or lambda6), that is one evaluation per
+        # stage the protocol runs, and no other.
         # The (successes, absorbed, discarded) counts are the ones recorded
         # before the pairs were shared.
-        calls = []
-        original = zeno._chained_factors
+        calls, chains = [], []
+        original, original_chain = zeno._chained_factors, zeno.dcfo_success
 
         def counting(outer, inners, passes):
             assert (outer, tuple(inners)) == (cfg.M, (cfg.N,))
             calls.append([len(weights) for _, weights in passes])
             return original(outer, inners, passes)
 
+        def counting_chain(chain, inner, nabla):
+            chains.append((chain, inner))
+            return original_chain(chain, inner, nabla)
+
         monkeypatch.setattr(zeno, "_chained_factors", counting)
+        monkeypatch.setattr(zeno, "dcfo_success", counting_chain)
         report = simulate_cct(cfg, inp, 5_000, seed)
-        assert calls == ([[3, 1]] if isinstance(inp, GeneralInput) else [[2]])
-        assert sum(calls[0]) == chained_pairs
+        assert calls == ([[2, 1]] if isinstance(inp, GeneralInput) else [[1]])
+        assert chains == [(cfg.K, cfg.N)]
+        assert sum(calls[0]) + len(chains) == stages
         assert (report.successes, report.absorbed, report.discarded) == counts
         assert report.conditional_fidelity == pytest.approx(1.0, abs=1e-12)
 
