@@ -5,9 +5,11 @@ and abortion probabilities of every interferometric gate and protocol
 stage (the lambda/nabla/zeta family).  ``stage_rows`` evaluates a
 protocol's stage schedule (GENERAL_SCHEDULE, BELL_SCHEDULE) over a whole
 sequence of cycle configurations: configs that share M share one log1p
-pass per outer cycle count, in chunks of at most PASS_BLOCK entries, and
-every row is == to a one-config call.  ``stage_probabilities_general/bell``
-wrap a one-config call as a record, with lambda0/lambda1 added.
+pass per outer cycle count, walked in blocks of at most PASS_BLOCK entries
+along both the inner counts and the cycles, so memory stays bounded at any
+cycle count, and every row is == to a one-config call.
+``stage_probabilities_general/bell`` wrap a one-config call as a record,
+with lambda0/lambda1 added.
 A ``cctsim sweep`` call spends about a quarter of its time in these closed
 forms (``_chained_factors``, ``dcfo_success``); argparse, reading the config,
 the atomic write and formatting the rows take most of the rest.
@@ -88,46 +90,21 @@ def _cos_sq_pi(y: float) -> float:
     return math.cos(math.pi * r) ** 2 if r < 0.25 else math.sin(math.pi * (0.5 - r)) ** 2
 
 
-# Longest sin^2 table that _sin_sq_table caches; a sweep to a few thousand
-# cycles stays far below it.
-_SIN_SQ_CACHE_LIMIT = 1 << 16
+@functools.lru_cache(maxsize=32)
+def _sin_sq_table(outer: int, start: int, stop: int) -> np.ndarray:
+    """_sin_sq_pi(i / (2 * outer)) for i = start+1..stop, as one read-only array.
 
-
-def _sin_sq_table(outer: int, cycles: int) -> np.ndarray:
-    """_sin_sq_pi(i / (2 * outer)) for i = 1..cycles, as one read-only array.
-
-    Tables of at most _SIN_SQ_CACHE_LIMIT entries are cached and shared;
-    longer ones are built on every call, so the cache holds at most
-    32 * 8 * _SIN_SQ_CACHE_LIMIT bytes (16 MiB).
+    Each entry depends on i alone, so a block holds the bits of the same
+    entries of a whole table.  _log_sums asks for blocks of at most
+    PASS_BLOCK entries, so the cache holds at most 32 * 8 * PASS_BLOCK
+    bytes (16 MiB) whatever the cycle count.
     """
-    if cycles > _SIN_SQ_CACHE_LIMIT:
-        return _build_sin_sq_table(outer, cycles)
-    return _cached_sin_sq_table(outer, cycles)
-
-
-def _build_sin_sq_table(outer: int, cycles: int) -> np.ndarray:
-    # Built in place over one work array and two boolean masks, so the peak
-    # stays near 2.25 times the table.  sin and cos still run over whole
-    # contiguous arrays: a masked ufunc loop may round differently.
-    r = np.arange(1, cycles + 1, dtype=np.float64)
-    r /= 2 * outer
-    np.fmod(r, 1.0, out=r)
-    work = np.subtract(1.0, r)
-    np.minimum(r, work, out=r)
-    below, quarter = r < 0.25, r == 0.25
-    np.multiply(np.pi, r, out=work)
-    np.sin(work, out=work)
-    np.subtract(0.5, r, out=r)
-    np.multiply(np.pi, r, out=r)
-    np.cos(r, out=r)
-    np.copyto(r, work, where=below)
-    table = np.square(r, out=r)
-    table[quarter] = 0.5
+    r = np.fmod(np.arange(start + 1, stop + 1) / (2 * outer), 1.0)
+    r = np.minimum(r, 1.0 - r)
+    table = np.where(r < 0.25, np.sin(np.pi * r), np.cos(np.pi * (0.5 - r))) ** 2
+    table[r == 0.25] = 0.5
     table.flags.writeable = False
     return table
-
-
-_cached_sin_sq_table = functools.lru_cache(maxsize=32)(_build_sin_sq_table)
 
 
 def _survival_power(x: float, n: int) -> float:
@@ -241,8 +218,11 @@ def ddcfo_success(chain: int, inner: int, nabla4: float) -> float:
 
 
 # Most (inner count, stage, cycle) entries one chunk of a chained pass
-# holds; an inner count whose stages alone exceed it is taken on its own.
+# holds, and so the most entries of a sin^2 table block (see _log_sums).
 PASS_BLOCK = 1 << 16
+# numpy's pairwise sum adds a run of at most this many entries in one loop
+# and splits a longer run in two; _log_sums splits where it does.
+_PAIRWISE_LEAF = 128
 
 # One (outer weight, inner weight) pair per chained stage.
 _Weights = tuple[tuple[float, float], ...]
@@ -256,13 +236,14 @@ def _chained_factors(outer: int, inners: Sequence[int], passes: Sequence[_Pass])
     Every stage has ``outer`` as its outer count; the stages of one pass
     also share its number of outer cycles.  The result holds, for each
     inner count in ``inners``, one factor pair per stage of every pass in
-    turn.  Each pass writes the entries -x of all inner counts into one
-    (inner counts, stages, cycles) array and takes one in-place log1p and
-    one sum over its last axis (see _log_sums); each contiguous row sum is
-    bit for bit the sum of that stage at that inner count alone.  Validates
-    the cycle counts and weights.  The rotation step stays pi/(2*outer)
-    even when a pass runs other than ``outer`` outer cycles (a pass of 2M
-    cycles keeps the M-cycle step size).
+    turn.  Each pass writes the entries -x of all inner counts into
+    (inner counts, stages, cycles) chunks of at most PASS_BLOCK entries and
+    takes an in-place log1p and a sum over the cycle axis (see _log_sums),
+    so it runs in bounded memory at any cycle count; each sum is bit for bit
+    numpy's sum of that stage at that inner count alone.  Validates the
+    cycle counts and weights.  The rotation step stays pi/(2*outer) even
+    when a pass runs other than ``outer`` outer cycles (a pass of 2M cycles
+    keeps the M-cycle step size).
     """
     outer = _cycle_count("M", outer)
     inners = [_cycle_count("N", inner) for inner in inners]
@@ -285,23 +266,31 @@ def _chained_factors(outer: int, inners: Sequence[int], passes: Sequence[_Pass])
     return rows
 
 
-def _log_sums(outer: int, cycles: int, weights: _Weights, s_n: list[float]) -> list[list[float]]:
-    """sum over i of log1p(-w_in * sin^2(i theta_M) * s), for each s in
-    ``s_n`` and each stage's inner weight w_in.
+def _log_sums(outer: int, cycles: int, weights: _Weights, s_n: list[float], start: int = 0) -> list[list[float]]:
+    """sum over i = start+1..start+cycles of log1p(-w_in * sin^2(i theta_M) * s),
+    one row per s in ``s_n``, one column per stage's inner weight w_in.
 
-    The (inner counts, stages, cycles) array is taken in chunks of at most
-    PASS_BLOCK entries, or of one inner count when its stages alone exceed
-    that; a chunk of one inner count is scaled in place, so a pass holds
-    the sin^2 table and one chunk at a time.
+    A run of more than PASS_BLOCK // len(weights) cycles (and more than
+    numpy's pairwise leaf) is split where numpy's pairwise sum splits it,
+    n // 2 rounded down to a multiple of 8, and the two halves' sums are
+    added, which is bit for bit numpy's sum over the whole run.  A shorter
+    run reads one sin^2 table block and is taken in chunks of at most
+    PASS_BLOCK entries (at least one inner count); a chunk of one inner
+    count is scaled in place.
     """
-    table = _sin_sq_table(outer, cycles)
+    if cycles > max(PASS_BLOCK // len(weights), _PAIRWISE_LEAF):
+        half = cycles // 2 - cycles // 2 % 8
+        left = _log_sums(outer, half, weights, s_n, start)
+        right = _log_sums(outer, cycles - half, weights, s_n, start + half)
+        return [[a + b for a, b in zip(x, y)] for x, y in zip(left, right)]
+    table = _sin_sq_table(outer, start, start + cycles)
     # -x for x = w_in * sin^2(i theta_M) * sin^2(theta_N), negated through
     # the weight: rounding is symmetric in sign, so each entry is exactly -x.
     negated = np.array([-inner_weight for _, inner_weight in weights])[None, :, None]
     step = max(1, PASS_BLOCK // (len(weights) * cycles))
     sums = []
-    for start in range(0, len(s_n), step):
-        part = s_n[start : start + step]
+    for first in range(0, len(s_n), step):
+        part = s_n[first : first + step]
         logs = negated * table
         if len(part) == 1:
             logs *= part[0]
@@ -377,7 +366,7 @@ class Schedule:
     (probability, success fidelity) from dense runs."""
 
     def __init__(self, stages: tuple[tuple[str, str, int | None, tuple[int | None, ...]], ...], weights, outcomes):
-        self.stages, self.weights, self.outcomes = stages, weights, outcomes
+        self.weights, self.outcomes = weights, outcomes
         names, self.lambdas, multiples, acts_on = zip(*stages)
         # Chained passes in order of first appearance, each (multiple of M,
         # stage positions).

@@ -298,7 +298,7 @@ class TestLogSpacePrimitives:
     @pytest.mark.parametrize("outer", [1, 2, 4, 5, 6, 12, 40, 150, 600, 2400])
     def test_matches_the_scalar_half_angle_form(self, outer):
         for cycles in (outer, 2 * outer, 3 * outer, 5 * outer + 1):
-            table = zeno._sin_sq_table(outer, cycles)
+            table = zeno._sin_sq_table(outer, 0, cycles)
             scalar = np.array([zeno._sin_sq_pi(i / (2 * outer)) for i in range(1, cycles + 1)])
             assert table.shape == (cycles,)
             # numpy's and math's sin/cos may round differently, so an ulp is
@@ -315,39 +315,42 @@ class TestLogSpacePrimitives:
             y = 1.0 / (2 * outer)
             with mp.workdps(50):
                 reference = mp.sin(mp.pi * mp.mpf(y)) ** 2
-            for value in (zeno._sin_sq_pi(y), zeno._sin_sq_table(outer, 1)[0]):
+            for value in (zeno._sin_sq_pi(y), zeno._sin_sq_table(outer, 0, 1)[0]):
                 assert abs(mp.mpf(value) - reference) <= 2 * math.ulp(float(reference)), (outer, value)
         with mp.workdps(50):
             reference = mp.cos(mp.pi / 10) ** 2
         assert abs(mp.mpf(zeno._cos_sq_pi(0.1)) - reference) <= math.ulp(float(reference))
 
     def test_sin_sq_table_is_shared_and_read_only(self):
-        table = zeno._sin_sq_table(5, 10)
-        assert zeno._sin_sq_table(5, 10) is table
+        table = zeno._sin_sq_table(5, 0, 10)
+        assert zeno._sin_sq_table(5, 0, 10) is table
         with pytest.raises(ValueError):
             table[0] = 1.0
 
-    def test_long_tables_are_built_but_not_cached(self):
-        cache = zeno._cached_sin_sq_table
-        longest = zeno._SIN_SQ_CACHE_LIMIT
-        assert longest == 1 << 16
-        cache.cache_clear()
-        outer = 10**6 + 3
-        long_table = zeno._sin_sq_table(outer, longest + 1)
-        assert cache.cache_info().currsize == 0
-        assert zeno._sin_sq_table(outer, longest + 1) is not long_table
-        for k in range(3):
-            zeno.cqz_lambda1(10**6 + k, 3)
-        assert cache.cache_info().currsize == 0
-        # The uncached table has the cached path's bits.
-        assert np.array_equal(long_table, cache(outer, longest + 1))
-        assert not long_table.flags.writeable
-        cache.cache_clear()
+    def test_a_long_pass_runs_in_bounded_memory(self):
+        # Passes of 3*10^6 and 6*10^6 cycles are walked in blocks of at most
+        # PASS_BLOCK entries, so the row peaks near the table cache's 16 MiB
+        # bound plus one chunk, not at the 48 MB table of the longer pass.
+        zeno._sin_sq_table.cache_clear()
+        inp = protocol.random_general_input(np.random.default_rng(11))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            zeno.stage_rows([CycleConfig(3_000_000, 25, 25)], inp)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+            zeno._sin_sq_table.cache_clear()
+        assert peak < 20 * 2**20, peak
 
     def test_cycle_sweep_tables_hit_the_cache(self):
         # The benchmark's sweeps reach 2400 cycles; their longest tables
         # (2M outer cycles of the controlled-phase stage) stay cached.
-        cache = zeno._cached_sin_sq_table
+        cache = zeno._sin_sq_table
         cache.cache_clear()
         inp = protocol.random_general_input(np.random.default_rng(3))
         cfg = CycleConfig(2400, 2400, 2400)
@@ -357,26 +360,52 @@ class TestLogSpacePrimitives:
         assert zeno.stage_probabilities_general(cfg, inp) == first
         assert cache.cache_info().misses == misses
         assert cache.cache_info().hits >= misses
-        assert zeno._sin_sq_table(2400, 4800) is zeno._sin_sq_table(2400, 4800)
+        assert zeno._sin_sq_table(2400, 0, 4800) is zeno._sin_sq_table(2400, 0, 4800)
 
     @pytest.mark.parametrize("outer,cycles", [(200000, 400000), (7, 1000), (1, 9), (2400, 4800), (3, 100007)])
     def test_built_table_keeps_the_reference_bits(self, outer, cycles):
-        assert zeno._build_sin_sq_table(outer, cycles).tobytes() == _reference_sin_sq_table(outer, cycles).tobytes()
+        # A table built block by block, at the pass's block edges or at any
+        # other offsets, has the bits of the whole table by the first formula.
+        reference = _reference_sin_sq_table(outer, cycles).tobytes()
+        for block in (zeno.PASS_BLOCK, 4093):
+            blocks = [zeno._sin_sq_table(outer, start, min(start + block, cycles)) for start in range(0, cycles, block)]
+            assert np.concatenate(blocks).tobytes() == reference, (outer, cycles, block)
 
-    def test_building_a_table_peaks_near_twice_its_size(self):
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            table = zeno._build_sin_sq_table(200000, 400000)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert table.nbytes == 3_200_000
-        assert peak <= 2.5 * table.nbytes
+    @pytest.mark.parametrize(
+        "stages,cycles,block",
+        [
+            # PASS_BLOCK // stages entries fit one block: 65 536, 32 768 and
+            # 21 845 for 1, 2 and 3 stages.
+            *[(k, fits + d, 1 << 16) for k, fits in ((1, 65536), (2, 32768), (3, 21845)) for d in (-1, 0, 1)],
+            *[(k, 2 * fits + d, 1 << 16) for k, fits in ((1, 65536), (3, 21845)) for d in (-8, 8)],
+            # numpy adds at most 128 entries in one loop: 129 splits, 128 does not.
+            (1, 128, 1),
+            (1, 129, 1),
+            (2, 128, 40),
+            (2, 129, 40),
+            (3, 7 * 21845, 1 << 16),
+            (1, 3_000_017, 1 << 16),
+        ],
+    )
+    def test_long_passes_split_where_numpy_sums_pairwise(self, monkeypatch, stages, cycles, block):
+        # A pass longer than one block is summed in pieces split where numpy's
+        # pairwise sum splits; each log sum and inner factor must be == to
+        # numpy's sum over the whole table, so a change to numpy's rule fails
+        # here rather than moving the bytes silently.  The longer inner count
+        # keeps its factor near exp(-14), informative and far from underflow;
+        # at N = 7 the entries are large enough for the sums to round apart.
+        monkeypatch.setattr(zeno, "PASS_BLOCK", block)
+        outer, inners = cycles // 2 + 1, (7, max(1, cycles // 16))
+        weights = ((0.3, 0.7), (0.9, 0.2), (0.5, 1.0))[:stages]
+        s_n = [zeno._sin_sq_pi(1.0 / (2 * inner)) for inner in inners]
+        log_sums = zeno._log_sums(outer, cycles, weights, s_n)
+        factors = zeno._chained_factors(outer, inners, ((cycles, weights),))
+        reference = _reference_sin_sq_table(outer, cycles)
+        for inner, s, sums, pairs in zip(inners, s_n, log_sums, factors):
+            for (_, w), log_sum, (_, got) in zip(weights, sums, pairs):
+                whole = float(np.log1p(-w * reference * s).sum())
+                assert log_sum == whole, (stages, cycles, inner, w)
+                assert got == math.exp(inner * whole), (stages, cycles, inner, w)
 
     def test_power_keeps_exact_rationals(self, mp):
         assert zeno._power(0.25, 2) == 0.5625
@@ -416,7 +445,7 @@ class TestLogSpacePrimitives:
                         (shared,) = zeno._chained_factors(outer, (inner,), ((cycles, weights),))
                         alone = [zeno._chained_factors(outer, (inner,), ((cycles, (pair,)),))[0][0] for pair in weights]
                     assert shared == alone, (outer, inner, cycles)
-                    table = zeno._sin_sq_table(outer, cycles)
+                    table = zeno._sin_sq_table(outer, 0, cycles)
                     s_n = zeno._sin_sq_pi(1.0 / (2 * inner))
                     for (_, w_in), (_, got) in zip(weights, shared):
                         losses = w_in * table * s_n
@@ -430,9 +459,10 @@ class TestLogSpacePrimitives:
     @pytest.mark.parametrize("block", [1, 40, 300, zeno.PASS_BLOCK])
     def test_many_inner_counts_match_one_at_a_time(self, monkeypatch, block):
         # A pass over many inner counts is cut into chunks of at most
-        # PASS_BLOCK entries (one inner count each when its stages alone
-        # exceed it); every chunking gives each inner count the factors of
-        # a call for that inner count alone.  N = 1 at full weight blocks.
+        # PASS_BLOCK entries (at least one inner count, and a pass longer than
+        # a block is split along its cycles); every chunking gives each inner
+        # count the factors of a call for that inner count alone.  N = 1 at
+        # full weight blocks.
         monkeypatch.setattr(zeno, "PASS_BLOCK", block)
         inners = (7, 1, 2400, 25, 1, 2, 150, 7)
         weights = ((0.3, 0.7), (1.0, 1.0), (0.0, 0.25))
@@ -810,9 +840,10 @@ class TestGroupedPass:
 
     def test_a_wide_sweep_holds_one_row_at_a_time(self):
         # 64 inner counts at M = 200 000 share one pass per outer cycle
-        # count, cut into chunks of one inner count, so the sweep peaks near
-        # a single row (whose peak is building the 2M-entry sin^2 table),
-        # not at the (rows, 3, M) array of about 290 MB.
+        # count, walked in blocks of at most PASS_BLOCK entries along both
+        # the inner counts and the cycles, so the sweep peaks near a single
+        # row (the sin^2 table cache plus one chunk), not at the (rows, 3, M)
+        # array of about 290 MB.
         inp = protocol.random_general_input(np.random.default_rng(11))
         outer = 200_000
 
