@@ -34,7 +34,6 @@ from .zeno import (
     CycleConfig,
     MonteCarloReport,
     OutcomeKind,
-    StageProbabilities,
     TrajectoryOutcome,
     simulate_cct,
     simulate_cqz,
@@ -53,7 +52,6 @@ __all__ = [
     "MonteCarloReport",
     "Operator",
     "OutcomeKind",
-    "StageProbabilities",
     "StateVector",
     "Transcript",
     "TrajectoryOutcome",

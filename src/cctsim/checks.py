@@ -324,7 +324,7 @@ def check_asymptotics_halving() -> str:
     context = (
         f"diagonal limits: zeta0 {scan['zeta0'][-1]:.4f}, zeta1 {scan['zeta1'][-1]:.4f}, "
         f"zeta {scan['zeta'][-1]:.4f}; inner-dominant (M=K=20, N=400): "
-        f"zeta0 {ref_g.zeta_m[0]:.4f}, zeta1 {ref_g.zeta_m[1]:.4f}, zeta {ref_b.zeta:.4f}"
+        f"zeta0 {ref_g['zeta0']:.4f}, zeta1 {ref_g['zeta1']:.4f}, zeta {ref_b['zeta']:.4f}"
     )
     for name in ("zeta0", "zeta1", "zeta"):
         values = scan[name]
@@ -398,7 +398,7 @@ def check_montecarlo_agreement() -> str:
     mc_b = zeno.simulate_cct(cfg, _balanced_general(), 100_000, 31)
     _require(mc_a == mc_b, "protocol-level campaign not reproducible")
     probs = zeno.stage_probabilities_general(cfg, _balanced_general())
-    expected_abort = (probs.zeta_m[0] + probs.zeta_m[1]) / 2.0
+    expected_abort = (probs["zeta0"] + probs["zeta1"]) / 2.0
     bound = 4.0 * math.sqrt(expected_abort * (1.0 - expected_abort) / mc_a.trials)
     _require(
         abs(mc_a.abort_rate_estimate - expected_abort) < bound,
@@ -481,7 +481,9 @@ def _sabotaged_gate(name: str | None):
         yield
         return
     original = getattr(gates, name, None)
-    if original is None or not callable(original):
+    # A constructor is a public function of gates: not a class, a private helper or an import.
+    public = not name.startswith("_") and callable(original) and not inspect.isclass(original)
+    if not (public and original.__module__ == gates.__name__):
         raise ValueError(f"unknown gate constructor {name!r}")
 
     def corrupted(*args, **kwargs):

@@ -401,6 +401,15 @@ def is_count(value: object) -> bool:
     return _is_integer(value) and value >= 1
 
 
+def _as_seed(value: object) -> int:
+    """The rule for campaign seeds: a Python or numpy integer >= 0, returned
+    as a Python int, which a report's JSON can hold.  A bool is not a seed,
+    although default_rng takes True as 1."""
+    if _is_integer(value) and value >= 0:
+        return int(value)
+    raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+
+
 def sample_counts(probs: Sequence[float], trials: int, rng: np.random.Generator) -> list[int]:
     """How many of ``trials`` draws land on each row of a discrete outcome table.
 

@@ -27,6 +27,7 @@ from .gates import EulerAngles
 from .hilbert import (
     FIDELITY_TOL,
     StateVector,
+    _as_seed,
     _branch_weight,
     _check_unit_pair,
     _fidelity,
@@ -409,7 +410,7 @@ def outcome_statistics(inp: GeneralInput, trials: int, seed: int) -> tuple[float
     generator.
     """
     p0 = _zero_probability(_general_prefix(inp)[1])
-    zeros = sample_counts((p0, 1.0 - p0), trials, np.random.default_rng(seed))[0]
+    zeros = sample_counts((p0, 1.0 - p0), trials, np.random.default_rng(_as_seed(seed)))[0]
     return zeros / trials, (trials - zeros) / trials
 
 

@@ -8,8 +8,7 @@ sequence of cycle configurations: configs that share M share one log1p
 pass per outer cycle count, walked in blocks of at most PASS_BLOCK entries
 along both the inner counts and the cycles, so memory stays bounded at any
 cycle count, and every row is == to a one-config call.
-``stage_probabilities_general/bell`` wrap a one-config call as a record,
-with lambda0/lambda1 added.
+``stage_probabilities_general/bell`` return a one-config call's values.
 A ``cctsim sweep`` call spends about a quarter of its time in these closed
 forms (``_chained_factors``, ``dcfo_success``); argparse, reading the config,
 the atomic write and formatting the rows take most of the rest.
@@ -39,14 +38,14 @@ import contextlib
 import functools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import TypeVar
 
 import numpy as np
 
 from . import protocol as _protocol
-from .hilbert import StateVector, _check_unit_pair, fidelity, is_count, sample_counts
+from .hilbert import StateVector, _as_seed, _check_unit_pair, fidelity, is_count, sample_counts
 from .protocol import BellInput, GeneralInput
 
 @dataclass(frozen=True)
@@ -312,40 +311,6 @@ def chained_survival(
     return f_out * f_in
 
 
-@dataclass(frozen=True)
-class StageProbabilities:
-    """All derived stage probabilities of one configuration and input.
-
-    lambda0/lambda1 depend on the cycle counts alone and are always filled,
-    from cqz_lambda0/cqz_lambda1; a protocol fills the lambdas of its
-    Schedule, its printed weights and its abort rates (zeta_m, the pair
-    zeta0/zeta1, or zeta), and the other fields stay None.  Those values
-    come from stage_rows, which has range checked each of them.
-    """
-
-    lambda0: float
-    lambda1: float
-    lambda2: float | None = None
-    lambda3: float | None = None
-    lambda4: float | None = None
-    lambda5: float | None = None
-    lambda6: float | None = None
-    lambda7: float | None = None
-    nabla7: float | None = None
-    nabla8: float | None = None
-    nabla9: float | None = None
-    nabla10: float | None = None
-    zeta_m: tuple[float, float] | None = None
-    zeta: float | None = None
-
-    def populated(self) -> dict[str, float | tuple[float, float]]:
-        return {
-            field.name: getattr(self, field.name)
-            for field in fields(self)
-            if getattr(self, field.name) is not None
-        }
-
-
 # A stage in the order a run meets it: (name, outer-discard survival,
 # inner-absorption survival).
 _Stage = tuple[str, float, float]
@@ -455,7 +420,7 @@ def stage_rows(cfgs: Sequence[CycleConfig], inp: GeneralInput | BellInput) -> li
     and its zetas: a branch's abort rate is 1 minus the running product of
     its stages' lambdas.  Each row is == to a one-config call's and range
     checked: a ValueError names the first value out of [0, 1].  This is the
-    one range check of every StageProbabilities field but lambda0/lambda1.
+    one range check of every stage value.
     """
     schedule = schedule_of(inp)
     printed, weights = schedule.weights(inp)
@@ -491,21 +456,18 @@ def stage_rows(cfgs: Sequence[CycleConfig], inp: GeneralInput | BellInput) -> li
     return rows
 
 
-def stage_probabilities_general(cfg: CycleConfig, inp: GeneralInput) -> StageProbabilities:
-    """Evaluate every printed stage probability of the general protocol (GENERAL_SCHEDULE)."""
+def stage_probabilities_general(cfg: CycleConfig, inp: GeneralInput) -> dict[str, float]:
+    """The general protocol's values at one config (GENERAL_SCHEDULE): its stage_rows row."""
     if not isinstance(inp, GeneralInput):
         raise TypeError(f"stage_probabilities_general expects a GeneralInput, got {type(inp).__name__}")
-    ((values, _),) = stage_rows((cfg,), inp)
-    zeta_m = values.pop("zeta0"), values.pop("zeta1")
-    return StageProbabilities(cqz_lambda0(cfg.M), cqz_lambda1(cfg.M, cfg.N), **values, zeta_m=zeta_m)
+    return stage_rows((cfg,), inp)[0][0]
 
 
-def stage_probabilities_bell(cfg: CycleConfig, inp: BellInput) -> StageProbabilities:
-    """Evaluate the printed Bell-type stage probabilities (BELL_SCHEDULE)."""
+def stage_probabilities_bell(cfg: CycleConfig, inp: BellInput) -> dict[str, float]:
+    """The Bell-type protocol's values at one config (BELL_SCHEDULE): its stage_rows row."""
     if not isinstance(inp, BellInput):
         raise TypeError(f"stage_probabilities_bell expects a BellInput, got {type(inp).__name__}")
-    ((values, _),) = stage_rows((cfg,), inp)
-    return StageProbabilities(cqz_lambda0(cfg.M), cqz_lambda1(cfg.M, cfg.N), **values)
+    return stage_rows((cfg,), inp)[0][0]
 
 
 class AbsorberModel(Enum):
@@ -850,6 +812,7 @@ def gate_statistics(
         raise ValueError("the chained gate needs an outer cycle count")
     if gate == "qz" and outer is not None:
         raise ValueError(f"the single-interferometer gate takes no outer cycle count, got {outer!r}")
+    seed = _as_seed(seed)
     rng = np.random.default_rng(seed)
     if gate == "qz":
         sampled = simulate_qz(absorber, polarization, inner, model, rng, trials)
@@ -905,5 +868,6 @@ def simulate_cct(
     logical output, so the conditional fidelity against the closed form is
     1 by construction; it is still measured, not asserted.
     """
+    seed = _as_seed(seed)
     sampled = _sample(_cct_table(cfg, inp), np.random.default_rng(seed), trials)
     return _report(((kind, fid, count) for (_, _, kind, fid), count in sampled), seed)

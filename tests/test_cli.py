@@ -746,3 +746,8 @@ class TestVerifyCommand:
     def test_unknown_sabotage_target_rejected(self, fast_checks, capsys):
         code = cli.main(["verify", "--sabotage", "not_a_gate"])
         assert code == cli.EXIT_CONFIG_ERROR
+        # Only a public function of gates is a constructor: sabotage would
+        # crash on a class or a private helper, and an import corrupts no gate.
+        for name in ("EulerAngles", "_ry", "lru_cache"):
+            assert cli.main(["verify", "--sabotage", name]) == cli.EXIT_CONFIG_ERROR
+            assert f"unknown gate constructor {name!r}" in capsys.readouterr().err

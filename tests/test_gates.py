@@ -157,6 +157,8 @@ class TestTrustedAngleGates:
             Operator((2,), np.eye(3))
         with pytest.raises(ValueError, match="expected a 6x6 matrix"):
             Operator((2, 3), np.eye(4))
+        with pytest.raises(ValueError, match="subsystem dimensions must be positive integers"):
+            Operator.identity((2, 0))
 
 
 class TestEulerAngles:
@@ -294,6 +296,8 @@ class TestControlledUnitary:
     def test_warns_on_non_unitary_block(self):
         with pytest.warns(UserWarning):
             gates.controlled_unitary(Operator((2,), [[1, 0], [0, 0.5]]))
+        with pytest.raises(ValueError, match="control block must be a single-qubit operator"):
+            gates.controlled_unitary(Operator.identity((3,)))
 
 
 class TestLocalOperationFactors:

@@ -281,6 +281,12 @@ class TestMeasure:
         assert abs(reduced.amps[1]) == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError):
             factor_out(state, 1, 0)  # still entangled
+        with pytest.raises(ValueError, match="outcome 2 out of range for dimension 2"):
+            collapse(state, 0, 2)
+        with pytest.raises(ValueError, match="cannot collapse onto outcome 1 with Born weight 0.0"):
+            collapse(ket((2, 2), (0, 0)), 0, 1)
+        with pytest.raises(ValueError, match="subsystem index 2 out of range for 2 subsystems"):
+            born_probabilities(state, 2)
 
     def test_born_probabilities_sum_to_one(self):
         state = StateVector.from_terms((2, 3), {(0, 1): 0.6, (1, 2): 0.8})
@@ -334,6 +340,8 @@ class TestSchmidt:
             schmidt_rank(state, set())
         with pytest.raises(ValueError):
             schmidt_rank(state, {0, 1})
+        with pytest.raises(ValueError, match="bipartition indices out of range"):
+            schmidt_rank(state, {2})
 
 
 class TestOperator:
@@ -364,6 +372,8 @@ class TestOperator:
     def test_compose_requires_matching_dims(self):
         with pytest.raises(ValueError):
             gates.cnot() @ gates.hadamard_on_qutrit()
+        with pytest.raises(TypeError):
+            Operator.identity((2,)) @ 3
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 1.0)])
     def test_non_finite_entries_rejected(self, bad):

@@ -55,9 +55,21 @@ MONTE_CARLO_DIGEST = "674bad467f85ff02f67b924c49accc1a001fbea8a6c998a43724992cbe
 STAGE_DIGEST = "cd2cd1497311aaf8c404f1969dfab117446039b787e28c26956f45dd38763234"
 
 
+def _record_repr(cfg: CycleConfig, values: dict[str, float]) -> str:
+    """A one-config row as the repr of the record it once was: lambda0/lambda1
+    from cqz_lambda0/1, zeta0/zeta1 as the pair zeta_m, every absent value
+    None.  So STAGE_DIGEST, recorded over those records, pins every value."""
+    values = dict(values, lambda0=cqz_lambda0(cfg.M), lambda1=cqz_lambda1(cfg.M, cfg.N))
+    if "zeta0" in values:
+        values["zeta_m"] = values.pop("zeta0"), values.pop("zeta1")
+    names = [f"lambda{i}" for i in range(8)] + [f"nabla{i}" for i in range(7, 11)] + ["zeta_m", "zeta"]
+    return "StageProbabilities(" + ", ".join(f"{name}={values.get(name)!r}" for name in names) + ")"
+
+
 def _stage_documents() -> list[str]:
-    """repr of the StageProbabilities of random general and Bell-type inputs
-    at random cycle counts up to 2400, one in eight a blocked N = 1 row."""
+    """The one-config rows of random general and Bell-type inputs at random
+    cycle counts up to 2400, one in eight a blocked N = 1 row, each printed
+    by _record_repr."""
     rng = np.random.default_rng(4711)
     documents = []
     for i in range(80):
@@ -68,7 +80,7 @@ def _stage_documents() -> list[str]:
             probs = stage_probabilities_general(cfg, protocol.random_general_input(rng))
         else:
             probs = stage_probabilities_bell(cfg, protocol.random_bell_input(rng))
-        documents.append(repr(probs))
+        documents.append(_record_repr(cfg, probs))
     return documents
 
 
@@ -560,7 +572,8 @@ class TestMpmathOracle:
         angles = EulerAngles(0.2, 1.3, 0.4)
         cfg = CycleConfig(outer, inner, outer)
         general = GeneralInput(0.6, 0.8j, 0.8, 0.6, angles)
-        zeta0, zeta1 = stage_probabilities_general(cfg, general).zeta_m
+        probs = stage_probabilities_general(cfg, general)
+        zeta0, zeta1 = probs["zeta0"], probs["zeta1"]
         with mp.workdps(50):
             a2, b2, g2, d2 = (abs(mp.mpc(amp)) ** 2 for amp in (general.alpha, general.beta, general.gamma, general.delta))
             c2, s2 = mp.cos(mp.mpf(angles.theta) / 2) ** 2, mp.sin(mp.mpf(angles.theta) / 2) ** 2
@@ -572,7 +585,7 @@ class TestMpmathOracle:
             _assert_zeta_close(mp, zeta1, lam2 * lam3 * lam4 * lam5, (outer, inner, "zeta1"))
 
         for ell, c0, c1 in ((1, 0.6, 0.8j), (0, 0.8, 0.6)):
-            zeta = stage_probabilities_bell(cfg, BellInput(ell, 1, c0, c1, angles)).zeta
+            zeta = stage_probabilities_bell(cfg, BellInput(ell, 1, c0, c1, angles))["zeta"]
             with mp.workdps(50):
                 weight = abs(mp.mpc(c1 if ell == 0 else c0)) ** 2
                 on_outer, on_inner = weight * c2, weight * s2
@@ -587,48 +600,49 @@ class TestStageProbabilitiesGeneral:
     def test_inert_control_aborts_never(self):
         inp = GeneralInput(0.6, 0.8, 1.0, 0.0, EulerAngles(0.4, 1.1, 2.0))
         probs = stage_probabilities_general(CycleConfig(4, 4, 4), inp)
-        assert probs.lambda2 == 1.0
-        assert probs.lambda3 == 1.0
-        assert probs.lambda4 == 1.0
-        assert probs.zeta_m[0] == 0.0
+        assert probs["lambda2"] == 1.0
+        assert probs["lambda3"] == 1.0
+        assert probs["lambda4"] == 1.0
+        assert probs["zeta0"] == 0.0
 
     def test_zeta_identities_hold_bitwise(self):
         probs = stage_probabilities_general(CycleConfig(7, 9, 11), BALANCED)
-        product = probs.lambda2 * probs.lambda3 * probs.lambda4
-        assert probs.zeta_m == (1.0 - product, 1.0 - product * probs.lambda5)
+        product = probs["lambda2"] * probs["lambda3"] * probs["lambda4"]
+        assert (probs["zeta0"], probs["zeta1"]) == (1.0 - product, 1.0 - product * probs["lambda5"])
 
     def test_zeta0_never_exceeds_zeta1(self, rng):
         for _ in range(30):
             inp = protocol.random_general_input(rng)
             cfg = CycleConfig(int(rng.integers(1, 30)), int(rng.integers(1, 30)), int(rng.integers(1, 30)))
             probs = stage_probabilities_general(cfg, inp)
-            assert probs.zeta_m[0] <= probs.zeta_m[1]
+            assert probs["zeta0"] <= probs["zeta1"]
 
     def test_diagonal_scan_decreases(self):
         smaller = stage_probabilities_general(CycleConfig(50, 50, 50), BALANCED)
         larger = stage_probabilities_general(CycleConfig(25, 25, 25), BALANCED)
-        assert smaller.zeta_m[0] < larger.zeta_m[0]
+        assert smaller["zeta0"] < larger["zeta0"]
 
-    def test_populated_fields(self):
+    def test_keys_follow_the_schedule(self):
+        # The schedule's lambdas in run order, its printed weights, then one
+        # abort rate per branch: the sweep's columns, in the same order.
         probs = stage_probabilities_general(CycleConfig(3, 3, 3), BALANCED)
-        keys = set(probs.populated())
-        assert {"lambda0", "lambda1", "lambda2", "lambda3", "lambda4", "lambda5", "nabla7", "nabla8", "zeta_m"} <= keys
-        assert probs.lambda6 is None
-        assert probs.zeta is None
+        assert list(probs) == ["lambda2", "lambda3", "lambda4", "lambda5", "nabla7", "nabla8", "zeta0", "zeta1"]
+        bell = stage_probabilities_bell(CycleConfig(3, 3, 3), BellInput(1, 1, 0.6, 0.8, EulerAngles(0.3, 1.2, 0.5)))
+        assert list(bell) == ["lambda6", "lambda7", "nabla9", "nabla10", "zeta"]
 
 
 class TestStageProbabilitiesBell:
     def test_flat_rotation_keeps_chain_certain(self):
         inp = BellInput(0, 1, 0.6, 0.8, EulerAngles(0.5, 0.0, 1.0))
         probs = stage_probabilities_bell(CycleConfig(5, 5, 5), inp)
-        assert probs.lambda6 == 1.0
+        assert probs["lambda6"] == 1.0
 
     def test_zero_weight_class_never_aborts(self):
         # Class 0 blocks on |c1|^2; class 1 on |c0|^2.
         zero_cls0 = stage_probabilities_bell(CycleConfig(4, 4, 4), BellInput(0, 1, 1.0, 0.0, EulerAngles(0.3, 1.2, 0.5)))
-        assert (zero_cls0.lambda6, zero_cls0.lambda7, zero_cls0.zeta) == (1.0, 1.0, 0.0)
+        assert (zero_cls0["lambda6"], zero_cls0["lambda7"], zero_cls0["zeta"]) == (1.0, 1.0, 0.0)
         zero_cls1 = stage_probabilities_bell(CycleConfig(4, 4, 4), BellInput(1, -1, 0.0, 1.0, EulerAngles(0.3, 1.2, 0.5)))
-        assert (zero_cls1.lambda6, zero_cls1.lambda7, zero_cls1.zeta) == (1.0, 1.0, 0.0)
+        assert (zero_cls1["lambda6"], zero_cls1["lambda7"], zero_cls1["zeta"]) == (1.0, 1.0, 0.0)
 
     def test_half_turn_moves_weight_to_inner_product(self):
         # theta = pi zeroes nabla9, so the outer factor is 1 and the inner
@@ -637,9 +651,9 @@ class TestStageProbabilitiesBell:
         cfg = CycleConfig(6, 6, 6)
         probs = stage_probabilities_bell(cfg, inp)
         weight = 0.36
-        assert probs.nabla9 == pytest.approx(0.0, abs=1e-30)
-        assert probs.nabla10 == pytest.approx(weight, abs=1e-15)
-        assert probs.lambda7 == pytest.approx(chained_survival(6, 6, 0.0, weight), abs=1e-15)
+        assert probs["nabla9"] == pytest.approx(0.0, abs=1e-30)
+        assert probs["nabla10"] == pytest.approx(weight, abs=1e-15)
+        assert probs["lambda7"] == pytest.approx(chained_survival(6, 6, 0.0, weight), abs=1e-15)
 
     def test_class_swap_of_weights(self):
         angles = EulerAngles(0.0, 1.0, 0.0)
@@ -647,13 +661,13 @@ class TestStageProbabilitiesBell:
         one_class = stage_probabilities_bell(cfg, BellInput(1, 1, 0.6, 0.8, angles))
         zero_class = stage_probabilities_bell(cfg, BellInput(0, 1, 0.8, 0.6, angles))
         # Same blocking weight (0.36) lands on swapped factors.
-        assert one_class.lambda7 == chained_survival(5, 7, one_class.nabla9, one_class.nabla10)
-        assert zero_class.lambda7 == chained_survival(5, 7, zero_class.nabla10, zero_class.nabla9)
+        assert one_class["lambda7"] == chained_survival(5, 7, one_class["nabla9"], one_class["nabla10"])
+        assert zero_class["lambda7"] == chained_survival(5, 7, zero_class["nabla10"], zero_class["nabla9"])
 
     def test_zeta_identity(self):
         inp = BellInput(1, -1, 0.6, 0.8, EulerAngles(0.1, 2.0, 0.9))
         probs = stage_probabilities_bell(CycleConfig(9, 4, 6), inp)
-        assert probs.zeta == 1.0 - probs.lambda6 * probs.lambda7
+        assert probs["zeta"] == 1.0 - probs["lambda6"] * probs["lambda7"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -696,11 +710,11 @@ def test_stage_probabilities_stay_in_unit_interval(outer, inner, chain, wa, wb, 
         math.sqrt(wa), math.sqrt(1 - wa), math.sqrt(wb), math.sqrt(1 - wb), EulerAngles(phi, theta, varphi)
     )
     probs = stage_probabilities_general(CycleConfig(outer, inner, chain), inp)
-    for value in (probs.lambda2, probs.lambda3, probs.lambda4, probs.lambda5, *probs.zeta_m):
+    for value in (probs["lambda2"], probs["lambda3"], probs["lambda4"], probs["lambda5"], probs["zeta0"], probs["zeta1"]):
         assert 0.0 <= value <= 1.0
     binp = BellInput(0, 1, math.sqrt(wa), math.sqrt(1 - wa), EulerAngles(phi, theta, varphi))
     bprobs = stage_probabilities_bell(CycleConfig(outer, inner, chain), binp)
-    for value in (bprobs.lambda6, bprobs.lambda7, bprobs.zeta):
+    for value in (bprobs["lambda6"], bprobs["lambda7"], bprobs["zeta"]):
         assert 0.0 <= value <= 1.0
 
 
@@ -756,14 +770,7 @@ class TestGroupedPass:
                 rows = rows_of(cfgs, inp)
             assert len(rows) == len(cfgs)
             for cfg, row in zip(cfgs, rows):
-                # A row holds the record's fields but lambda0/lambda1, which
-                # the record takes from cqz_lambda0/1, with zeta_m split into
-                # its branches' zeta0/zeta1.
-                record = one_config(cfg, inp).populated()
-                assert (record.pop("lambda0"), record.pop("lambda1")) == (cqz_lambda0(cfg.M), cqz_lambda1(cfg.M, cfg.N))
-                if "zeta_m" in record:
-                    record["zeta0"], record["zeta1"] = record.pop("zeta_m")
-                assert row[0] == record, (cfg, inp)
+                assert row[0] == one_config(cfg, inp), (cfg, inp)
                 assert [row] == rows_of((cfg,), inp), (cfg, inp)
 
     @pytest.mark.parametrize("axis", ["M", "N", "K", "diag"])
@@ -804,8 +811,8 @@ class TestGroupedPass:
 
     def test_every_written_value_is_range_checked(self, monkeypatch):
         # A value out of [0, 1] (here a NaN lambda3 or lambda6) is named by
-        # stage_rows, in a many-config call as in a one-config one, and the
-        # StageProbabilities records get their one check from the same place.
+        # stage_rows, in a many-config call as in a one-config one, and so by
+        # the stage_probabilities_* functions that return a one-config row.
         monkeypatch.setattr(zeno, "dcfo_success", lambda chain, inner, nabla: math.nan)
         cfgs = _axis_configs("K", (5, 6), CycleConfig(6, 7, 8))
         calls = [
@@ -878,8 +885,8 @@ class TestProtocolDispatch:
             stage_probabilities_general(self.CFG, self.BELL)
         with pytest.raises(TypeError, match="^stage_probabilities_bell expects a BellInput, got GeneralInput$"):
             stage_probabilities_bell(self.CFG, BALANCED)
-        assert stage_probabilities_general(self.CFG, BALANCED).zeta_m is not None
-        assert stage_probabilities_bell(self.CFG, self.BELL).zeta is not None
+        assert stage_probabilities_general(self.CFG, BALANCED) == zeno.stage_rows((self.CFG,), BALANCED)[0][0]
+        assert stage_probabilities_bell(self.CFG, self.BELL) == zeno.stage_rows((self.CFG,), self.BELL)[0][0]
 
     def test_a_plain_object_is_not_an_input(self):
         # Fields that look like a Bell-type input do not make one: it used to
@@ -1180,6 +1187,21 @@ class TestSameSeedBytes:
         digest = hashlib.sha256("\n".join(documents).encode()).hexdigest()
         assert digest == MONTE_CARLO_DIGEST
 
+    def test_seeds_follow_the_integer_rule(self):
+        # A numpy integer seed draws the Python int's stream and is stored as
+        # that int, so its report is the same JSON; a bool or a negative seed
+        # is refused, although default_rng takes True as 1.
+        campaigns = (
+            lambda seed: gate_statistics("qz", (0.6, 0.8), "H", 5, AbsorberModel.COHERENT, 500, seed).as_dict(),
+            lambda seed: simulate_cct(CycleConfig(6, 6, 6), BALANCED, 500, seed).as_dict(),
+            lambda seed: protocol.outcome_statistics(BALANCED, 500, seed),
+        )
+        for campaign in campaigns:
+            assert json.dumps(campaign(np.int64(5))) == json.dumps(campaign(5))
+            for seed in (True, -1, 5.0):
+                with pytest.raises(ValueError, match="^seed must be a non-negative integer, got "):
+                    campaign(seed)
+
 
 class TestSimulateCct:
     def test_bell_zero_weight_never_aborts(self):
@@ -1194,7 +1216,7 @@ class TestSimulateCct:
         trials = 40_000
         report = simulate_cct(cfg, BALANCED, trials, 53)
         probs = stage_probabilities_general(cfg, BALANCED)
-        expected = (probs.zeta_m[0] + probs.zeta_m[1]) / 2.0
+        expected = (probs["zeta0"] + probs["zeta1"]) / 2.0
         se = math.sqrt(expected * (1 - expected) / trials)
         assert abs(report.abort_rate_estimate - expected) < 4 * se
         assert report.successes + report.absorbed + report.discarded == trials
@@ -1205,7 +1227,7 @@ class TestSimulateCct:
         inp = BellInput(1, -1, 0.6, 0.8, EulerAngles(0.4, 2.0, 1.3))
         trials = 40_000
         report = simulate_cct(cfg, inp, trials, 59)
-        expected = stage_probabilities_bell(cfg, inp).zeta
+        expected = stage_probabilities_bell(cfg, inp)["zeta"]
         se = math.sqrt(expected * (1 - expected) / trials)
         assert abs(report.abort_rate_estimate - expected) < 4 * se
 
@@ -1229,11 +1251,12 @@ class TestSimulateCct:
             if i % 2:
                 inp = protocol.random_general_input(rng)
                 p0 = protocol.run_general_branches(inp)[0]
-                zeta0, zeta1 = stage_probabilities_general(cfg, inp).zeta_m
+                values = stage_probabilities_general(cfg, inp)
+                zeta0, zeta1 = values["zeta0"], values["zeta1"]
                 expected, branches, controlled_z = p0 * zeta0 + (1.0 - p0) * zeta1, {0, 1}, {1}
             else:
                 inp = protocol.random_bell_input(rng)
-                expected, branches, controlled_z = stage_probabilities_bell(cfg, inp).zeta, {None}, {None}
+                expected, branches, controlled_z = stage_probabilities_bell(cfg, inp)["zeta"], {None}, {None}
             rows, probs = zeno._cct_table(cfg, inp)
             abort = sum(p for (_, _, kind, _), p in zip(rows, probs) if kind is not OutcomeKind.SUCCESS)
             assert abs(abort - expected) <= 1e-15, (cfg, inp, abort, expected)
