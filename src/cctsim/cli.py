@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -235,6 +236,14 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an ``out`` that is an existing directory before any work is
+    done, with the line ``_emit`` would print after it; the rename stays the
+    authority on every other write failure."""
+    if out is not None and os.path.isdir(out):
+        raise ConfigError([f"out: cannot write {out}: {os.strerror(errno.EISDIR)}"])
+
+
 def _emit(text: str, out: str | None) -> None:
     """Write ``text`` to standard output, or atomically to ``out``; the one
     writer of every command's output.  A failed write is a config error,
@@ -264,6 +273,7 @@ def _envelope(config: RunConfig, results: dict) -> str:
 
 def cmd_run(config: RunConfig) -> int:
     """Execute one protocol run, verify it, and write the transcript summary."""
+    _check_out(config.out)
     if config.mode == "general":
         rng = np.random.default_rng(config.seed)
         transcript = protocol.run_general(config.protocol_input, rng)
@@ -327,6 +337,7 @@ def cmd_sweep(config: RunConfig, axis: str | None, values: tuple[int, ...] | Non
         problems.append("values: a nonempty list of cycle counts is required")
     if problems:
         raise ConfigError(problems)
+    _check_out(config.out)
     rows = _sweep_rows(config, axis, values)
     columns = SWEEP_COLUMNS_GENERAL if config.mode == "general" else SWEEP_COLUMNS_BELL
     if config.fmt == "csv":
@@ -341,6 +352,7 @@ def cmd_sweep(config: RunConfig, axis: str | None, values: tuple[int, ...] | Non
 
 def cmd_montecarlo(config: RunConfig) -> int:
     """Run the stage-composed protocol campaign and emit its JSON report."""
+    _check_out(config.out)
     report = zeno.simulate_cct(config.cycles, config.protocol_input, config.trials, config.seed)
     schedule = zeno.schedule_of(config.protocol_input)
     ((values, _),) = zeno.stage_rows((config.cycles,), config.protocol_input)
@@ -351,6 +363,7 @@ def cmd_montecarlo(config: RunConfig) -> int:
 
 def cmd_verify(out: str | None = None, sabotage: str | None = None) -> int:
     """Run the acceptance checklist and print a pass/fail matrix with timings."""
+    _check_out(out)
     # Imported here: run, sweep and montecarlo never load the checklist.
     from . import checks
 
@@ -387,8 +400,8 @@ def _parse_values(raw: str | None) -> tuple[int, ...] | None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parsing leaves it unchanged."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subcommand parsers by name, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cctsim",
         description="Simulate and verify counterfactual concealed telecomputation protocols.",
@@ -417,11 +430,34 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser("verify", help="run the acceptance checklist")
     verify_p.add_argument("--out", default=None, help="also write the results as JSON here")
     verify_p.add_argument("--sabotage", default=None, help=argparse.SUPPRESS)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, without its pass over the subcommand's options.
+
+    A command line that starts with a subcommand goes to that subcommand's
+    parser alone; the full parser hands it exactly the same words, so the
+    namespace and any usage error or help text are the same.  Anything else,
+    and a command line the subparser leaves words of, is parsed by the full
+    parser, which reports it as it always has.
+    """
+    parser, subparsers = _parsers()
+    if argv and argv[0] in subparsers:
+        args, extras = subparsers[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if args.command == "verify":
             return cmd_verify(out=args.out, sabotage=args.sabotage)

@@ -9,9 +9,11 @@ pass per outer cycle count, walked in blocks of at most PASS_BLOCK entries
 along both the inner counts and the cycles, so memory stays bounded at any
 cycle count, and every row is == to a one-config call.
 ``stage_probabilities_general/bell`` return a one-config call's values.
-A ``cctsim sweep`` call spends about a quarter of its time in these closed
-forms (``_chained_factors``, ``dcfo_success``); argparse, reading the config,
-the atomic write and formatting the rows take most of the rest.
+Over the cycle-sweep benchmark's calls, a ``cctsim sweep`` call spends about
+a quarter of its time in these closed forms (``_chained_factors``,
+``dcfo_success``) and two fifths in ``cli._sweep_rows``, which holds them;
+the atomic write takes about a fifth, reading the config a seventh and
+argparse an eighth (timing wrappers, 2-CPU x86 host, Python 3.11).
 
 The Monte Carlo half simulates the gates trajectory by trajectory under
 two explicitly named absorber models:
@@ -502,12 +504,33 @@ class TrajectoryOutcome:
     final_state: StateVector | None
 
     def __post_init__(self) -> None:
-        if self.kind is OutcomeKind.SUCCESS and (self.final_state is None or not self.final_state.is_normalized(1e-9)):
-            raise ValueError("Success outcomes must carry a normalized final state")
+        _check_outcome(self.kind, self.final_state)
+
+    @classmethod
+    def _trusted(
+        cls, kind: OutcomeKind, stage: str, cycle_index: int, final_state: StateVector | None
+    ) -> TrajectoryOutcome:
+        """Outcome from fields already checked by ``_check_outcome``, without
+        the frozen dataclass's per-field setattr and re-check.
+
+        For the rows ``_gate_table`` has just built; public construction validates.
+        """
+        outcome = object.__new__(cls)
+        fields = outcome.__dict__
+        fields["kind"] = kind
+        fields["stage"] = stage
+        fields["cycle_index"] = cycle_index
+        fields["final_state"] = final_state
+        return outcome
 
     @property
     def photon_entered_channel(self) -> bool:
         return self.kind is OutcomeKind.ABSORBED_BY_ELECTRON
+
+
+def _check_outcome(kind: OutcomeKind, final_state: StateVector | None) -> None:
+    if kind is OutcomeKind.SUCCESS and (final_state is None or not final_state.is_normalized(1e-9)):
+        raise ValueError("Success outcomes must carry a normalized final state")
 
 
 _POL_INDEX = {"H": 0, "V": 1}
@@ -644,8 +667,9 @@ def _gate_table(
     squared modulus of each component it removes is the probability of
     that event.  Absorptions inside one outer cycle of the chained gate
     share that cycle's row.
-    Rows of probability 0 are left out; every other row is validated as a
-    TrajectoryOutcome.
+    Rows of probability 0 are left out; every other row passes the
+    TrajectoryOutcome check once and is built through
+    ``TrajectoryOutcome._trusted``.
     """
     a, b = complex(absorber[0]), complex(absorber[1])
     _check_unit_pair("absorber", a, b)
@@ -663,9 +687,10 @@ def _gate_table(
         builder = _cqz_born_rows if model is AbsorberModel.PER_CYCLE_BORN else _cqz_coherent_rows
         rows = builder(a, b, pol0, outer, inner)
     outcomes, probs = [], []
-    for p, *fields in rows:
+    for p, kind, stage, index, state in rows:
         if p > 0.0:
-            outcomes.append(TrajectoryOutcome(*fields))
+            _check_outcome(kind, state)
+            outcomes.append(TrajectoryOutcome._trusted(kind, stage, index, state))
             probs.append(p)
     return tuple(outcomes), np.array(probs)
 

@@ -552,6 +552,51 @@ class TestSweepCommand:
         assert capsys.readouterr().out == GOLDEN_SWEEP
 
 
+# Command lines a subcommand's parser takes whole, without the full parser.
+DISPATCHED_ARGV = [
+    ["run", "--config", "c.json"],
+    ["run", "--config", "c.json", "--seed", "-3", "--trials", "5", "--out", "o.json", "--format", "csv"],
+    ["sweep", "--config", "c.json", "--axis", "M", "--values", "5,10"],
+    ["sweep", "--config=c.json", "--axis=diag", "--values=5"],
+    ["sweep", "--conf", "c.json", "--ax", "K"],
+    ["montecarlo", "--config", "a.json", "--config", "b.json"],
+    ["verify"],
+    ["verify", "--sabotage", "q1", "--out", "v.json"],
+]
+
+# Command lines that end in help, the version or a usage error, by case.
+USAGE_ARGV = {
+    "help": ["-h"],
+    "version": ["--version"],
+    "empty": [],
+    "unknown-command": ["bogus"],
+    "option-before-command": ["--config", "c.json", "run"],
+    "unknown-option": ["sweep", "--config", "c.json", "--axis", "M", "--values", "5", "--bogus"],
+    "top-level-option-after-command": ["run", "--config", "c.json", "--version"],
+    "bad-choice": ["sweep", "--config", "c.json", "--axis", "Q"],
+    "missing-required-flag": ["run"],
+    "missing-flag-value": ["verify", "--out"],
+    "trailing-extras": ["run", "--config", "c.json", "extra"],
+    "double-dash": ["sweep", "--config", "c.json", "--"],
+    "subcommand-help": ["montecarlo", "--config", "c.json", "-h"],
+}
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("argv", DISPATCHED_ARGV, ids=" ".join)
+    def test_the_subparser_gives_the_full_parsers_namespace(self, argv):
+        assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", USAGE_ARGV.values(), ids=USAGE_ARGV.keys())
+    def test_usage_errors_match_the_full_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as dispatched:
+            cli.main(argv)
+        seen = capsys.readouterr()
+        with pytest.raises(SystemExit) as full:
+            cli.build_parser().parse_args(argv)
+        assert (dispatched.value.code, seen.out, seen.err) == (full.value.code, *capsys.readouterr())
+
+
 class TestMonteCarloCommand:
     def test_fixed_seed_is_byte_identical(self, tmp_path):
         config = write_config(tmp_path, dict(GENERAL_DOC, trials=2_000, M=8, N=8, K=8))
@@ -603,9 +648,14 @@ COMMAND_ARGV = {
 class TestOneErrorPath:
     @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
     def test_out_onto_an_existing_directory_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
-        # The rename over a directory fails: one named line and exit 2, no
-        # traceback, no temp file left beside the target, the directory as it was.
-        monkeypatch.setattr(checks, "CHECKS", tuple(entry for entry in checks.CHECKS if entry[0] == "gates"))
+        # Refused before any work: one named line and exit 2, no traceback,
+        # no temp file left beside the target, the directory as it was.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work done for an output that cannot be written")
+
+        for module, name in ((checks, "run_all"), (cli.zeno, "simulate_cct"), (cli.zeno, "stage_rows"),
+                             (cli.protocol, "run_general")):
+            monkeypatch.setattr(module, name, forbidden)
         config = write_config(tmp_path, GENERAL_DOC)
         target = tmp_path / "taken"
         target.mkdir()
@@ -615,10 +665,16 @@ class TestOneErrorPath:
         captured = capsys.readouterr()
         # The OS reason alone, so the line does not name the random temp file.
         assert captured.err == f"config error: out: cannot write {target}: Is a directory\n"
-        if command != "verify":  # verify prints its matrix before it writes the JSON
-            assert captured.out == ""
+        assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
         assert [(p.name, p.read_text(encoding="utf-8")) for p in target.iterdir()] == [("kept.txt", "kept\n")]
+
+    def test_the_rename_onto_a_directory_fails_with_the_same_line(self, tmp_path):
+        # The early refusal only repeats the line of the write it spares.
+        with pytest.raises(cli.ConfigError) as excinfo:
+            cli._emit("report\n", str(tmp_path))
+        assert excinfo.value.errors == [f"out: cannot write {tmp_path}: Is a directory"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_under_a_regular_file_is_a_config_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

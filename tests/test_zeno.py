@@ -1110,6 +1110,25 @@ class TestOutcomeTables:
                 assert all(outcome.kind is not OutcomeKind.SUCCESS for outcome in outcomes), (outer, polarization)
                 assert abs(probs.sum() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("model", list(AbsorberModel))
+    def test_sampled_records_equal_constructed_ones(self, model):
+        # Table rows skip the constructor's check; each still equals a checked outcome.
+        for absorber in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8j)):
+            rng = np.random.default_rng(3)
+            sampled = [*simulate_qz(absorber, "H", 5, model, rng, 2_000),
+                       *simulate_cqz(absorber, "V", 4, 5, model, rng, 2_000)]
+            for outcome, _ in sampled:
+                fields = [getattr(outcome, field.name) for field in dataclasses.fields(outcome)]
+                assert outcome == TrajectoryOutcome(*fields), (absorber, outcome)
+
+    @pytest.mark.parametrize("outer", [None, 4])
+    def test_an_unnormalized_success_state_is_refused(self, monkeypatch, outer):
+        unnormalized = StateVector._trusted((2, 2), np.array([1.0, 1.0, 0.0, 0.0], dtype=np.complex128))
+        monkeypatch.setattr(zeno, "_exit_state", lambda final: (0.5, unnormalized))
+        gate = "qz" if outer is None else "cqz"
+        with pytest.raises(ValueError, match="^Success outcomes must carry a normalized final state$"):
+            gate_statistics(gate, (0.6, 0.8), "H", 5, AbsorberModel.COHERENT, 100, 1, outer=outer)
+
     def test_tables_do_not_use_the_closed_forms(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("outcome tables must come from the trajectory recursion")
