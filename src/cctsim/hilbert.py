@@ -423,19 +423,23 @@ def sample_counts(probs: Sequence[float], trials: int, rng: np.random.Generator)
     time; the block size does not change any count.  A double at or past
     the last rounded cumulative value goes to the last row of positive
     probability.
+
+    Every campaign pays this call's fixed cost, so it calls numpy's ufuncs
+    and ndarray methods directly (np.add.accumulate is np.cumsum bit for bit).
     """
     if not is_count(trials):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = np.asarray(probs, dtype=np.float64).ravel()
     # NaN and -inf fail the minimum, +inf the sum.
-    if not (probs.size > 0 and probs.min() >= 0.0 and abs(probs.sum() - 1.0) <= _TABLE_SUM_TOL):
+    if not (probs.size > 0 and np.minimum.reduce(probs) >= 0.0 and abs(np.add.reduce(probs) - 1.0) <= _TABLE_SUM_TOL):
         raise ValueError(f"outcome probabilities must be finite, nonnegative and sum to 1, got {probs!r}")
-    cdf = np.cumsum(probs)
+    cdf = np.add.accumulate(probs)
     rows = probs.size
-    counts = np.zeros(rows + 1, dtype=np.int64)
-    for start in range(0, trials, SAMPLE_BLOCK):
-        draws = rng.random(min(SAMPLE_BLOCK, trials - start))
-        counts += np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=rows + 1)
+    block = SAMPLE_BLOCK
+    counts = np.bincount(cdf.searchsorted(rng.random(min(block, trials)), side="right"), minlength=rows + 1)
+    for start in range(block, trials, block):
+        draws = rng.random(min(block, trials - start))
+        counts += np.bincount(cdf.searchsorted(draws, side="right"), minlength=rows + 1)
     if counts[rows]:
         counts[np.flatnonzero(probs)[-1]] += counts[rows]
     return counts[:rows].tolist()

@@ -99,10 +99,22 @@ def _sin_sq_table(outer: int, start: int, stop: int) -> np.ndarray:
     entries of a whole table.  _log_sums asks for blocks of at most
     PASS_BLOCK entries, so the cache holds at most 32 * 8 * PASS_BLOCK
     bytes (16 MiB) whatever the cycle count.
+
+    Each entry evaluates only its own branch, in place, with the bits of
+    evaluating both branches over the block and picking with np.where.
     """
-    r = np.fmod(np.arange(start + 1, stop + 1) / (2 * outer), 1.0)
-    r = np.minimum(r, 1.0 - r)
-    table = np.where(r < 0.25, np.sin(np.pi * r), np.cos(np.pi * (0.5 - r))) ** 2
+    r = np.arange(start + 1, stop + 1, dtype=np.float64)
+    r /= 2 * outer
+    r -= np.floor(r)  # fmod(r, 1), exactly: r >= 0 and its fractional part is a double
+    table = np.subtract(1.0, r)
+    np.minimum(r, table, out=r)
+    below = r < 0.25
+    np.subtract(0.5, r, out=table)
+    np.copyto(table, r, where=below)
+    table *= np.pi
+    np.sin(table, out=table, where=below)
+    np.cos(table, out=table, where=~below)
+    np.square(table, out=table)
     table[r == 0.25] = 0.5
     table.flags.writeable = False
     return table
@@ -771,6 +783,35 @@ class MonteCarloReport:
         if self.successes + self.absorbed + self.discarded != self.trials:
             raise ValueError("outcome counts must sum to the number of trials")
 
+    @classmethod
+    def _trusted(
+        cls,
+        trials: int,
+        successes: int,
+        absorbed: int,
+        discarded: int,
+        abort_rate_estimate: float,
+        standard_error: float,
+        conditional_fidelity: float | None,
+        seed: int,
+    ) -> MonteCarloReport:
+        """Report from counts that sum to ``trials``, without the frozen
+        dataclass's per-field setattr and re-check.
+
+        For the tally ``_report`` has just made; public construction validates.
+        """
+        report = object.__new__(cls)
+        fields = report.__dict__
+        fields["trials"] = trials
+        fields["successes"] = successes
+        fields["absorbed"] = absorbed
+        fields["discarded"] = discarded
+        fields["abort_rate_estimate"] = abort_rate_estimate
+        fields["standard_error"] = standard_error
+        fields["conditional_fidelity"] = conditional_fidelity
+        fields["seed"] = seed
+        return report
+
     def as_dict(self) -> dict:
         return asdict(self)
 
@@ -798,15 +839,15 @@ def _report(rows: Iterable[tuple[OutcomeKind, float | None, int]], seed: int) ->
             raise ValueError(f"not an OutcomeKind: {kind!r}")
     trials = successes + absorbed + discarded
     abort = 1.0 - successes / trials
-    return MonteCarloReport(
-        trials=trials,
-        successes=successes,
-        absorbed=absorbed,
-        discarded=discarded,
-        abort_rate_estimate=abort,
-        standard_error=math.sqrt(abort * (1.0 - abort) / trials),
-        conditional_fidelity=fid_total / successes if successes and fid_total is not None else None,
-        seed=seed,
+    return MonteCarloReport._trusted(
+        trials,
+        successes,
+        absorbed,
+        discarded,
+        abort,
+        math.sqrt(abort * (1.0 - abort) / trials),
+        fid_total / successes if successes and fid_total is not None else None,
+        seed,
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cctsim import gates
+from cctsim import gates, hilbert
 from cctsim.gates import EulerAngles
 from cctsim.hilbert import (
     Operator,
@@ -411,3 +411,48 @@ class TestSampleCounts:
                 return np.full(n, 0.99999999995)
 
         assert sample_counts([0.5, 0.5 - 1e-10, 0.0], 1, Past()) == [0, 1, 0]
+
+    def test_counts_follow_the_blockwise_cumsum_formula(self, monkeypatch):
+        # The formula written out with np.cumsum, np.searchsorted and a zeroed
+        # running count: sample_counts must give its counts and leave the
+        # generator where it leaves it, on tables of 1-40 rows with zero rows,
+        # at every trial count around the block edges.
+        def reference(probs, trials, rng, block):
+            probs = np.asarray(probs, dtype=np.float64)
+            cdf = np.cumsum(probs)
+            counts = np.zeros(probs.size + 1, dtype=np.int64)
+            for start in range(0, trials, block):
+                draws = rng.random(min(block, trials - start))
+                counts += np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=probs.size + 1)
+            if counts[-1]:
+                counts[np.flatnonzero(probs)[-1]] += counts[-1]
+            return counts[:-1].tolist()
+
+        class PastTheTable:
+            # About a fifth of the doubles land past a table that sums to
+            # 1 - 5e-10, so the last-positive-row rule runs.
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def random(self, n):
+                draws = self.rng.random(n)
+                return np.where(draws < 0.2, 1.0 - 1e-12, draws)
+
+        block = 16
+        monkeypatch.setattr(hilbert, "SAMPLE_BLOCK", block)
+        table_rng = np.random.default_rng(2027)
+        for rows in range(1, 41):
+            weights = table_rng.random(rows)
+            weights[table_rng.random(rows) < 0.3] = 0.0
+            weights[table_rng.integers(rows)] += 0.5
+            probs = weights / weights.sum()
+            short = probs * (1.0 - 5e-10)
+            assert np.cumsum(short)[-1] < 1.0 - 1e-12
+            for trials in (1, 7, block - 1, block, block + 1, 3 * block + 5):
+                seed = 1000 * rows + trials
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert sample_counts(probs, trials, ours) == reference(probs, trials, theirs, block), (rows, trials)
+                assert ours.random() == theirs.random(), (rows, trials)
+                ours, theirs = PastTheTable(seed), PastTheTable(seed)
+                assert sample_counts(short, trials, ours) == reference(short, trials, theirs, block), (rows, trials)
+                assert ours.rng.random() == theirs.rng.random(), (rows, trials)

@@ -1339,8 +1339,43 @@ class TestModelConvergence:
         assert gap200 < gap10
 
     def test_report_counts_validated(self):
-        with pytest.raises(ValueError):
-            MonteCarloReport(10, 5, 2, 2, 0.5, 0.1, None, 0)
+        # Public construction checks the counts; only _report's tally skips it.
+        for counts in ((10, 5, 2, 2), (6, 4, 2, 1)):
+            with pytest.raises(ValueError, match="^outcome counts must sum to the number of trials$"):
+                MonteCarloReport(*counts, 0.5, 0.1, None, 0)
+
+
+class TestTrustedReport:
+    @staticmethod
+    def _reports():
+        yield zeno._report([(OutcomeKind.SUCCESS, 0.75, 3), (OutcomeKind.ABSORBED_BY_ELECTRON, None, 2),
+                            (OutcomeKind.DISCARDED_AT_DETECTOR, None, 1), (OutcomeKind.SUCCESS, 1.0, 1)], 9)
+        yield zeno._report([(OutcomeKind.ABSORBED_BY_ELECTRON, None, 4)], 0)
+        yield gate_statistics("cqz", (0.6, 0.8), "H", 5, AbsorberModel.COHERENT, 500, 3, outer=4,
+                              expected_success_state=StateVector.basis((2, 2), (1, 0)))
+        yield simulate_cct(CycleConfig(6, 6, 6), BALANCED, 500, 5)
+
+    def test_the_tally_builds_the_public_record(self):
+        # _report skips the dataclass setters, not the record: the public
+        # constructor given the same fields builds an equal, equally printed
+        # and equally encoded report.
+        for report in self._reports():
+            public = MonteCarloReport(**{f.name: getattr(report, f.name) for f in dataclasses.fields(MonteCarloReport)})
+            assert report == public and hash(report) == hash(public)
+            assert repr(report) == repr(public)
+            assert report.as_dict() == public.as_dict()
+            assert json.dumps(report.as_dict()) == json.dumps(public.as_dict())
+
+    def test_the_tallied_fields(self):
+        report = next(self._reports())
+        abort = 1.0 - 4 / 7
+        assert report == MonteCarloReport(7, 4, 2, 1, abort, math.sqrt(abort * (1.0 - abort) / 7), (3 * 0.75 + 1.0) / 4, 9)
+
+    def test_the_trusted_record_is_frozen(self):
+        for report in self._reports():
+            for name in ("trials", "successes", "conditional_fidelity", "seed"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(report, name, 1)
 
 
 class TestTrialCountRule:
