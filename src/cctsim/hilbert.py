@@ -109,12 +109,17 @@ class StateVector:
         return StateVector._trusted(self.dims, _unit(self.amps))
 
 
+def _norm(amps: np.ndarray) -> float:
+    """The 2-norm of a complex vector."""
+    # np.linalg.norm's own sum for complex vectors, without its dispatch.
+    re, im = amps.real, amps.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _unit(amps: np.ndarray) -> np.ndarray:
     """A new array of ``amps`` divided by their norm; raises on a zero, NaN or
     overflowed norm."""
-    # np.linalg.norm's own sum for complex vectors, without its dispatch.
-    re, im = amps.real, amps.imag
-    norm = math.sqrt(re.dot(re) + im.dot(im))
+    norm = _norm(amps)
     if not NORMALIZATION_TOL < norm < math.inf:  # NaN fails too
         raise ValueError(f"cannot normalize a state vector of norm {norm!r}")
     return amps / norm

@@ -47,10 +47,10 @@ from typing import TypeVar
 import numpy as np
 
 from . import protocol as _protocol
-from .hilbert import StateVector, _as_seed, _check_unit_pair, fidelity, is_count, sample_counts
+from .hilbert import StateVector, _as_seed, _check_unit_pair, _norm, fidelity, is_count, sample_counts
 from .protocol import BellInput, GeneralInput
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CycleConfig:
     """Cycle counts: M outer, N inner, K concatenated collapse gates."""
 
@@ -58,10 +58,11 @@ class CycleConfig:
     N: int
     K: int
 
-    def __post_init__(self) -> None:
-        if not (type(self.M) is type(self.N) is type(self.K) is int and min(self.M, self.N, self.K) >= 1):
-            for name in ("M", "N", "K"):
-                object.__setattr__(self, name, _cycle_count(name, getattr(self, name)))
+    def __init__(self, M: int, N: int, K: int) -> None:
+        fields = self.__dict__
+        fields["M"] = _cycle_count("M", M)
+        fields["N"] = _cycle_count("N", N)
+        fields["K"] = _cycle_count("K", K)
 
 
 def _half_turn_reduced(y: float) -> float:
@@ -497,7 +498,7 @@ class OutcomeKind(Enum):
     DISCARDED_AT_DETECTOR = "discarded_at_detector"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TrajectoryOutcome:
     """Result of one simulated gate traversal.
 
@@ -507,7 +508,9 @@ class TrajectoryOutcome:
     exit port it records the state diverted into the absorber.
     ``photon_entered_channel`` is derived from ``kind``: True exactly when
     an absorption event fired, so a Success never touched the channel by
-    construction.
+    construction.  The constructor checks that a Success carries a
+    normalized state and fills the frozen fields without per-field setattr,
+    so every table row ``_gate_table`` builds is checked at little cost.
     """
 
     kind: OutcomeKind
@@ -515,34 +518,18 @@ class TrajectoryOutcome:
     cycle_index: int
     final_state: StateVector | None
 
-    def __post_init__(self) -> None:
-        _check_outcome(self.kind, self.final_state)
-
-    @classmethod
-    def _trusted(
-        cls, kind: OutcomeKind, stage: str, cycle_index: int, final_state: StateVector | None
-    ) -> TrajectoryOutcome:
-        """Outcome from fields already checked by ``_check_outcome``, without
-        the frozen dataclass's per-field setattr and re-check.
-
-        For the rows ``_gate_table`` has just built; public construction validates.
-        """
-        outcome = object.__new__(cls)
-        fields = outcome.__dict__
+    def __init__(self, kind: OutcomeKind, stage: str, cycle_index: int, final_state: StateVector | None) -> None:
+        if kind is OutcomeKind.SUCCESS and (final_state is None or not final_state.is_normalized(1e-9)):
+            raise ValueError("Success outcomes must carry a normalized final state")
+        fields = self.__dict__
         fields["kind"] = kind
         fields["stage"] = stage
         fields["cycle_index"] = cycle_index
         fields["final_state"] = final_state
-        return outcome
 
     @property
     def photon_entered_channel(self) -> bool:
         return self.kind is OutcomeKind.ABSORBED_BY_ELECTRON
-
-
-def _check_outcome(kind: OutcomeKind, final_state: StateVector | None) -> None:
-    if kind is OutcomeKind.SUCCESS and (final_state is None or not final_state.is_normalized(1e-9)):
-        raise ValueError("Success outcomes must carry a normalized final state")
 
 
 _POL_INDEX = {"H": 0, "V": 1}
@@ -576,8 +563,7 @@ def _exit_state(final: np.ndarray) -> tuple[float, StateVector | None]:
     """Probability of an exit branch from its unnormalized (absorber, photon)
     amplitudes, with the normalized state (None when the branch has none)."""
     amps = final.reshape(-1)
-    # np.linalg.norm's own sum for complex arrays, without its dispatch.
-    norm = math.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
+    norm = _norm(amps)
     weight = norm * norm
     return weight, (StateVector._trusted((2, 2), amps / norm) if weight > 0.0 else None)
 
@@ -679,9 +665,8 @@ def _gate_table(
     squared modulus of each component it removes is the probability of
     that event.  Absorptions inside one outer cycle of the chained gate
     share that cycle's row.
-    Rows of probability 0 are left out; every other row passes the
-    TrajectoryOutcome check once and is built through
-    ``TrajectoryOutcome._trusted``.
+    Rows of probability 0 are left out; every other row is built, and
+    checked, by the TrajectoryOutcome constructor.
     """
     a, b = complex(absorber[0]), complex(absorber[1])
     _check_unit_pair("absorber", a, b)
@@ -701,8 +686,7 @@ def _gate_table(
     outcomes, probs = [], []
     for p, kind, stage, index, state in rows:
         if p > 0.0:
-            _check_outcome(kind, state)
-            outcomes.append(TrajectoryOutcome._trusted(kind, stage, index, state))
+            outcomes.append(TrajectoryOutcome(kind, stage, index, state))
             probs.append(p)
     return tuple(outcomes), np.array(probs)
 
@@ -766,7 +750,7 @@ def simulate_cqz(
     return _sample(_gate_table(absorber, polarization, outer, inner, model), rng, size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MonteCarloReport:
     """Aggregate statistics of a seeded trajectory campaign."""
 
@@ -779,13 +763,8 @@ class MonteCarloReport:
     conditional_fidelity: float | None
     seed: int
 
-    def __post_init__(self) -> None:
-        if self.successes + self.absorbed + self.discarded != self.trials:
-            raise ValueError("outcome counts must sum to the number of trials")
-
-    @classmethod
-    def _trusted(
-        cls,
+    def __init__(
+        self,
         trials: int,
         successes: int,
         absorbed: int,
@@ -794,14 +773,10 @@ class MonteCarloReport:
         standard_error: float,
         conditional_fidelity: float | None,
         seed: int,
-    ) -> MonteCarloReport:
-        """Report from counts that sum to ``trials``, without the frozen
-        dataclass's per-field setattr and re-check.
-
-        For the tally ``_report`` has just made; public construction validates.
-        """
-        report = object.__new__(cls)
-        fields = report.__dict__
+    ) -> None:
+        if successes + absorbed + discarded != trials:
+            raise ValueError("outcome counts must sum to the number of trials")
+        fields = self.__dict__
         fields["trials"] = trials
         fields["successes"] = successes
         fields["absorbed"] = absorbed
@@ -810,7 +785,6 @@ class MonteCarloReport:
         fields["standard_error"] = standard_error
         fields["conditional_fidelity"] = conditional_fidelity
         fields["seed"] = seed
-        return report
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -839,7 +813,7 @@ def _report(rows: Iterable[tuple[OutcomeKind, float | None, int]], seed: int) ->
             raise ValueError(f"not an OutcomeKind: {kind!r}")
     trials = successes + absorbed + discarded
     abort = 1.0 - successes / trials
-    return MonteCarloReport._trusted(
+    return MonteCarloReport(
         trials,
         successes,
         absorbed,

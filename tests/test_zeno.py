@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import hashlib
+import inspect
 import json
 import math
+import pickle
 import tracemalloc
 import warnings
 from collections import Counter
@@ -1339,7 +1342,7 @@ class TestModelConvergence:
         assert gap200 < gap10
 
     def test_report_counts_validated(self):
-        # Public construction checks the counts; only _report's tally skips it.
+        # Every construction checks the counts, _report's tally included.
         for counts in ((10, 5, 2, 2), (6, 4, 2, 1)):
             with pytest.raises(ValueError, match="^outcome counts must sum to the number of trials$"):
                 MonteCarloReport(*counts, 0.5, 0.1, None, 0)
@@ -1376,6 +1379,70 @@ class TestTrustedReport:
             for name in ("trials", "successes", "conditional_fidelity", "seed"):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(report, name, 1)
+
+
+class TestRecordConstructors:
+    # Each record checks its fields in a hand-written __init__ and fills the
+    # frozen fields itself; the dataclass contract must survive that.
+    SUCCESS = TrajectoryOutcome(OutcomeKind.SUCCESS, "qz:exit", 5, StateVector.basis((2, 2), (1, 0)))
+    RECORDS = (
+        TrajectoryOutcome(OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", 3, None),
+        MonteCarloReport(7, 4, 2, 1, 3 / 7, 0.1, 0.9, 9),
+        CycleConfig(25, 600, 25),
+    )
+    FIELDS = {
+        TrajectoryOutcome: ["kind", "stage", "cycle_index", "final_state"],
+        MonteCarloReport: ["trials", "successes", "absorbed", "discarded", "abort_rate_estimate", "standard_error",
+                           "conditional_fidelity", "seed"],
+        CycleConfig: ["M", "N", "K"],
+    }
+
+    def test_replace_still_validates(self):
+        outcome, report, cfg = self.RECORDS
+        assert dataclasses.replace(self.SUCCESS, cycle_index=6).cycle_index == 6
+        with pytest.raises(ValueError, match="^Success outcomes must carry a normalized final state$"):
+            dataclasses.replace(self.SUCCESS, final_state=None)
+        with pytest.raises(ValueError, match="^Success outcomes must carry a normalized final state$"):
+            dataclasses.replace(outcome, kind=OutcomeKind.SUCCESS)
+        assert dataclasses.replace(report, absorbed=1, discarded=2) == MonteCarloReport(7, 4, 1, 2, 3 / 7, 0.1, 0.9, 9)
+        with pytest.raises(ValueError, match="^outcome counts must sum to the number of trials$"):
+            dataclasses.replace(report, absorbed=3)
+        with pytest.raises(ValueError, match="^outcome counts must sum to the number of trials$"):
+            dataclasses.replace(report, trials=8)
+        with pytest.raises(ValueError, match="^cycle count M must be a positive integer, got 0$"):
+            dataclasses.replace(cfg, M=0)
+        replaced = dataclasses.replace(cfg, N=np.int64(7))
+        assert replaced == CycleConfig(25, 7, 25) and type(replaced.N) is int
+
+    def test_cycle_counts_are_checked_in_order(self):
+        # M, N, K: the first bad count is the one named.
+        with pytest.raises(ValueError, match="^cycle count M must be a positive integer, got 0$"):
+            CycleConfig(0, 0, 0)
+        with pytest.raises(ValueError, match="^cycle count N must be a positive integer, got 2.0$"):
+            CycleConfig(1, 2.0, True)
+        with pytest.raises(ValueError, match="^cycle count K must be a positive integer, got True$"):
+            CycleConfig(np.uint16(1), 1, True)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+    def test_keywords_and_signature(self, record):
+        cls = type(record)
+        names = self.FIELDS[cls]
+        assert [field.name for field in dataclasses.fields(cls)] == names
+        assert list(inspect.signature(cls).parameters) == names
+        kwargs = {name: getattr(record, name) for name in reversed(names)}
+        assert cls(**kwargs) == record
+        assert cls(*(getattr(record, name) for name in names)) == record
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))],
+                             ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+    def test_copies_are_equal_and_frozen(self, copier, record):
+        twin = copier(record)
+        assert twin is not record and type(twin) is type(record)
+        assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
+        for name in self.FIELDS[type(record)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(twin, name, getattr(record, name))
 
 
 class TestTrialCountRule:
