@@ -135,7 +135,21 @@ def _rz_ry(phi: float, theta: float) -> np.ndarray:
 
 
 def _euler(phi: float, theta: float, varphi: float) -> np.ndarray:
-    """Entries of rotation_z(phi) . rotation_y(theta) . rotation_z(varphi).
+    """Entries of rotation_z(phi) . rotation_y(theta) . rotation_z(varphi),
+    read-only.
+
+    A Bell input's run (``tilde_v1``) and its verification (the compact
+    output) need the same product, so nonzero triples share one cached entry.
+    A zero angle is built afresh: the cache would take 0.0 and -0.0 for one
+    key, and the sign of a zero angle can reach the signs of zero entries.
+    """
+    if phi and theta and varphi:
+        return _cached_euler(phi, theta, varphi)
+    return _euler_product(phi, theta, varphi)
+
+
+def _euler_product(phi: float, theta: float, varphi: float) -> np.ndarray:
+    """_euler's entries, in a new read-only array.
 
     The first product, rotation_z(phi) . rotation_y(theta), is written out
     entry by entry (``_rz_ry``): each of its entries is one phase times one
@@ -145,7 +159,12 @@ def _euler(phi: float, theta: float, varphi: float) -> np.ndarray:
     phases of rotation_z(varphi), sums two complex products and stays one
     ``@``, so its rounding is the BLAS kernel's, as before.
     """
-    return _rz_ry(phi, theta) @ _rz(varphi)
+    entries = _rz_ry(phi, theta) @ _rz(varphi)
+    entries.setflags(write=False)
+    return entries
+
+
+_cached_euler = lru_cache(maxsize=_ANGLE_CACHE_SIZE)(_euler_product)
 
 
 def euler_unitary(angles: EulerAngles) -> Operator:

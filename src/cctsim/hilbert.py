@@ -61,6 +61,22 @@ class StateVector:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
 
+    # Equality and hashing by value: the generated ones compare the arrays
+    # inside a tuple, which raises, and cannot hash an ndarray.  Adding 0.0
+    # turns -0.0 into 0.0, so states that compare equal hash alike.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dims == other.dims and np.array_equal(self.amps, other.amps)
+
+    def __hash__(self) -> int:
+        return hash((self.dims, (self.amps + 0.0).tobytes()))
+
+    def __reduce__(self):
+        # Through the public constructor, which copies, checks and makes the
+        # amplitudes read-only again; an ndarray's pickle drops that flag.
+        return StateVector, (self.dims, self.amps)
+
     @classmethod
     def _trusted(cls, dims: tuple[int, ...], amps: np.ndarray) -> StateVector:
         """State from checked ``dims`` and a freshly built 1-D complex128 array
@@ -150,6 +166,19 @@ class Operator:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
 
+    # Value equality, hashing and pickling as for StateVector; the plans are
+    # a cache, left out of all three and rebuilt on first use.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dims == other.dims and np.array_equal(self.entries, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.dims, (self.entries + 0.0).tobytes()))
+
+    def __reduce__(self):
+        return Operator, (self.dims, self.entries)
+
     @classmethod
     def _trusted(cls, dims: tuple[int, ...], entries: np.ndarray) -> Operator:
         """Operator from checked ``dims`` and a freshly built square complex128
@@ -157,7 +186,9 @@ class Operator:
 
         For matrices this package has just computed; the operator takes
         ownership of ``entries``, makes it read-only and starts with no plans.
-        Public construction validates.
+        ``gates.euler_unitary`` passes an entry of the Euler-product cache,
+        which is read-only already: that operator shares the array with the
+        cache instead of owning it.  Public construction validates.
         """
         op = object.__new__(cls)
         entries.setflags(write=False)
@@ -211,11 +242,19 @@ def apply(op: Operator, state: StateVector, targets: Sequence[int]) -> StateVect
     stores a plan on ``op``; later calls with the same operator run that
     plan directly.
     """
-    key = (state.dims, tuple(targets))
+    dims = state.dims
+    key = (dims, tuple(targets))
     plan = op._plans.get(key)
     if plan is None:
         plan = op._plans[key] = _apply_plan(op, *key)
-    return StateVector._trusted(state.dims, plan(state.amps))
+    # StateVector._trusted, inline: every protocol stage is built here.
+    amps = plan(state.amps)
+    amps.setflags(write=False)
+    out = object.__new__(StateVector)
+    fields = out.__dict__
+    fields["dims"] = dims
+    fields["amps"] = amps
+    return out
 
 
 def _apply_plan(op: Operator, dims: tuple[int, ...], targets: tuple[int, ...]):
@@ -306,8 +345,14 @@ def _by_outcome(state: StateVector, subsystem: int) -> np.ndarray:
 
 def born_probabilities(state: StateVector, subsystem: int) -> np.ndarray:
     """Marginal outcome probabilities for measuring one subsystem."""
-    split = _by_outcome(state, subsystem)
-    flat = split.transpose(1, 0, 2).reshape(split.shape[1], -1)
+    dims = state.dims
+    if subsystem == len(dims) - 1:
+        # The ancilla, always last: the same (outcome, rest) strides as the
+        # transposed split below, so the same einsum and the same bits.
+        flat = state.amps.reshape(-1, dims[-1]).T
+    else:
+        split = _by_outcome(state, subsystem)
+        flat = split.transpose(1, 0, 2).reshape(split.shape[1], -1)
     return np.einsum("ij,ij->i", flat, flat.conj()).real
 
 

@@ -85,7 +85,7 @@ class BellInput:
         _check_unit_pair("(c0, c1)", self.c0, self.c1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Transcript:
     """Labeled intermediate states of one protocol run.
 
@@ -94,7 +94,8 @@ class Transcript:
     psi5m/psi6m are the post-measurement A,B states for the realized
     outcome.  For the Bell-type protocol the measurement fields are None,
     ``final_abc`` holds the state after the disentangling step and psi6m
-    the extracted A,B output.
+    the extracted A,B output.  The constructor fills the frozen fields
+    without per-field setattr; every run builds one.
     """
 
     psi0: StateVector
@@ -108,6 +109,33 @@ class Transcript:
     outcome_probability: float | None = None
     psi5m: StateVector | None = None
     final_abc: StateVector | None = None
+
+    def __init__(
+        self,
+        psi0: StateVector,
+        psi1: StateVector,
+        psi2: StateVector,
+        psi3: StateVector,
+        psi4: StateVector,
+        psi6m: StateVector,
+        pre_measurement: StateVector | None = None,
+        outcome: int | None = None,
+        outcome_probability: float | None = None,
+        psi5m: StateVector | None = None,
+        final_abc: StateVector | None = None,
+    ) -> None:
+        fields = self.__dict__
+        fields["psi0"] = psi0
+        fields["psi1"] = psi1
+        fields["psi2"] = psi2
+        fields["psi3"] = psi3
+        fields["psi4"] = psi4
+        fields["psi6m"] = psi6m
+        fields["pre_measurement"] = pre_measurement
+        fields["outcome"] = outcome
+        fields["outcome_probability"] = outcome_probability
+        fields["psi5m"] = psi5m
+        fields["final_abc"] = final_abc
 
     def stages(self) -> tuple[tuple[str, StateVector], ...]:
         labeled = [
@@ -125,13 +153,22 @@ class Transcript:
         return tuple(labeled)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VerificationReport:
-    """Per-stage fidelities of a transcript against independent closed forms."""
+    """Per-stage fidelities of a transcript against independent closed forms.
+
+    Filled like Transcript: every verification builds one.
+    """
 
     stage_fidelities: tuple[tuple[str, float], ...]
     worst_fidelity: float
     passed: bool
+
+    def __init__(self, stage_fidelities: tuple[tuple[str, float], ...], worst_fidelity: float, passed: bool) -> None:
+        fields = self.__dict__
+        fields["stage_fidelities"] = stage_fidelities
+        fields["worst_fidelity"] = worst_fidelity
+        fields["passed"] = passed
 
     @classmethod
     def from_stages(cls, stage_fidelities: list[tuple[str, float]]) -> VerificationReport:
@@ -161,11 +198,11 @@ def _general_prefix(inp: GeneralInput) -> tuple[tuple[StateVector, ...], np.ndar
     amps = np.zeros(12, dtype=np.complex128)
     amps[::3] = np.multiply.outer(target, control).reshape(-1)  # |a, b, 0> sits at a*6 + b*3
     psi0 = StateVector._trusted(_GENERAL_DIMS, amps)
-    psi1 = apply(gates.cnot_qutrit(), psi0, [1, 2])
-    psi2 = apply(gates.toffoli(), psi1, [0, 1, 2])
-    psi3 = apply(gates.v1(inp.angles), psi2, [1, 2])
-    psi4 = apply(gates.q2(), apply(gates.q1(), psi3, [0, 1, 2]), [0, 1, 2])
-    pre = apply(gates.hadamard_on_qutrit(), apply(gates.v2(), psi4, [1, 2]), [2])
+    psi1 = apply(gates.cnot_qutrit(), psi0, (1, 2))
+    psi2 = apply(gates.toffoli(), psi1, (0, 1, 2))
+    psi3 = apply(gates.v1(inp.angles), psi2, (1, 2))
+    psi4 = apply(gates.q2(), apply(gates.q1(), psi3, (0, 1, 2)), (0, 1, 2))
+    pre = apply(gates.hadamard_on_qutrit(), apply(gates.v2(), psi4, (1, 2)), (2,))
     probs = born_probabilities(pre, 2)
     if probs[2] > ANCILLA_LEAK_TOL:
         raise ProtocolFault(f"ancilla weight {probs[2]!r} on level 2 before measurement")
@@ -183,8 +220,8 @@ def _finish_general(stages: tuple[StateVector, ...], probs: np.ndarray, m: int) 
     normalized, as collapse then factor_out would compute it."""
     psi0, psi1, psi2, psi3, psi4, pre = stages
     weight = _branch_weight(m, probs)
-    psi5m = StateVector._trusted((2, 2), _unit(pre.amps[m::3] / np.sqrt(weight)))
-    psi6m = apply(gates.q3(m), psi5m, [0, 1])
+    psi5m = StateVector._trusted((2, 2), _unit(pre.amps[m::3] / math.sqrt(weight)))
+    psi6m = apply(gates.q3(m), psi5m, (0, 1))
     return Transcript(
         psi0=psi0,
         psi1=psi1,
@@ -249,7 +286,8 @@ def _bell_amps(inp: BellInput) -> np.ndarray:
     """bell_initial_state's amplitudes, in a new writable array."""
     amps = np.zeros(4, dtype=np.complex128)
     # |0 ell> sits at ell and |1 1-ell> at 3 - ell.
-    amps[[inp.ell, 3 - inp.ell]] = [inp.c0, inp.sign * inp.c1]
+    amps[inp.ell] = inp.c0
+    amps[3 - inp.ell] = inp.sign * inp.c1
     return amps
 
 
@@ -264,11 +302,11 @@ def run_bell(inp: BellInput) -> Transcript:
     amps = np.zeros(8, dtype=np.complex128)
     amps[::2] = _bell_amps(inp)  # |a, b, 0> sits at a*4 + b*2
     psi0 = StateVector._trusted(_BELL_DIMS, amps)
-    psi1 = apply(gates.cnot(), psi0, [1, 2])
-    psi2 = apply(gates.tilde_v1(inp.angles, inp.ell), psi1, [1, 2])
-    psi3 = apply(gates.tilde_q1(), psi2, [0, 1, 2])
-    psi4 = apply(gates.tilde_q2(inp.ell), psi3, [0, 1, 2])
-    final_abc = apply(gates.cnot(), psi4, [1, 2])
+    psi1 = apply(gates.cnot(), psi0, (1, 2))
+    psi2 = apply(gates.tilde_v1(inp.angles, inp.ell), psi1, (1, 2))
+    psi3 = apply(gates.tilde_q1(), psi2, (0, 1, 2))
+    psi4 = apply(gates.tilde_q2(inp.ell), psi3, (0, 1, 2))
+    final_abc = apply(gates.cnot(), psi4, (1, 2))
     probs = born_probabilities(final_abc, 2)
     leak = float(1.0 - probs[0])
     if leak > FIDELITY_TOL:

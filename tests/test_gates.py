@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cctsim import checks, gates
+from cctsim import checks, gates, protocol
 from cctsim.gates import EulerAngles
 from cctsim.hilbert import Operator, StateVector, apply
 
@@ -241,6 +241,48 @@ class TestRotations:
                 assert np.array_equal(got, expected), angles
                 if i < random_count:
                     assert got.tobytes() == expected.tobytes(), angles
+
+
+def _uncached_euler(phi, theta, varphi):
+    return gates._rz_ry(phi, theta) @ gates._rz(varphi)
+
+
+class TestEulerCache:
+    """A Bell input's run and its verification share one Z-Y-Z product."""
+
+    def test_entries_are_read_only_and_byte_equal_to_a_fresh_build(self):
+        for angles in _edge_and_random_angles():
+            triple = (angles.phi, angles.theta, angles.varphi)
+            for _ in range(2):
+                entries = gates._euler(*triple)
+                assert not entries.flags.writeable
+                assert entries.tobytes() == _uncached_euler(*triple).tobytes(), triple
+        assert gates._cached_euler.cache_info().maxsize == gates._ANGLE_CACHE_SIZE
+        assert gates._cached_euler.cache_info().currsize <= gates._ANGLE_CACHE_SIZE
+
+    def test_a_repeated_triple_is_one_entry(self):
+        triple = (0.4, 2.0, 1.3)
+        assert gates._euler(*triple) is gates._euler(*triple)
+        gates._cached_euler.cache_clear()
+        inp = protocol.BellInput(1, -1, 0.6, 0.8j, EulerAngles(*triple))
+        gates.tilde_v1.cache_clear()
+        protocol.verify_bell(protocol.run_bell(inp), inp)
+        info = gates._cached_euler.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_signed_zero_angles_never_share_an_entry(self):
+        # The cache would take 0.0 and -0.0 for one key, and here the sign of
+        # a zero theta reaches the sign of a zero entry, so a triple with a
+        # zero angle is built afresh every time.
+        assert _uncached_euler(-0.7, 0.0, 2.3).tobytes() != _uncached_euler(-0.7, -0.0, 2.3).tobytes()
+        for phi, varphi in itertools.product((-0.7, 0.0, -0.0, 2.3), repeat=2):
+            for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+                before = gates._cached_euler.cache_info().currsize
+                gates._euler(phi, first, varphi)
+                entries = gates._euler(phi, second, varphi)
+                assert gates._cached_euler.cache_info().currsize == before
+                assert not entries.flags.writeable
+                assert entries.tobytes() == _uncached_euler(phi, second, varphi).tobytes()
 
 
 class TestOutcomeUnitary:

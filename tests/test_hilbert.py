@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -287,6 +289,8 @@ class TestMeasure:
             collapse(ket((2, 2), (0, 0)), 0, 1)
         with pytest.raises(ValueError, match="subsystem index 2 out of range for 2 subsystems"):
             born_probabilities(state, 2)
+        with pytest.raises(ValueError, match="subsystem index -1 out of range for 2 subsystems"):
+            born_probabilities(state, -1)
 
     def test_born_probabilities_sum_to_one(self):
         state = StateVector.from_terms((2, 3), {(0, 1): 0.6, (1, 2): 0.8})
@@ -342,6 +346,67 @@ class TestSchmidt:
             schmidt_rank(state, {0, 1})
         with pytest.raises(ValueError, match="bipartition indices out of range"):
             schmidt_rank(state, {2})
+
+
+class TestLastSubsystemMarginal:
+    @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 2, 2), (2, 2), (3,)], ids=str)
+    def test_bytes_equal_the_transposed_split(self, dims):
+        # born_probabilities reads the last subsystem through a transposed
+        # view; the split-transpose-reshape path gives the same bytes.
+        for seed in range(20):
+            state = _random_state(dims, seed)
+            split = state.amps.reshape(math.prod(dims[:-1]), dims[-1], -1)
+            flat = split.transpose(1, 0, 2).reshape(dims[-1], -1)
+            expected = np.einsum("ij,ij->i", flat, flat.conj()).real
+            assert born_probabilities(state, len(dims) - 1).tobytes() == expected.tobytes()
+
+
+class TestValueEquality:
+    def test_equal_states_compare_and_hash_equal(self):
+        a, b = ket((2, 2), (1, 0)), ket((2, 2), (1, 0))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != ket((2, 2), (0, 1))
+        # The same amplitudes over other dims are another state.
+        assert a != StateVector((4,), a.amps)
+        assert a != 1 and a != (a.dims, a.amps.tobytes())
+
+    def test_signed_zeros_compare_and_hash_alike(self):
+        plus = StateVector((2,), [1.0, complex(0.0, 0.0)])
+        minus = StateVector((2,), [1.0, complex(-0.0, -0.0)])
+        assert plus.amps.tobytes() != minus.amps.tobytes()
+        assert plus == minus and hash(plus) == hash(minus)
+        left = Operator((2,), [[1.0, -0.0], [0.0, 1.0]])
+        right = Operator((2,), [[1.0, 0.0], [complex(0.0, -0.0), 1.0]])
+        assert left == right and hash(left) == hash(right)
+
+    def test_operator_plans_stay_out_of_equality_and_hash(self):
+        planned, fresh = Operator((2, 2), gates.cnot().entries), Operator((2, 2), gates.cnot().entries)
+        before = hash(planned)
+        apply(planned, ket((2, 2), (1, 0)), (0, 1))
+        assert planned._plans and not fresh._plans
+        assert planned == fresh and hash(planned) == hash(fresh) == before
+        assert planned != Operator((4,), planned.entries) and planned != gates.q3(1)
+
+
+class TestPickling:
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copied_state_is_read_only(self, copier):
+        state = _random_state((2, 2, 3), 4)
+        twin = copier(state)
+        assert twin is not state and twin == state and twin.amps.tobytes() == state.amps.tobytes()
+        assert not twin.amps.flags.writeable
+        with pytest.raises(ValueError):
+            twin.amps[0] = 5
+
+    def test_a_planned_gate_pickles_and_replans(self):
+        state = _random_state((2, 2, 3), 5)
+        for op, targets in ((gates.q1(), (0, 1, 2)), (gates.v2(), (1, 2)), (gates.hadamard_on_qutrit(), (2,))):
+            applied = apply(op, state, targets)
+            assert op._plans
+            twin = pickle.loads(pickle.dumps(op))
+            assert twin == op and twin._plans == {} and not twin.entries.flags.writeable
+            assert apply(twin, state, targets).amps.tobytes() == applied.amps.tobytes()
 
 
 class TestOperator:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import cmath
+import copy
 import dataclasses
 import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from cctsim.protocol import (
     BellInput,
     GeneralInput,
     ProtocolFault,
+    Transcript,
+    VerificationReport,
     bell_initial_state,
     expected_output_bell,
     expected_output_general,
@@ -677,6 +681,65 @@ class TestOutcomeStatistics:
         rng = np.random.default_rng(2024)
         zeros = sum(run_general(inp, rng).outcome == 0 for _ in range(trials))
         assert outcome_statistics(inp, trials, seed=2024) == (zeros / trials, (trials - zeros) / trials)
+
+
+class TestTranscriptRecords:
+    # Transcript and VerificationReport fill their frozen fields in a
+    # hand-written __init__; the dataclass contract must survive that.
+    FIELDS = {
+        Transcript: ["psi0", "psi1", "psi2", "psi3", "psi4", "psi6m", "pre_measurement", "outcome",
+                     "outcome_probability", "psi5m", "final_abc"],
+        VerificationReport: ["stage_fidelities", "worst_fidelity", "passed"],
+    }
+
+    @staticmethod
+    def _records():
+        rng = np.random.default_rng(41)
+        general_input, bell_input = random_general_input(rng), random_bell_input(rng)
+        general_run = run_general(general_input, rng)
+        bell_run = run_bell(bell_input)
+        return (general_run, bell_run, verify_general(general_run, general_input), verify_bell(bell_run, bell_input))
+
+    def test_fields_signature_and_keywords(self):
+        for record in self._records():
+            cls = type(record)
+            names = self.FIELDS[cls]
+            assert [field.name for field in dataclasses.fields(cls)] == names
+            assert list(inspect.signature(cls).parameters) == names
+            assert cls(**{name: getattr(record, name) for name in reversed(names)}) == record
+            assert cls(*(getattr(record, name) for name in names)) == record
+
+    def test_the_bell_fields_default_to_none(self):
+        bell_run = self._records()[1]
+        short = Transcript(*(getattr(bell_run, name) for name in self.FIELDS[Transcript][:6]), final_abc=bell_run.final_abc)
+        assert short == bell_run
+        for name in ("pre_measurement", "outcome", "outcome_probability", "psi5m"):
+            assert getattr(short, name) is None
+
+    def test_replace_keeps_the_other_fields(self):
+        general_run, bell_run, general_report, _ = self._records()
+        replaced = dataclasses.replace(general_run, outcome=1 - general_run.outcome)
+        assert replaced.outcome == 1 - general_run.outcome
+        assert all(getattr(replaced, name) is getattr(general_run, name) for name in self.FIELDS[Transcript] if name != "outcome")
+        assert dataclasses.replace(bell_run) == bell_run
+        failed = dataclasses.replace(general_report, passed=False)
+        assert not failed.passed and failed.stage_fidelities is general_report.stage_fidelities
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_are_equal_frozen_and_read_only(self, copier):
+        for record in self._records():
+            twin = copier(record)
+            assert twin is not record and type(twin) is type(record)
+            assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
+            for name in self.FIELDS[type(record)]:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(twin, name, getattr(record, name))
+            if isinstance(twin, Transcript):
+                for label, state in twin.stages():
+                    assert state.amps.tobytes() == getattr(record, label).amps.tobytes()
+                    with pytest.raises(ValueError):
+                        state.amps[0] = 5
 
 
 class TestBoundedGateCaches:

@@ -1115,7 +1115,7 @@ class TestOutcomeTables:
 
     @pytest.mark.parametrize("model", list(AbsorberModel))
     def test_sampled_records_equal_constructed_ones(self, model):
-        # Table rows skip the constructor's check; each still equals a checked outcome.
+        # Each sampled record equals an outcome rebuilt from its fields.
         for absorber in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8j)):
             rng = np.random.default_rng(3)
             sampled = [*simulate_qz(absorber, "H", 5, model, rng, 2_000),
@@ -1348,7 +1348,7 @@ class TestModelConvergence:
                 MonteCarloReport(*counts, 0.5, 0.1, None, 0)
 
 
-class TestTrustedReport:
+class TestTalliedReport:
     @staticmethod
     def _reports():
         yield zeno._report([(OutcomeKind.SUCCESS, 0.75, 3), (OutcomeKind.ABSORBED_BY_ELECTRON, None, 2),
@@ -1359,9 +1359,8 @@ class TestTrustedReport:
         yield simulate_cct(CycleConfig(6, 6, 6), BALANCED, 500, 5)
 
     def test_the_tally_builds_the_public_record(self):
-        # _report skips the dataclass setters, not the record: the public
-        # constructor given the same fields builds an equal, equally printed
-        # and equally encoded report.
+        # The public constructor given the same fields builds an equal,
+        # equally printed and equally encoded report.
         for report in self._reports():
             public = MonteCarloReport(**{f.name: getattr(report, f.name) for f in dataclasses.fields(MonteCarloReport)})
             assert report == public and hash(report) == hash(public)
@@ -1374,7 +1373,7 @@ class TestTrustedReport:
         abort = 1.0 - 4 / 7
         assert report == MonteCarloReport(7, 4, 2, 1, abort, math.sqrt(abort * (1.0 - abort) / 7), (3 * 0.75 + 1.0) / 4, 9)
 
-    def test_the_trusted_record_is_frozen(self):
+    def test_the_tallied_record_is_frozen(self):
         for report in self._reports():
             for name in ("trials", "successes", "conditional_fidelity", "seed"):
                 with pytest.raises(dataclasses.FrozenInstanceError):
@@ -1443,6 +1442,16 @@ class TestRecordConstructors:
         for name in self.FIELDS[type(record)]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(twin, name, getattr(record, name))
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copied_success_equals_the_original(self, copier):
+        # States compare and hash by value, so a Success holding a copy of
+        # the state equals the original.
+        twin = copier(self.SUCCESS)
+        assert twin.final_state is not self.SUCCESS.final_state
+        assert twin == self.SUCCESS and hash(twin) == hash(self.SUCCESS) and repr(twin) == repr(self.SUCCESS)
+        assert not twin.final_state.amps.flags.writeable
 
 
 class TestTrialCountRule:
