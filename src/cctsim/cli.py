@@ -247,9 +247,21 @@ def _check_out(out: str | None) -> None:
 def _emit(text: str, out: str | None) -> None:
     """Write ``text`` to standard output, or atomically to ``out``; the one
     writer of every command's output.  A failed write is a config error,
-    named by the OS reason alone: the full error names the random temp file."""
+    named by the OS reason alone: the full error names the random temp file.
+    A standard output that fails, such as a pipe whose reader has gone, is
+    then pointed at os.devnull, so the interpreter's flush at exit does not
+    fail on it again (the signal module's recipe for SIGPIPE)."""
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
+            raise ConfigError([f"stdout: cannot write: {exc.strerror or exc}"]) from exc
         return
     try:
         _atomic_write(out, text)

@@ -82,9 +82,12 @@ def _basis_gate(dims: tuple[int, ...], rule) -> Operator:
 
 
 # _ry and _rz write their four entries into a new array, which costs about
-# half of np.array from a nested list and stores the same values.
+# half of np.array from a nested list and stores the same values.  Adding
+# 0.0 to the sine turns -0.0 into 0.0: the sine is the one place where the
+# sign of a zero angle reaches an entry, and each angle cache takes 0.0 and
+# -0.0 for one key, so a key then means one set of bytes.
 def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0) + 0.0
     entries = np.empty((2, 2), dtype=np.complex128)
     entries[0, 0] = entries[1, 1] = c
     entries[0, 1] = -s
@@ -122,8 +125,8 @@ def rotation_z(varphi: float) -> Operator:
 def _rz_ry(phi: float, theta: float) -> np.ndarray:
     """Entries of rotation_z(phi) . rotation_y(theta), written without a matmul:
     [[e^{-i phi/2} c, -e^{-i phi/2} s], [e^{i phi/2} s, e^{i phi/2} c]] with
-    c, s = cos, sin of theta/2."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    c, s = cos, sin of theta/2, a zero sine unsigned as in _ry."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0) + 0.0
     phase = cmath.exp(1j * phi / 2.0)
     left = phase.conjugate()
     entries = np.empty((2, 2), dtype=np.complex128)
@@ -134,22 +137,11 @@ def _rz_ry(phi: float, theta: float) -> np.ndarray:
     return entries
 
 
+@lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def _euler(phi: float, theta: float, varphi: float) -> np.ndarray:
     """Entries of rotation_z(phi) . rotation_y(theta) . rotation_z(varphi),
-    read-only.
-
-    A Bell input's run (``tilde_v1``) and its verification (the compact
-    output) need the same product, so nonzero triples share one cached entry.
-    A zero angle is built afresh: the cache would take 0.0 and -0.0 for one
-    key, and the sign of a zero angle can reach the signs of zero entries.
-    """
-    if phi and theta and varphi:
-        return _cached_euler(phi, theta, varphi)
-    return _euler_product(phi, theta, varphi)
-
-
-def _euler_product(phi: float, theta: float, varphi: float) -> np.ndarray:
-    """_euler's entries, in a new read-only array.
+    read-only and cached: a Bell input's run (``tilde_v1``) and its
+    verification (the compact output) need the same product.
 
     The first product, rotation_z(phi) . rotation_y(theta), is written out
     entry by entry (``_rz_ry``): each of its entries is one phase times one
@@ -162,9 +154,6 @@ def _euler_product(phi: float, theta: float, varphi: float) -> np.ndarray:
     entries = _rz_ry(phi, theta) @ _rz(varphi)
     entries.setflags(write=False)
     return entries
-
-
-_cached_euler = lru_cache(maxsize=_ANGLE_CACHE_SIZE)(_euler_product)
 
 
 def euler_unitary(angles: EulerAngles) -> Operator:

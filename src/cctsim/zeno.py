@@ -9,11 +9,6 @@ pass per outer cycle count, walked in blocks of at most PASS_BLOCK entries
 along both the inner counts and the cycles, so memory stays bounded at any
 cycle count, and every row is == to a one-config call.
 ``stage_probabilities_general/bell`` return a one-config call's values.
-Over the cycle-sweep benchmark's calls, a ``cctsim sweep`` call spends about
-a quarter of its time in these closed forms (``_chained_factors``,
-``dcfo_success``) and two fifths in ``cli._sweep_rows``, which holds them;
-the atomic write takes about a fifth, reading the config a seventh and
-argparse an eighth (timing wrappers, 2-CPU x86 host, Python 3.11).
 
 The Monte Carlo half simulates the gates trajectory by trajectory under
 two explicitly named absorber models:
@@ -47,12 +42,19 @@ from typing import TypeVar
 import numpy as np
 
 from . import protocol as _protocol
-from .hilbert import StateVector, _as_seed, _check_unit_pair, _norm, fidelity, is_count, sample_counts
+from .hilbert import StateVector, _as_seed, _check_unit_pair, _is_integer, _norm, fidelity, is_count, sample_counts
 from .protocol import BellInput, GeneralInput
+
+# The largest cycle count: every count the closed forms derive from a config,
+# up to the 2M cycles of lambda5's pass, then stays at or below 2**53, where
+# float64 stops holding every integer.
+MAX_CYCLES = 2**52
+
 
 @dataclass(frozen=True, init=False)
 class CycleConfig:
-    """Cycle counts: M outer, N inner, K concatenated collapse gates."""
+    """Cycle counts: M outer, N inner, K concatenated collapse gates, each
+    at most MAX_CYCLES."""
 
     M: int
     N: int
@@ -144,9 +146,11 @@ def _power(x: float, n: int) -> float:
 def _cycle_count(name: str, value: int) -> int:
     """``value`` as a Python int, once it is a count by the trial-count rule
     (``hilbert.is_count``); on a numpy count such as uint16, arithmetic
-    like 2 * M or N * K would wrap."""
+    like 2 * M or N * K would wrap.  A count above MAX_CYCLES is refused."""
     if type(value) is int and value >= 1 or is_count(value):
-        return int(value)
+        if value <= MAX_CYCLES:
+            return int(value)
+        raise ValueError(f"cycle count {name} must be at most 2**52, got {value!r}")
     raise ValueError(f"cycle count {name} must be a positive integer, got {value!r}")
 
 
@@ -519,6 +523,8 @@ class TrajectoryOutcome:
     final_state: StateVector | None
 
     def __init__(self, kind: OutcomeKind, stage: str, cycle_index: int, final_state: StateVector | None) -> None:
+        if type(kind) is not OutcomeKind:
+            raise ValueError(f"kind must be an OutcomeKind, got {kind!r}")
         if kind is OutcomeKind.SUCCESS and (final_state is None or not final_state.is_normalized(1e-9)):
             raise ValueError("Success outcomes must carry a normalized final state")
         fields = self.__dict__
@@ -774,6 +780,11 @@ class MonteCarloReport:
         conditional_fidelity: float | None,
         seed: int,
     ) -> None:
+        if not is_count(trials):
+            raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+        for name, count in (("successes", successes), ("absorbed", absorbed), ("discarded", discarded)):
+            if not (_is_integer(count) and count >= 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {count!r}")
         if successes + absorbed + discarded != trials:
             raise ValueError("outcome counts must sum to the number of trials")
         fields = self.__dict__
@@ -784,7 +795,7 @@ class MonteCarloReport:
         fields["abort_rate_estimate"] = abort_rate_estimate
         fields["standard_error"] = standard_error
         fields["conditional_fidelity"] = conditional_fidelity
-        fields["seed"] = seed
+        fields["seed"] = _as_seed(seed)
 
     def as_dict(self) -> dict:
         return asdict(self)

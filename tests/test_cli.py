@@ -699,6 +699,41 @@ class TestOneErrorPath:
         assert captured.err == "config error: seed: must be >= 0, got -3\n"
 
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "montecarlo"])
+    def test_a_cycle_count_above_two_to_the_52_is_a_config_error(self, tmp_path, capsys, command):
+        # 10**400 is past the float range, and 2**52 + 1 past the bound.
+        for count in (10**400, 2**52 + 1):
+            argv = [*COMMAND_ARGV[command], "--config", write_config(tmp_path, dict(GENERAL_DOC, K=count))]
+            assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+            captured = capsys.readouterr()
+            expected = f"config error: cycle count K must be at most 2**52, got {count}\n"
+            assert (captured.out, captured.err) == ("", expected)
+
+    @pytest.mark.parametrize("values", ["1" + "0" * 400, "5,10000000000000000000"])
+    def test_a_swept_count_above_two_to_the_52_is_a_config_error(self, tmp_path, capsys, values):
+        argv = ["sweep", "--config", write_config(tmp_path, GENERAL_DOC), "--axis", "M", "--values", values]
+        assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        count = values.split(",")[-1]
+        assert (captured.out, captured.err) == ("", f"config error: cycle count M must be at most 2**52, got {count}\n")
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+    def test_a_closed_standard_output_is_a_config_error(self, tmp_path, command):
+        # A pipe whose reader has gone: one named line and exit 2, with no
+        # traceback and nothing from the interpreter's flush at exit.
+        flags = [] if command == "verify" else ["--config", write_config(tmp_path, GENERAL_DOC)]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        try:
+            done = subprocess.run([sys.executable, "-X", "dev", "-m", "cctsim.cli", *COMMAND_ARGV[command], *flags],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == cli.EXIT_CONFIG_ERROR
+        assert done.stderr == "config error: stdout: cannot write: Broken pipe\n"
+
+
 # Every gates constructor the gates check's table calls.  v11 to v14 and
 # euler_unitary are among them because the table calls them itself: v1 and
 # tilde_v1 are built without them.

@@ -4,6 +4,7 @@ import cmath
 import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -257,32 +258,93 @@ class TestEulerCache:
                 entries = gates._euler(*triple)
                 assert not entries.flags.writeable
                 assert entries.tobytes() == _uncached_euler(*triple).tobytes(), triple
-        assert gates._cached_euler.cache_info().maxsize == gates._ANGLE_CACHE_SIZE
-        assert gates._cached_euler.cache_info().currsize <= gates._ANGLE_CACHE_SIZE
+        assert gates._euler.cache_info().maxsize == gates._ANGLE_CACHE_SIZE
+        assert gates._euler.cache_info().currsize <= gates._ANGLE_CACHE_SIZE
 
     def test_a_repeated_triple_is_one_entry(self):
         triple = (0.4, 2.0, 1.3)
         assert gates._euler(*triple) is gates._euler(*triple)
-        gates._cached_euler.cache_clear()
+        gates._euler.cache_clear()
         inp = protocol.BellInput(1, -1, 0.6, 0.8j, EulerAngles(*triple))
         gates.tilde_v1.cache_clear()
         protocol.verify_bell(protocol.run_bell(inp), inp)
-        info = gates._cached_euler.cache_info()
+        info = gates._euler.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
-    def test_signed_zero_angles_never_share_an_entry(self):
-        # The cache would take 0.0 and -0.0 for one key, and here the sign of
-        # a zero theta reaches the sign of a zero entry, so a triple with a
-        # zero angle is built afresh every time.
-        assert _uncached_euler(-0.7, 0.0, 2.3).tobytes() != _uncached_euler(-0.7, -0.0, 2.3).tobytes()
-        for phi, varphi in itertools.product((-0.7, 0.0, -0.0, 2.3), repeat=2):
-            for first, second in ((0.0, -0.0), (-0.0, 0.0)):
-                before = gates._cached_euler.cache_info().currsize
-                gates._euler(phi, first, varphi)
-                entries = gates._euler(phi, second, varphi)
-                assert gates._cached_euler.cache_info().currsize == before
+    def test_both_signs_of_a_zero_angle_share_one_entry(self):
+        # Each cache takes 0.0 and -0.0 for one key; the builders drop the
+        # sign of a zero sine, so the shared entry is the fresh build at
+        # either sign.
+        for triple in itertools.product((-0.7, 0.0, -0.0, 2.3), repeat=3):
+            for flipped in _zero_sign_flips(triple):
+                gates._euler.cache_clear()
+                entries = gates._euler(*triple)
+                assert gates._euler(*flipped) is entries
+                assert gates._euler.cache_info().currsize == 1
                 assert not entries.flags.writeable
-                assert entries.tobytes() == _uncached_euler(phi, second, varphi).tobytes()
+                assert entries.tobytes() == _uncached_euler(*triple).tobytes(), triple
+                assert entries.tobytes() == _uncached_euler(*flipped).tobytes(), flipped
+
+
+# Every angle-keyed builder, by name, as a function of a (phi, theta, varphi)
+# triple; SIGNED_ZERO_TRIPLES runs over the edge angles and two plain ones.
+ANGLE_BUILDERS = {
+    "rotation_y": lambda t: gates.rotation_y(t[1]).entries,
+    "rotation_z(phi)": lambda t: gates.rotation_z(t[0]).entries,
+    "rotation_z(varphi)": lambda t: gates.rotation_z(t[2]).entries,
+    "v11": lambda t: gates.v11(EulerAngles(*t)).entries,
+    "v13": lambda t: gates.v13(EulerAngles(*t)).entries,
+    "v1": lambda t: gates.v1(EulerAngles(*t)).entries,
+    "tilde_v1_l0": lambda t: gates.tilde_v1(EulerAngles(*t), 0).entries,
+    "tilde_v1_l1": lambda t: gates.tilde_v1(EulerAngles(*t), 1).entries,
+    "u_m0": lambda t: gates.u_m(EulerAngles(*t), 0).entries,
+    "u_m1": lambda t: gates.u_m(EulerAngles(*t), 1).entries,
+    "_euler": lambda t: gates._euler(*t),
+}
+ANGLE_CACHES = (gates.rotation_y, gates.rotation_z, gates.v11, gates.v13, gates.v1, gates.tilde_v1, gates._euler)
+SIGNED_ZERO_TRIPLES = list(
+    itertools.product((0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2, 2 * math.pi, 0.7, -1.3), repeat=3)
+)
+
+
+def _zero_sign_flips(triple):
+    """``triple`` with the sign of one of its zero angles flipped, for each zero."""
+    return [triple[:i] + (-angle,) + triple[i + 1 :] for i, angle in enumerate(triple) if angle == 0.0]
+
+
+def _fresh_bytes(builder, triple) -> bytes:
+    for cache in ANGLE_CACHES:
+        cache.cache_clear()
+    return builder(triple).tobytes()
+
+
+class TestSignedZeroAngles:
+    """An angle cache key is one set of bytes: 0.0 and -0.0 build alike."""
+
+    def test_a_zero_sign_flip_builds_the_same_bytes(self):
+        flips = 0
+        for triple in SIGNED_ZERO_TRIPLES:
+            for flipped in _zero_sign_flips(triple):
+                flips += 1
+                for name, builder in ANGLE_BUILDERS.items():
+                    assert _fresh_bytes(builder, flipped) == _fresh_bytes(builder, triple), (name, triple, flipped)
+        assert flips == 486
+
+    def test_call_order_does_not_change_the_bytes(self):
+        # Keyed by index: 0.0 == -0.0, so a triple would collide with its flips.
+        fresh = {
+            (i, name): _fresh_bytes(builder, triple)
+            for i, triple in enumerate(SIGNED_ZERO_TRIPLES)
+            for name, builder in ANGLE_BUILDERS.items()
+        }
+        calls = list(fresh)
+        random.Random(3030).shuffle(calls)
+        for cache in ANGLE_CACHES:
+            cache.cache_clear()
+        wrong = sorted(
+            {i for i, name in calls if ANGLE_BUILDERS[name](SIGNED_ZERO_TRIPLES[i]).tobytes() != fresh[i, name]}
+        )
+        assert not wrong, f"{len(wrong)} of 729 triples differ, first {SIGNED_ZERO_TRIPLES[wrong[0]]}"
 
 
 class TestOutcomeUnitary:

@@ -8,6 +8,7 @@ import inspect
 import json
 import math
 import pickle
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -1421,6 +1422,41 @@ class TestRecordConstructors:
             CycleConfig(1, 2.0, True)
         with pytest.raises(ValueError, match="^cycle count K must be a positive integer, got True$"):
             CycleConfig(np.uint16(1), 1, True)
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ((1, 2, -1, 0, -1.0, 0.0, None, 0), "absorbed must be an integer >= 0, got -1"),
+            ((0, 0, 0, 0, 0.0, 0.0, None, 0), "trials must be an integer >= 1, got 0"),
+            ((2.0, 1.0, 1.0, 0, 0.5, 0.3, None, 0), "trials must be an integer >= 1, got 2.0"),
+            ((2, 1.0, 1, 0, 0.5, 0.3, None, 0), "successes must be an integer >= 0, got 1.0"),
+            ((2, 1, 1, False, 0.5, 0.3, None, 0), "discarded must be an integer >= 0, got False"),
+            ((2, 1, 1, 0, 0.5, 0.3, None, -1), "seed must be a non-negative integer, got -1"),
+            ((2, 1, 1, 0, 0.5, 0.3, None, True), "seed must be a non-negative integer, got True"),
+            ((2, 1, 0, 0, 0.5, 0.3, None, 0), "outcome counts must sum to the number of trials"),
+        ],
+        ids=repr,
+    )
+    def test_a_report_refuses_bad_counts_and_seeds(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MonteCarloReport(*fields)
+
+    def test_a_report_takes_numpy_counts_and_stores_a_python_seed(self):
+        report = MonteCarloReport(np.int64(2), np.int64(1), 1, np.uint8(0), 0.5, 0.3, None, np.int64(9))
+        assert report == MonteCarloReport(2, 1, 1, 0, 0.5, 0.3, None, 9) and type(report.seed) is int
+
+    @pytest.mark.parametrize("kind", ["success", "absorbed_by_electron", None, 1], ids=repr)
+    def test_an_outcome_kind_must_be_an_outcome_kind(self, kind):
+        with pytest.raises(ValueError, match=f"^kind must be an OutcomeKind, got {re.escape(repr(kind))}$"):
+            TrajectoryOutcome(kind, "x", -3, None)
+
+    def test_a_cycle_count_above_two_to_the_52_is_refused(self):
+        assert CycleConfig(2**52, 1, 2**52).M == 2**52
+        for count in (2**52 + 1, np.uint64(2**52 + 1), 10**400):
+            with pytest.raises(ValueError, match=re.escape(f"cycle count N must be at most 2**52, got {count!r}")):
+                CycleConfig(1, count, 1)
+        with pytest.raises(ValueError, match="^cycle count K must be a positive integer, got 0$"):
+            CycleConfig(1, 1, 0)
 
     @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
     def test_keywords_and_signature(self, record):
