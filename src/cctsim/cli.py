@@ -152,6 +152,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"]) from exc
+    except ValueError as exc:  # int() refuses a literal longer than the interpreter's digit limit
+        raise ConfigError([f"config: an integer has more than {sys.get_int_max_str_digits()} digits"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["config: top level must be a JSON object"])
     doc = dict(doc)

@@ -29,8 +29,8 @@ NORMALIZATION_TOL = 1e-12
 # looser than NORMALIZATION_TOL to leave headroom for ~10 chained matrix
 # applications.
 FIDELITY_TOL = 1e-10
-# Uniforms drawn per block by sample_counts; bounds a campaign's memory.
-SAMPLE_BLOCK = 1 << 16
+# The largest trial count one numpy multinomial draw takes (an int64).
+MAX_TRIALS = 2**63 - 1
 # How far an outcome table's probabilities may sum from 1.
 _TABLE_SUM_TOL = 1e-9
 
@@ -465,34 +465,31 @@ def sample_counts(probs: Sequence[float], trials: int, rng: np.random.Generator)
 
     Every Monte Carlo campaign samples through it, so every trial count is
     checked here: a ``ValueError`` names ``trials`` unless it is a count
-    (``is_count``).
+    (``is_count``) of at most MAX_TRIALS, the int64 bound of the draw.
 
-    Trial i takes the i-th double of ``rng`` and the row whose interval of
-    the cumulative distribution holds it, so row 0 is chosen exactly when
-    that double is below probs[0].  Doubles are drawn SAMPLE_BLOCK at a
-    time; the block size does not change any count.  A double at or past
-    the last rounded cumulative value goes to the last row of positive
-    probability.
-
-    Every campaign pays this call's fixed cost, so it calls numpy's ufuncs
-    and ndarray methods directly (np.add.accumulate is np.cumsum bit for bit).
+    The counts are one ``rng.multinomial`` draw over the table renormalised
+    to sum to 1, so a campaign costs O(rows) whatever its trials.  The draw
+    stops at the last row of positive probability: numpy gives its last row
+    whatever the binomial draws before it leave, which a rounded table can
+    make nonzero, so a row of probability 0 is never drawn.  Same-seed counts
+    hold for one numpy version, whose ``multinomial`` stream NEP 19 leaves
+    free to change.
     """
     if not is_count(trials):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials: must be at most 2**63 - 1, got {trials}")
     probs = np.asarray(probs, dtype=np.float64).ravel()
-    # NaN and -inf fail the minimum, +inf the sum.
-    if not (probs.size > 0 and np.minimum.reduce(probs) >= 0.0 and abs(np.add.reduce(probs) - 1.0) <= _TABLE_SUM_TOL):
+    # NaN and -inf fail the minimum, +inf the sum.  The minimum goes first:
+    # the sum of +inf and -inf would warn.
+    total = np.add.reduce(probs) if probs.size > 0 and np.minimum.reduce(probs) >= 0.0 else math.nan
+    if not abs(total - 1.0) <= _TABLE_SUM_TOL:
         raise ValueError(f"outcome probabilities must be finite, nonnegative and sum to 1, got {probs!r}")
-    cdf = np.add.accumulate(probs)
-    rows = probs.size
-    block = SAMPLE_BLOCK
-    counts = np.bincount(cdf.searchsorted(rng.random(min(block, trials)), side="right"), minlength=rows + 1)
-    for start in range(block, trials, block):
-        draws = rng.random(min(block, trials - start))
-        counts += np.bincount(cdf.searchsorted(draws, side="right"), minlength=rows + 1)
-    if counts[rows]:
-        counts[np.flatnonzero(probs)[-1]] += counts[rows]
-    return counts[:rows].tolist()
+    drawn = probs.size
+    while probs[drawn - 1] == 0.0:
+        drawn -= 1
+    counts = rng.multinomial(trials, probs[:drawn] / total).tolist()
+    return counts + [0] * (probs.size - drawn)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

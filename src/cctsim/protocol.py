@@ -442,10 +442,9 @@ def outcome_statistics(inp: GeneralInput, trials: int, seed: int) -> tuple[float
     """Empirical frequencies of m=0 and m=1 over repeated seeded runs.
 
     The pipeline before the measurement is deterministic, so it runs once;
-    trial i then reads m=0 exactly when the i-th double of
-    ``default_rng(seed)`` is below P(m=0), the same draw ``run_general``
-    makes, so the counts equal those of ``trials`` sampled runs on one
-    generator.
+    the number of m=0 outcomes is then one binomial(trials, P(m=0)) draw
+    from ``default_rng(seed)`` by ``sample_counts``, the law of ``trials``
+    independent ``run_general`` measurements.
     """
     p0 = _zero_probability(_general_prefix(inp)[1])
     zeros = sample_counts((p0, 1.0 - p0), trials, np.random.default_rng(_as_seed(seed)))[0]

@@ -10,8 +10,8 @@ along both the inner counts and the cycles, so memory stays bounded at any
 cycle count, and every row is == to a one-config call.
 ``stage_probabilities_general/bell`` return a one-config call's values.
 
-The Monte Carlo half simulates the gates trajectory by trajectory under
-two explicitly named absorber models:
+The Monte Carlo half samples the gates' trajectories under two explicitly
+named absorber models:
 
 * ``PER_CYCLE_BORN`` reproduces the closed forms: each cycle an absorption
   event fires with the fixed probability weight * sin^2(theta), with the
@@ -727,9 +727,9 @@ def simulate_qz(
     state attached.  A pure-absence absorber therefore shows a
     deterministic polarization flip and never yields Success.
 
-    Runs ``size`` traversals, drawn from the gate's outcome table with one
-    ``rng.random()`` each, and returns each outcome that occurred with its
-    count.
+    Runs ``size`` traversals as one multinomial draw over the gate's
+    outcome table (``hilbert.sample_counts``) and returns each outcome that
+    occurred with its count.
     """
     return _sample(_gate_table(absorber, polarization, None, inner, model), rng, size)
 
@@ -851,8 +851,8 @@ def gate_statistics(
 
     ``outer`` is required for the chained gate and refused for the single
     one.  The trials are one ``simulate_qz``/``simulate_cqz`` call: the
-    gate's outcome table is built once and trial i takes the row picked by
-    the i-th double of ``default_rng(seed)``.  No Success touched the
+    gate's outcome table is built once and its counts are one multinomial
+    draw from ``default_rng(seed)``.  No Success touched the
     channel: ``photon_entered_channel`` follows from the outcome kind.
     ``conditional_fidelity`` averages the Success final states against
     ``expected_success_state`` when one is supplied.
@@ -914,8 +914,8 @@ def simulate_cct(
     detector discard (outer factors) or an electron absorption (inner
     factors and the collapse-chain stages).  That law is one outcome table
     (_cct_table), sampled as the gate tables are: ``hilbert.sample_counts``
-    checks ``trials``, and trial i takes the row picked by the i-th
-    double of ``default_rng(seed)``.  Successful trials deliver the exact
+    checks ``trials`` and draws the counts of every row in one multinomial
+    draw from ``default_rng(seed)``.  Successful trials deliver the exact
     logical output, so the conditional fidelity against the closed form is
     1 by construction; it is still measured, not asserted.
     """

@@ -212,9 +212,12 @@ class TestConfigLoading:
             (json.dumps(dict(GENERAL_DOC, angles=dict(GENERAL_DOC["angles"], phi=10**400))),
              "angles.phi: number too large for a float"),
             (json.dumps(dict(GENERAL_DOC, alpha=[10**400, 0.0])), "alpha: number too large for a float"),
+            # json refuses an integer literal past the interpreter's digit limit.
+            (json.dumps(GENERAL_DOC)[:-1] + ', "M": 1' + "0" * 5000 + "}",
+             f"config: an integer has more than {sys.get_int_max_str_digits()} digits"),
         ],
         ids=["invalid-json", "top-level-array", "M-string", "angles-list", "angle-string", "format-xml", "output-number",
-             "angle-too-large", "amplitude-too-large"],
+             "angle-too-large", "amplitude-too-large", "integer-too-long"],
     )
     def test_each_malformed_field_gets_one_exact_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
@@ -708,6 +711,17 @@ class TestOneErrorPath:
             captured = capsys.readouterr()
             expected = f"config error: cycle count K must be at most 2**52, got {count}\n"
             assert (captured.out, captured.err) == ("", expected)
+
+    @pytest.mark.parametrize("mode", ["general", "bell"])
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_a_trial_count_above_int64_is_a_config_error(self, tmp_path, capsys, mode, source):
+        # One multinomial draw takes at most 2**63 - 1 trials.
+        doc = GENERAL_DOC if mode == "general" else bell_doc()
+        doc = dict(doc, trials=10**23) if source == "config" else doc
+        flags = ["--trials", str(10**23)] if source == "flag" else []
+        assert cli.main(["montecarlo", "--config", write_config(tmp_path, doc), *flags]) == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"config error: trials: must be at most 2**63 - 1, got {10**23}\n")
 
     @pytest.mark.parametrize("values", ["1" + "0" * 400, "5,10000000000000000000"])
     def test_a_swept_count_above_two_to_the_52_is_a_config_error(self, tmp_path, capsys, values):

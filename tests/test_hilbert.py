@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cctsim import gates, hilbert
+from cctsim import gates
 from cctsim.gates import EulerAngles
 from cctsim.hilbert import (
     Operator,
@@ -469,55 +469,44 @@ class TestSampleCounts:
         assert sample_counts([0.0, 1.0, 0.0], 10, np.random.default_rng(1)) == [0, 10, 0]
 
     def test_draw_past_the_rounded_table_goes_to_the_last_positive_row(self):
-        # The table sums to 1 - 1e-10, within tolerance; a double at or past
-        # its last cumulative value lands on row 1, not on the zero row 2.
-        class Past:
-            def random(self, n):
-                return np.full(n, 0.99999999995)
+        # numpy's multinomial gives its last row whatever the binomial draws
+        # before it leave; on a rounded table that remainder is nonzero at
+        # large counts (on about two in five of these tables at 2**62
+        # trials), so the draw must stop at the last positive row.
+        table_rng = np.random.default_rng(2031)
+        tables = [np.array([0.5, 0.5 - 1e-10, 0.0])]
+        for _ in range(200):
+            weights = np.concatenate([table_rng.random(int(table_rng.integers(2, 7))), np.zeros(int(table_rng.integers(1, 4)))])
+            weights[int(table_rng.integers(weights.size - 1))] = 0.0
+            tables.append(weights / weights.sum())
+        for i, probs in enumerate(tables):
+            for trials in (1, 10**6, 2**62, 2**63 - 1):
+                counts = sample_counts(probs, trials, np.random.default_rng(i))
+                assert sum(counts) == trials, (i, trials)
+                assert all(count == 0 for count, p in zip(counts, probs) if p == 0.0), (i, trials, counts)
 
-        assert sample_counts([0.5, 0.5 - 1e-10, 0.0], 1, Past()) == [0, 1, 0]
-
-    def test_counts_follow_the_blockwise_cumsum_formula(self, monkeypatch):
-        # The formula written out with np.cumsum, np.searchsorted and a zeroed
-        # running count: sample_counts must give its counts and leave the
-        # generator where it leaves it, on tables of 1-40 rows with zero rows,
-        # at every trial count around the block edges.
-        def reference(probs, trials, rng, block):
+    def test_counts_follow_the_multinomial_formula(self):
+        # The formula written out: one Generator.multinomial draw over the
+        # rows up to the last positive one, divided by their sum.
+        # sample_counts must give its counts and leave the generator where it
+        # leaves it, on tables of 1-40 rows with zero rows, at small and large
+        # trial counts, also on tables that sum to 1 - 5e-10.
+        def reference(probs, trials, rng):
             probs = np.asarray(probs, dtype=np.float64)
-            cdf = np.cumsum(probs)
-            counts = np.zeros(probs.size + 1, dtype=np.int64)
-            for start in range(0, trials, block):
-                draws = rng.random(min(block, trials - start))
-                counts += np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=probs.size + 1)
-            if counts[-1]:
-                counts[np.flatnonzero(probs)[-1]] += counts[-1]
-            return counts[:-1].tolist()
+            drawn = int(np.flatnonzero(probs)[-1]) + 1
+            counts = np.zeros(probs.size, dtype=np.int64)
+            counts[:drawn] = rng.multinomial(trials, probs[:drawn] / probs.sum())
+            return counts.tolist()
 
-        class PastTheTable:
-            # About a fifth of the doubles land past a table that sums to
-            # 1 - 5e-10, so the last-positive-row rule runs.
-            def __init__(self, seed):
-                self.rng = np.random.default_rng(seed)
-
-            def random(self, n):
-                draws = self.rng.random(n)
-                return np.where(draws < 0.2, 1.0 - 1e-12, draws)
-
-        block = 16
-        monkeypatch.setattr(hilbert, "SAMPLE_BLOCK", block)
         table_rng = np.random.default_rng(2027)
         for rows in range(1, 41):
             weights = table_rng.random(rows)
             weights[table_rng.random(rows) < 0.3] = 0.0
             weights[table_rng.integers(rows)] += 0.5
             probs = weights / weights.sum()
-            short = probs * (1.0 - 5e-10)
-            assert np.cumsum(short)[-1] < 1.0 - 1e-12
-            for trials in (1, 7, block - 1, block, block + 1, 3 * block + 5):
-                seed = 1000 * rows + trials
-                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-                assert sample_counts(probs, trials, ours) == reference(probs, trials, theirs, block), (rows, trials)
-                assert ours.random() == theirs.random(), (rows, trials)
-                ours, theirs = PastTheTable(seed), PastTheTable(seed)
-                assert sample_counts(short, trials, ours) == reference(short, trials, theirs, block), (rows, trials)
-                assert ours.rng.random() == theirs.rng.random(), (rows, trials)
+            for table in (probs, probs * (1.0 - 5e-10)):
+                for trials in (1, 7, 1000, 10**12):
+                    seed = 1000 * rows + trials % 1000
+                    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                    assert sample_counts(table, trials, ours) == reference(table, trials, theirs), (rows, trials)
+                    assert ours.random() == theirs.random(), (rows, trials)

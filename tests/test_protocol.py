@@ -673,14 +673,17 @@ class TestOutcomeStatistics:
         with pytest.raises(ValueError):
             outcome_statistics(general(1.0, 0.0, 1.0, 0.0), 0, seed=1)
 
-    def test_matches_sampled_runs_on_one_generator(self):
-        # The prefix runs once, but trial i still reads the i-th double of
-        # default_rng(seed), as run_general does on one shared generator.
-        inp = general(ROOT_HALF, ROOT_HALF, ROOT_HALF, ROOT_HALF, EulerAngles(0.3, math.pi / 2, 0.7))
-        trials = 20_000
+    def test_frequencies_match_the_exact_weights(self):
+        # The count of m=0 is one binomial draw of P(m=0), the exact Born
+        # weight run_general samples from (1/2 for every input).
         rng = np.random.default_rng(2024)
-        zeros = sum(run_general(inp, rng).outcome == 0 for _ in range(trials))
-        assert outcome_statistics(inp, trials, seed=2024) == (zeros / trials, (trials - zeros) / trials)
+        trials = 10**6
+        for i in range(10):
+            inp = random_general_input(rng)
+            p0 = float(measurement_weights(inp)[0])
+            freq0, freq1 = outcome_statistics(inp, trials, seed=i)
+            assert freq0 + freq1 == pytest.approx(1.0, abs=1e-12)
+            assert abs(freq0 - p0) <= 4 * math.sqrt(p0 * (1.0 - p0) / trials), (i, freq0, p0)
 
 
 class TestTranscriptRecords:

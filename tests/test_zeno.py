@@ -11,8 +11,8 @@ import pickle
 import re
 import tracemalloc
 import warnings
-from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cctsim import checks, hilbert, protocol, zeno
+from cctsim import checks, cli, hilbert, protocol, zeno
 from cctsim.gates import EulerAngles
 from cctsim.hilbert import StateVector, fidelity
 from cctsim.protocol import BellInput, GeneralInput
@@ -52,8 +52,10 @@ ROOT_HALF = 1.0 / math.sqrt(2.0)
 BALANCED = GeneralInput(ROOT_HALF, ROOT_HALF, ROOT_HALF, ROOT_HALF, EulerAngles(0.3, math.pi / 2, 0.7))
 
 # SHA-256 over the same-seed reports of _monte_carlo_documents(), recorded
-# before the campaigns shared one tally.
-MONTE_CARLO_DIGEST = "674bad467f85ff02f67b924c49accc1a001fbea8a6c998a43724992cbe3aa1a7"
+# when each campaign's counts became one multinomial draw.  It follows
+# numpy's Generator.multinomial stream, which NEP 19 lets a numpy release
+# change.
+MONTE_CARLO_DIGEST = "a23a270e7ae41716adb1706c89de68151c1c77e62f51b5bc50084564c5dbaa82"
 
 # SHA-256 over _stage_documents(), recorded before configs shared a pass.
 STAGE_DIGEST = "cd2cd1497311aaf8c404f1969dfab117446039b787e28c26956f45dd38763234"
@@ -1083,6 +1085,25 @@ class TestCqzAbortKinds:
             assert abs(observed / trials - expected) < 4 * se
 
 
+def _assert_within_4_se(counts: np.ndarray, probs: np.ndarray, case: object) -> None:
+    """Each row's sampled frequency within 4 SE of its probability.  Rows
+    are pooled, smallest first, until each pool is expected at least 25
+    times, so no pool's SE is too small for a count of one to break."""
+    trials = int(counts.sum())
+    pools, count, prob = [], 0, 0.0
+    for i in np.argsort(probs):
+        count, prob = count + int(counts[i]), prob + float(probs[i])
+        if prob * trials >= 25:
+            pools.append((count, prob))
+            count, prob = 0, 0.0
+    if count or prob:
+        last_count, last_prob = pools.pop()
+        pools.append((last_count + count, last_prob + prob))
+    for count, prob in pools:
+        se = math.sqrt(prob * (1.0 - prob) / trials)
+        assert abs(count / trials - prob) <= 4 * se, (case, count, trials, prob)
+
+
 class TestOutcomeTables:
     def test_probabilities_sum_to_one(self):
         for gate in ("qz", "cqz"):
@@ -1145,58 +1166,45 @@ class TestOutcomeTables:
             zeno._gate_table((0.6, 0.8), "H", None, 5, model)
             zeno._gate_table((0.6, 0.8), "H", 5, 5, model)
 
-    def test_single_trajectory_views_draw_one_uniform(self):
-        # A campaign of one traversal reads exactly one double.
+    def test_single_trajectory_views_draw_one_multinomial(self):
+        # A campaign of any size reads exactly one multinomial draw over its
+        # gate's outcome table, whose rows are all positive.
         for model in AbsorberModel:
             view, reference = np.random.default_rng(5), np.random.default_rng(5)
-            ((_, qz_count),) = simulate_qz((0.6, 0.8), "H", 5, model, view, 1)
-            ((_, cqz_count),) = simulate_cqz((0.6, 0.8), "H", 5, 5, model, view, 1)
-            assert qz_count == cqz_count == 1
-            reference.random(2)
+            for simulate, args, outer in ((simulate_qz, ((0.6, 0.8), "H", 5, model), None),
+                                          (simulate_cqz, ((0.6, 0.8), "H", 5, 5, model), 5)):
+                outcomes, probs = zeno._gate_table((0.6, 0.8), "H", outer, 5, model)
+                for size in (1, 1_000):
+                    counts = reference.multinomial(size, probs / probs.sum())
+                    expected = [(outcome, count) for outcome, count in zip(outcomes, counts) if count]
+                    assert simulate(*args, view, size) == expected, (model, outer, size)
             assert view.random() == reference.random()
 
     def test_size_tallies_the_single_trajectory_views(self):
-        # A campaign of n traversals reads the same n doubles as n campaigns of one.
-        def key(outcome):
-            state = outcome.final_state
-            return outcome.kind, outcome.stage, outcome.cycle_index, None if state is None else state.amps.tobytes()
-
+        # A single-trajectory view (a campaign of size 1) lands on row i
+        # with probability probs[i], and a campaign of size n tallies n
+        # trials of that law: 2000 views on fresh seeds and one campaign of
+        # 10**6 each sit within 4 SE of the table.
         for model in AbsorberModel:
-            for simulate, args in ((simulate_qz, ((0.6, 0.8), "H", 5, model)),
-                                   (simulate_cqz, ((0.6, 0.8), "V", 4, 3, model))):
-                single, batch = np.random.default_rng(9), np.random.default_rng(9)
-                one_at_a_time = Counter()
-                for _ in range(500):
-                    ((outcome, count),) = simulate(*args, single, 1)
-                    one_at_a_time[key(outcome)] += count
-                tallied = simulate(*args, batch, 500)
-                assert sum(count for _, count in tallied) == 500
-                assert {key(outcome): count for outcome, count in tallied} == dict(one_at_a_time)
-                assert single.random() == batch.random()
+            for simulate, args, table in ((simulate_qz, ((0.6, 0.8), "H", 5, model), ((0.6, 0.8), "H", None, 5, model)),
+                                          (simulate_cqz, ((0.6, 0.8), "V", 4, 3, model), ((0.6, 0.8), "V", 4, 3, model))):
+                outcomes, probs = zeno._gate_table(*table)
+                rows = {outcome: i for i, outcome in enumerate(outcomes)}
+                singles = np.zeros(len(outcomes), dtype=np.int64)
+                for seed in range(2_000):
+                    ((outcome, count),) = simulate(*args, np.random.default_rng(seed), 1)
+                    singles[rows[outcome]] += count
+                _assert_within_4_se(singles, probs, (table, "views"))
+                tallied = np.zeros(len(outcomes), dtype=np.int64)
+                for outcome, count in simulate(*args, np.random.default_rng(9), 10**6):
+                    tallied[rows[outcome]] += count
+                _assert_within_4_se(tallied, probs, (table, "campaign"))
 
     def test_nan_absorber_rejected(self):
         with pytest.raises(ValueError):
             gate_statistics("qz", (math.nan, 1.0), "H", 5, AbsorberModel.PER_CYCLE_BORN, 1000, 1)
         with pytest.raises(ValueError):
             gate_statistics("cqz", (1.0, complex(0.0, math.nan)), "H", 5, AbsorberModel.COHERENT, 1000, 1, outer=5)
-
-    def test_block_size_does_not_change_reports(self, monkeypatch):
-        def campaigns():
-            reports = [
-                gate_statistics(gate, (0.6, 0.8), "H", 5, model, 1_000, 71, outer=5 if gate == "cqz" else None,
-                                expected_success_state=StateVector.basis((2, 2), (1, 0)))
-                for gate in ("qz", "cqz")
-                for model in AbsorberModel
-            ]
-            reports.append(simulate_cct(CycleConfig(6, 6, 6), BALANCED, 1_000, 73))
-            reports.append(simulate_cct(CycleConfig(6, 6, 6), BellInput(1, -1, 0.6, 0.8, EulerAngles(0.4, 2.0, 1.3)), 1_000, 79))
-            encoded = [json.dumps(report.as_dict(), sort_keys=True) for report in reports]
-            encoded.append(json.dumps(protocol.outcome_statistics(BALANCED, 1_000, 83)))
-            return encoded
-
-        default = campaigns()
-        monkeypatch.setattr(hilbert, "SAMPLE_BLOCK", 7)
-        assert campaigns() == default
 
 
 class TestSameSeedBytes:
@@ -1286,6 +1294,36 @@ class TestSimulateCct:
             assert {m for m, _, _, _ in rows} == branches
             assert {m for m, stage, _, _ in rows if stage == "controlled-z"} == controlled_z
 
+    def test_one_trial_lands_on_each_row_with_its_probability(self):
+        # A one-trial campaign on fresh seeds lands on row i of the outcome
+        # table with probability probs[i], for both protocols.
+        for cfg, inp in ((CycleConfig(4, 5, 3), GeneralInput(0.6, 0.8j, 0.8, 0.6, EulerAngles(0.2, 1.3, 0.4))),
+                         (CycleConfig(4, 5, 3), BellInput(1, -1, 0.6, 0.8, EulerAngles(0.4, 2.0, 1.3)))):
+            table = zeno._cct_table(cfg, inp)
+            counts = np.zeros(len(table[0]), dtype=np.int64)
+            for seed in range(5_000):
+                ((row, count),) = zeno._sample(table, np.random.default_rng(seed), 1)
+                counts[table[0].index(row)] += count
+            _assert_within_4_se(counts, table[1], (cfg, inp))
+
+    @pytest.mark.parametrize("mode", ["general", "bell"])
+    def test_a_campaign_of_10_to_the_8_trials_matches_the_abort_rate(self, mode):
+        # examples.json, whose outcome m is 0 or 1 with probability 1/2, and
+        # its Bell-type counterpart; one draw makes 10**8 trials affordable.
+        config = cli.load_config(Path(__file__).resolve().parents[1] / "examples.json")
+        cfg, inp = config.cycles, config.protocol_input
+        if mode == "general":
+            assert protocol.run_general_branches(inp)[0] == pytest.approx(0.5, abs=1e-12)
+            values = stage_probabilities_general(cfg, inp)
+            expected = (values["zeta0"] + values["zeta1"]) / 2.0
+        else:
+            inp = BellInput(1, -1, 0.6, 0.8j, EulerAngles(0.4, 2.0, 1.3))
+            expected = stage_probabilities_bell(cfg, inp)["zeta"]
+        trials = 10**8
+        report = simulate_cct(cfg, inp, trials, config.seed)
+        se = math.sqrt(expected * (1 - expected) / trials)
+        assert abs(report.abort_rate_estimate - expected) < 4 * se
+
     def test_seeded_reproducibility(self):
         cfg = CycleConfig(8, 8, 8)
         first = simulate_cct(cfg, BALANCED, 5_000, 61)
@@ -1299,10 +1337,10 @@ class TestSimulateCct:
     @pytest.mark.parametrize(
         "cfg,inp,seed,stages,counts",
         [
-            (CycleConfig(6, 6, 6), BALANCED, 73, 4, (752, 3457, 791)),
-            (CycleConfig(150, 150, 5), GeneralInput(0.6, 0.8j, 0.8, 0.6, EulerAngles(0.2, 1.3, 0.4)), 74, 4, (1855, 3112, 33)),
-            (CycleConfig(6, 6, 6), BellInput(1, -1, 0.6, 0.8, EulerAngles(0.4, 2.0, 1.3)), 79, 2, (1645, 3258, 97)),
-            (CycleConfig(5, 2400, 7), BellInput(0, 1, 0.8, 0.6, EulerAngles(0.4, 2.0, 1.3)), 80, 2, (4028, 431, 541)),
+            (CycleConfig(6, 6, 6), BALANCED, 73, 4, (736, 3486, 778)),
+            (CycleConfig(150, 150, 5), GeneralInput(0.6, 0.8j, 0.8, 0.6, EulerAngles(0.2, 1.3, 0.4)), 74, 4, (1854, 3111, 35)),
+            (CycleConfig(6, 6, 6), BellInput(1, -1, 0.6, 0.8, EulerAngles(0.4, 2.0, 1.3)), 79, 2, (1642, 3255, 103)),
+            (CycleConfig(5, 2400, 7), BellInput(0, 1, 0.8, 0.6, EulerAngles(0.4, 2.0, 1.3)), 80, 2, (4082, 410, 508)),
         ],
     )
     def test_each_chained_stage_evaluated_once(self, monkeypatch, cfg, inp, seed, stages, counts):
@@ -1312,8 +1350,8 @@ class TestSimulateCct:
         # and lambda5 at 2M, the Bell-type one lambda7 at M.  With the one
         # collapse chain (lambda3 or lambda6), that is one evaluation per
         # stage the protocol runs, and no other.
-        # The (successes, absorbed, discarded) counts are the ones recorded
-        # before the pairs were shared.
+        # The (successes, absorbed, discarded) counts were recorded when the
+        # counts became one multinomial draw.
         calls, chains = [], []
         original, original_chain = zeno._chained_factors, zeno.dcfo_success
 
@@ -1520,6 +1558,16 @@ class TestTrialCountRule:
             with pytest.raises(ValueError, match="^trials must be an integer >= 1, got None$"):
                 campaign()
 
+    def test_every_campaign_refuses_a_count_past_int64(self):
+        # One multinomial draw takes at most 2**63 - 1 trials, which every
+        # campaign runs; a larger count is refused by name.
+        for trials in (2**63, np.uint64(2**63), 10**23):
+            for campaign in self._campaigns(trials):
+                with pytest.raises(ValueError, match=r"^trials: must be at most 2\*\*63 - 1, got "):
+                    campaign()
+        for campaign in self._campaigns(2**63 - 1):
+            campaign()
+
     @pytest.mark.parametrize("trials", [np.int64(300), np.int32(300), np.uint16(300)], ids=repr)
     def test_numpy_integer_counts_match_python_ints(self, trials):
         for numpy_count, python_count in zip(self._campaigns(trials), self._campaigns(300)):
@@ -1556,7 +1604,7 @@ class TestGateStatisticsValidation:
     def test_each_model_runs_its_own_table(self):
         reports = {model: gate_statistics("qz", (0.6, 0.8), "H", 5, model, 2_000, 1) for model in AbsorberModel}
         counts = {model: (report.successes, report.absorbed) for model, report in reports.items()}
-        assert counts == {AbsorberModel.COHERENT: (444, 1556), AbsorberModel.PER_CYCLE_BORN: (618, 1382)}
+        assert counts == {AbsorberModel.COHERENT: (435, 1565), AbsorberModel.PER_CYCLE_BORN: (591, 1409)}
 
     def test_the_tally_refuses_an_unknown_kind(self):
         with pytest.raises(ValueError, match="not an OutcomeKind"):
