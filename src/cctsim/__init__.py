@@ -1,46 +1,23 @@
 """Counterfactual concealed telecomputation: exact simulation and verification.
 
-Submodules:
+Submodules, each imported on first use (``import cctsim`` loads none):
 
 * ``hilbert``  - dense states/operators over mixed-dimension registers
-* ``gates``    - constructors for every named protocol gate
+* ``gates``    - constructors for every named protocol gate (loads hilbert)
 * ``protocol`` - exact logical runs, closed-form oracles, verification
-* ``zeno``     - stage probabilities and optical-gate Monte Carlo
+  (loads hilbert and gates)
+* ``zeno``     - stage probabilities and optical-gate Monte Carlo (loads
+  protocol and the layers below it)
 * ``checks``   - the acceptance checklist driven by tests and the CLI
-* ``cli``      - run / sweep / montecarlo / verify front end
+* ``cli``      - run / sweep / montecarlo / verify front end (loads all four
+  layers; ``verify`` also loads checks)
+
+The first four, and every name in ``__all__``, are package attributes too.
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
-
-from .gates import EulerAngles
-from .hilbert import Operator, StateVector, apply, fidelity, measure, schmidt_rank, tensor
-from .protocol import (
-    BellInput,
-    GeneralInput,
-    Transcript,
-    VerificationReport,
-    expected_output_bell,
-    expected_output_general,
-    outcome_statistics,
-    run_bell,
-    run_general,
-    verify_bell,
-    verify_general,
-)
-from .zeno import (
-    AbsorberModel,
-    CycleConfig,
-    MonteCarloReport,
-    OutcomeKind,
-    TrajectoryOutcome,
-    simulate_cct,
-    simulate_cqz,
-    simulate_qz,
-    stage_probabilities_bell,
-    stage_probabilities_general,
-)
 
 __all__ = [
     "__version__",
@@ -74,3 +51,29 @@ __all__ = [
     "verify_bell",
     "verify_general",
 ]
+
+# Lowest layer first: a layer re-exports only names of the layers below it,
+# so the first layer holding a public name is the one that defines it.
+_LAYERS = ("hilbert", "gates", "protocol", "zeno")
+
+
+def __getattr__(name: str):
+    """Import a layer, or the layers up to the one defining a public name, on
+    first access (PEP 562) and bind the name here, so this runs once per name."""
+    if name in _LAYERS:
+        # The import statement's own path, which binds the layer here and
+        # which ``-X importtime`` reports.
+        __import__(f"{__name__}.{name}")
+    elif name in __all__:
+        for layer in _LAYERS:
+            module = __getattr__(layer)
+            if hasattr(module, name):
+                globals()[name] = getattr(module, name)
+                break
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_LAYERS})

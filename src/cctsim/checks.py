@@ -126,7 +126,8 @@ def _factored_gates(angles: EulerAngles) -> tuple[tuple[str, Operator, str, Oper
 
 def check_gate_unitarity_and_permutations() -> str:
     """Criterion 1: every constructor unitary; the flip gates are 0/1 permutations;
-    v1 and tilde_v1 equal their factor products entry for entry."""
+    v1 and tilde_v1 equal their factor products entry for entry, and
+    euler_unitary equals rotation_z . rotation_y . rotation_z."""
     worst = 0.0
     for name, factory in GATE_CONSTRUCTORS:
         defect = factory().unitarity_defect()
@@ -144,10 +145,18 @@ def check_gate_unitarity_and_permutations() -> str:
     factored = _factored_gates(GATE_ANGLES)
     for name, op, reads, product in factored:
         _require(np.array_equal(op.entries, product.entries), f"{name} differs from {reads} at {GATE_ANGLES}")
+    # Not bitwise: euler_unitary's last 2x2 product is rounded by the BLAS kernel.
+    a = GATE_ANGLES
+    rotations = gates.rotation_z(a.phi) @ gates.rotation_y(a.theta) @ gates.rotation_z(a.varphi)
+    gap = float(np.max(np.abs(gates.euler_unitary(a).entries - rotations.entries)))
+    _require(
+        gap <= 1e-15, f"euler_unitary differs from rotation_z . rotation_y . rotation_z at {a}: max gap {gap:.3e}"
+    )
     return (
         f"{len(GATE_CONSTRUCTORS)} constructors unitary (worst defect {worst:.2e}); "
         f"{len(PERMUTATION_GATES)} permutation gates verified over every basis column; "
-        f"{len(factored)} composite gates equal their factor products"
+        f"{len(factored)} composite gates equal their factor products; "
+        f"euler_unitary within {gap:.1e} of its rotations"
     )
 
 

@@ -374,11 +374,22 @@ def _collapse(state: StateVector, subsystem: int, outcome: int, probs: np.ndarra
     return StateVector._trusted(state.dims, kept.reshape(-1) / np.sqrt(weight)), weight
 
 
+def _check_outcome(outcome: int, dim: int) -> None:
+    if outcome < 0 or outcome >= dim:
+        raise ValueError(f"outcome {outcome} out of range for dimension {dim}")
+
+
+def _check_tol(tol: float) -> None:
+    """Refuse a NaN tolerance, which no ``> tol`` test can fail, and a negative
+    one, which every residual and coefficient exceeds."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+
+
 def _branch_weight(outcome: int, probs: np.ndarray) -> float:
     """Born weight of ``outcome`` in the marginal ``probs``; raises if the
     outcome is out of range or its weight is (near) zero."""
-    if outcome < 0 or outcome >= probs.size:
-        raise ValueError(f"outcome {outcome} out of range for dimension {probs.size}")
+    _check_outcome(outcome, probs.size)
     weight = float(probs[outcome])
     if weight <= NORMALIZATION_TOL:
         raise ValueError(f"cannot collapse onto outcome {outcome} with Born weight {weight}")
@@ -387,7 +398,9 @@ def _branch_weight(outcome: int, probs: np.ndarray) -> float:
 
 def factor_out(state: StateVector, subsystem: int, outcome: int, tol: float = NORMALIZATION_TOL) -> StateVector:
     """Drop a subsystem that is (up to ``tol``) in the basis state ``outcome``."""
+    _check_tol(tol)
     probs = born_probabilities(state, subsystem)
+    _check_outcome(outcome, probs.size)
     residual = float(probs.sum() - probs[outcome])
     if residual > tol:
         raise ValueError(f"subsystem {subsystem} is not in basis state {outcome}: residual weight {residual}")
@@ -521,4 +534,5 @@ def schmidt_coefficients(state: StateVector, left: Iterable[int]) -> np.ndarray:
 
 def schmidt_rank(state: StateVector, left: Iterable[int], tol: float = FIDELITY_TOL) -> int:
     """Number of Schmidt coefficients above ``tol`` across the bipartition."""
+    _check_tol(tol)
     return int(np.sum(schmidt_coefficients(state, left) > tol))

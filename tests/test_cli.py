@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import hashlib
 import inspect
 import json
@@ -795,15 +796,6 @@ class TestVerifyCommand:
         assert re.fullmatch(r"instant  FAIL  +\d+\.\d{3}s  runtime \d+\.\d{2}s exceeded the 0s budget \(fine\)", line)
         assert result == "result: FAILED"
 
-    def test_importing_the_cli_leaves_the_checklist_unloaded(self):
-        # run, sweep and montecarlo never use the checklist; only verify
-        # imports it.  A fresh interpreter, since this one has loaded it.
-        code = "import sys, cctsim.cli; print('cctsim.checks' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "False\n"
-
     def test_sabotaged_gate_is_caught(self, fast_checks, capsys):
         code = cli.main(["verify", "--sabotage", "q1"])
         assert code == cli.EXIT_VERIFY_FAILED
@@ -824,6 +816,23 @@ class TestVerifyCommand:
         monkeypatch.setattr(gates, "v11", negated_rows)
         assert cli.main(["verify"]) == cli.EXIT_VERIFY_FAILED
         assert "v1 differs from v14 . v13 . v12 . v11" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rotation", ["rotation_y", "rotation_z"])
+    def test_a_phase_on_a_rotation_is_caught(self, fast_checks, monkeypatch, rotation):
+        # A phase on the first column keeps the rotation unitary, and
+        # euler_unitary does not call it: only the comparison of
+        # euler_unitary with its rotations sees the fault.
+        healthy = getattr(gates, rotation)
+
+        def phased(angle):
+            entries = healthy(angle).entries.copy()
+            entries[:, 0] *= cmath.exp(0.3j)
+            return Operator((2,), entries)
+
+        monkeypatch.setattr(gates, rotation, phased)
+        (result,) = [result for result in checks.run_all() if result.name == "gates"]
+        assert not result.passed
+        assert "euler_unitary differs from rotation_z . rotation_y . rotation_z" in result.detail
 
     def test_table_reaches_every_sabotage_target(self):
         reached = set()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +244,30 @@ class TestMeasurementWithoutMovedAxes:
     def test_the_only_subsystem_cannot_be_factored_out(self):
         with pytest.raises(ValueError, match="only subsystem"):
             factor_out(ket((2,), (1,)), 0, 1)
+
+    @pytest.mark.parametrize("outcome", [-1, 3, 7])
+    def test_factor_out_refuses_an_outcome_out_of_range(self, outcome):
+        # Unchecked, numpy would read -1 as the last level and 3 as an IndexError.
+        with pytest.raises(ValueError, match=f"^outcome {outcome} out of range for dimension 3$"):
+            factor_out(ket((2, 3), (0, 2)), 1, outcome)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-3, -math.inf])
+    def test_factor_out_and_schmidt_rank_refuse_a_nan_or_negative_tol(self, tol):
+        # Every `> nan` test is False: unchecked, factor_out would drop half of
+        # a Bell pair and schmidt_rank would count no coefficient.
+        bell = StateVector.from_terms((2, 2), {(0, 0): 1 / math.sqrt(2), (1, 1): 1 / math.sqrt(2)})
+        message = f"^tol must be a non-negative number, got {re.escape(repr(tol))}$"
+        with pytest.raises(ValueError, match=message):
+            factor_out(bell, 1, 0, tol=tol)
+        with pytest.raises(ValueError, match=message):
+            schmidt_rank(bell, {0}, tol=tol)
+
+    def test_a_zero_tol_is_exact(self):
+        bell = StateVector.from_terms((2, 2), {(0, 0): 1 / math.sqrt(2), (1, 1): 1 / math.sqrt(2)})
+        assert schmidt_rank(bell, {0}, tol=0.0) == 2
+        assert factor_out(ket((2, 3), (1, 2)), 1, 2, tol=0.0) == ket((2,), (1,))
+        with pytest.raises(ValueError, match="not in basis state 0"):
+            factor_out(bell, 1, 0, tol=0.0)
 
 
 class TestMeasure:

@@ -1,0 +1,80 @@
+"""The package surface and its layering: what ``import cctsim`` binds and loads.
+
+The package imports its layers on first use, so which layers an entry point
+loads is checked in a fresh interpreter: this one has loaded them all.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cctsim
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LAYERS = ("hilbert", "gates", "protocol", "zeno")
+
+
+def _fresh(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports cctsim from src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestSurface:
+    def test_each_public_name_is_the_object_of_its_defining_layer(self):
+        for name in cctsim.__all__:
+            if name == "__version__":
+                continue
+            value = getattr(cctsim, name)
+            assert value.__module__ in {f"cctsim.{layer}" for layer in LAYERS}, name
+            assert getattr(sys.modules[value.__module__], name) is value, name
+
+    def test_star_import_binds_exactly_all(self):
+        namespace: dict = {}
+        exec("from cctsim import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(cctsim.__all__)
+        assert all(value is getattr(cctsim, name) for name, value in namespace.items())
+
+    def test_an_unknown_attribute_is_named(self):
+        with pytest.raises(AttributeError, match="^module 'cctsim' has no attribute 'no_such_name'$"):
+            getattr(cctsim, "no_such_name")
+
+    def test_a_bare_import_lists_every_name_and_binds_each_on_first_use(self):
+        code = (
+            "import sys, cctsim\n"
+            f"layers = {LAYERS!r}\n"
+            "print(sorted({*cctsim.__all__, *layers} - set(dir(cctsim))))\n"
+            "print([getattr(cctsim, layer).__name__ for layer in layers])\n"
+            "print(cctsim.zeno.simulate_cct is cctsim.simulate_cct, 'simulate_cct' in vars(cctsim))\n"
+        )
+        assert _fresh(code).splitlines() == [
+            "[]",
+            str([f"cctsim.{layer}" for layer in LAYERS]),
+            "True True",
+        ]
+
+
+# The cctsim submodules each entry point loads.  run, sweep and montecarlo
+# never use the checklist; only verify imports it.
+LOADS = {
+    "cctsim": [],
+    "cctsim.protocol": ["gates", "hilbert", "protocol"],
+    "cctsim.zeno": ["gates", "hilbert", "protocol", "zeno"],
+    "cctsim.cli": ["cli", "gates", "hilbert", "protocol", "zeno"],
+    "cctsim.checks": ["checks", "gates", "hilbert", "protocol", "zeno"],
+}
+
+
+class TestLayering:
+    @pytest.mark.parametrize("entry", LOADS)
+    def test_each_entry_point_loads_only_its_layers(self, entry):
+        code = f"import sys, {entry}; print(sorted(m for m in sys.modules if m.startswith('cctsim.')))"
+        assert _fresh(code) == f"{[f'cctsim.{name}' for name in LOADS[entry]]}\n"
