@@ -3,16 +3,19 @@
 Submodules, each imported on first use (``import cctsim`` loads none):
 
 * ``hilbert``  - dense states/operators over mixed-dimension registers
-* ``gates``    - constructors for every named protocol gate (loads hilbert)
+* ``inputs``   - the input records: Euler angles, general and Bell-type
+  inputs (loads hilbert)
+* ``gates``    - constructors for every named protocol gate (loads inputs)
 * ``protocol`` - exact logical runs, closed-form oracles, verification
-  (loads hilbert and gates)
+  (loads gates and the layers below it)
 * ``zeno``     - stage probabilities and optical-gate Monte Carlo (loads
-  protocol and the layers below it)
+  inputs; its Monte Carlo loads protocol on its first campaign)
 * ``checks``   - the acceptance checklist driven by tests and the CLI
-* ``cli``      - run / sweep / montecarlo / verify front end (loads all four
-  layers; ``verify`` also loads checks)
+* ``cli``      - run / sweep / montecarlo / verify front end (loads zeno;
+  ``sweep`` loads nothing more, ``run`` and ``montecarlo`` load protocol,
+  ``verify`` loads checks)
 
-The first four, and every name in ``__all__``, are package attributes too.
+The first five, and every name in ``__all__``, are package attributes too.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ __all__ = [
 
 # Lowest layer first: a layer re-exports only names of the layers below it,
 # so the first layer holding a public name is the one that defines it.
-_LAYERS = ("hilbert", "gates", "protocol", "zeno")
+_LAYERS = ("hilbert", "inputs", "gates", "protocol", "zeno")
 
 
 def __getattr__(name: str):

@@ -7,6 +7,11 @@ written as [re, im] pairs and angles in radians.  Every report echoes the
 full configuration and the seed, and files are written atomically (temp
 file plus rename).  Exit codes: 0 success, 1 verification failure, 2
 configuration error, an output that cannot be written included.
+
+Each subcommand loads only the layers it runs: ``sweep`` needs ``zeno``'s
+closed forms and the ``inputs`` records alone, ``run`` imports ``protocol``
+(with ``gates``), ``montecarlo`` gets them through ``zeno.simulate_cct``,
+and ``verify`` imports ``checks``.
 """
 
 from __future__ import annotations
@@ -26,10 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, protocol, zeno
-from .gates import EulerAngles
+from . import __version__, zeno
 from .hilbert import _is_integer, schmidt_rank, unit_pair_error
-from .protocol import BellInput, GeneralInput
+from .inputs import BellInput, EulerAngles, GeneralInput
 from .zeno import CycleConfig
 
 EXIT_OK = 0
@@ -288,6 +292,9 @@ def _envelope(config: RunConfig, results: dict) -> str:
 def cmd_run(config: RunConfig) -> int:
     """Execute one protocol run, verify it, and write the transcript summary."""
     _check_out(config.out)
+    # Imported here, like checks in cmd_verify: a sweep never loads the dense run.
+    from . import protocol
+
     if config.mode == "general":
         rng = np.random.default_rng(config.seed)
         transcript = protocol.run_general(config.protocol_input, rng)

@@ -24,36 +24,12 @@ import cmath
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import NORMALIZATION_TOL, Operator, _is_integer
-
-
-@dataclass(frozen=True)
-class EulerAngles:
-    """Z-Y-Z decomposition angles (phi, theta, varphi), plain radians.
-
-    The single-qubit unitary parameterized here is
-    rotation_z(phi) @ rotation_y(theta) @ rotation_z(varphi); no range
-    normalization is applied, but each angle must be finite.
-    """
-
-    phi: float
-    theta: float
-    varphi: float
-
-    def __post_init__(self) -> None:
-        for name in ("phi", "theta", "varphi"):
-            _check_angle(getattr(self, name), "Euler angle " + name)
-
-
-def _check_angle(value: float, label: str) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{label} must be finite, got {value!r}")
-
+from .hilbert import NORMALIZATION_TOL, Operator
+from .inputs import EulerAngles, _check_angle, _check_bit
 
 _I2 = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -64,13 +40,6 @@ _IDENTITY_ON_BC = {c_dim: np.eye(2 * c_dim, dtype=np.complex128) for c_dim in (2
 # Entries kept per angle-keyed constructor: a campaign over many distinct
 # angles must not hold one operator per angle for the life of the process.
 _ANGLE_CACHE_SIZE = 256
-
-
-def _check_bit(value: int, what: str) -> None:
-    """Reject anything but the integer 0 or 1.  Constructors cached on such a
-    label use typed caches so that True and 1.0 reach this check."""
-    if not _is_integer(value) or value not in (0, 1):
-        raise ValueError(f"{what} must be 0 or 1, got {value}")
 
 
 def _basis_gate(dims: tuple[int, ...], rule) -> Operator:

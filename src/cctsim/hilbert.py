@@ -338,13 +338,22 @@ def _signed_permutation(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
 def _by_outcome(state: StateVector, subsystem: int) -> np.ndarray:
     """View of the amplitudes as (before, outcome of ``subsystem``, after)."""
     dims = state.dims
-    if subsystem < 0 or subsystem >= len(dims):
-        raise ValueError(f"subsystem index {subsystem} out of range for {len(dims)} subsystems")
     return state.amps.reshape(math.prod(dims[:subsystem]), dims[subsystem], -1)
 
 
 def born_probabilities(state: StateVector, subsystem: int) -> np.ndarray:
     """Marginal outcome probabilities for measuring one subsystem."""
+    n = len(state.dims)
+    if not _is_integer(subsystem):
+        raise ValueError(f"subsystem index must be an integer, got {subsystem!r}")
+    if subsystem < 0 or subsystem >= n:
+        raise ValueError(f"subsystem index {subsystem} out of range for {n} subsystems")
+    return _marginal(state, subsystem)
+
+
+def _marginal(state: StateVector, subsystem: int) -> np.ndarray:
+    """born_probabilities for a ``subsystem`` known to be an index in range:
+    the protocol's literal ancilla index."""
     dims = state.dims
     if subsystem == len(dims) - 1:
         # The ancilla, always last: the same (outcome, rest) strides as the
@@ -375,6 +384,8 @@ def _collapse(state: StateVector, subsystem: int, outcome: int, probs: np.ndarra
 
 
 def _check_outcome(outcome: int, dim: int) -> None:
+    if not _is_integer(outcome):
+        raise ValueError(f"outcome must be an integer, got {outcome!r}")
     if outcome < 0 or outcome >= dim:
         raise ValueError(f"outcome {outcome} out of range for dimension {dim}")
 

@@ -23,20 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .gates import EulerAngles
 from .hilbert import (
     FIDELITY_TOL,
     StateVector,
     _as_seed,
     _branch_weight,
-    _check_unit_pair,
     _fidelity,
-    _is_integer,
+    _marginal,
     _unit,
     apply,
-    born_probabilities,
     sample_counts,
 )
+from .inputs import BellInput, EulerAngles, GeneralInput, _check_bit
 
 # Ancilla weight above which the measurement's third level signals a fault.
 ANCILLA_LEAK_TOL = 1e-12
@@ -47,42 +45,6 @@ _BELL_DIMS = (2, 2, 2)
 
 class ProtocolFault(RuntimeError):
     """Internal consistency violation (not a bad input)."""
-
-
-@dataclass(frozen=True)
-class GeneralInput:
-    """Product input: (alpha, beta) on A, (gamma, delta) on B, plus Bob's angles."""
-
-    alpha: complex
-    beta: complex
-    gamma: complex
-    delta: complex
-    angles: EulerAngles
-
-    def __post_init__(self) -> None:
-        _check_unit_pair("target (alpha, beta)", self.alpha, self.beta)
-        _check_unit_pair("control (gamma, delta)", self.gamma, self.delta)
-
-
-@dataclass(frozen=True)
-class BellInput:
-    """Entangled two-qubit input of class ``ell`` with relative sign +-1.
-
-    ``(c0, c1)`` weight the |0 ell> and |1 1-ell> components, so class 0
-    states read c0|00> + sign*c1|11> and class 1 states c0|01> + sign*c1|10>.
-    """
-
-    ell: int
-    sign: int
-    c0: complex
-    c1: complex
-    angles: EulerAngles
-
-    def __post_init__(self) -> None:
-        gates._check_bit(self.ell, "class index")
-        if not _is_integer(self.sign) or self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        _check_unit_pair("(c0, c1)", self.c0, self.c1)
 
 
 @dataclass(frozen=True, init=False)
@@ -203,7 +165,7 @@ def _general_prefix(inp: GeneralInput) -> tuple[tuple[StateVector, ...], np.ndar
     psi3 = apply(gates.v1(inp.angles), psi2, (1, 2))
     psi4 = apply(gates.q2(), apply(gates.q1(), psi3, (0, 1, 2)), (0, 1, 2))
     pre = apply(gates.hadamard_on_qutrit(), apply(gates.v2(), psi4, (1, 2)), (2,))
-    probs = born_probabilities(pre, 2)
+    probs = _marginal(pre, 2)
     if probs[2] > ANCILLA_LEAK_TOL:
         raise ProtocolFault(f"ancilla weight {probs[2]!r} on level 2 before measurement")
     return (psi0, psi1, psi2, psi3, psi4, pre), probs
@@ -260,7 +222,7 @@ def run_general_for_outcome(inp: GeneralInput, m: int) -> Transcript:
     The transcript is identical to a sampled run that realized ``m``; the
     recorded probability is the true Born weight of that branch.
     """
-    gates._check_bit(m, "measurement outcome")
+    _check_bit(m, "measurement outcome")
     stages, probs = _general_prefix(inp)
     return _finish_general(stages, probs, m)
 
@@ -307,7 +269,7 @@ def run_bell(inp: BellInput) -> Transcript:
     psi3 = apply(gates.tilde_q1(), psi2, (0, 1, 2))
     psi4 = apply(gates.tilde_q2(inp.ell), psi3, (0, 1, 2))
     final_abc = apply(gates.cnot(), psi4, (1, 2))
-    probs = born_probabilities(final_abc, 2)
+    probs = _marginal(final_abc, 2)
     leak = float(1.0 - probs[0])
     if leak > FIDELITY_TOL:
         raise ProtocolFault(f"ancilla not separable in |0> after the Bell-type run: weight {leak!r} leaked")
@@ -325,7 +287,7 @@ def run_bell(inp: BellInput) -> Transcript:
 
 def expected_output_general(inp: GeneralInput, m: int) -> StateVector:
     """Closed-form output gamma*(I psiA)|0>_B + delta*(U_m psiA)|1>_B, normalized."""
-    gates._check_bit(m, "measurement outcome")
+    _check_bit(m, "measurement outcome")
     return StateVector._trusted((2, 2), _unit(_compact_general(inp, m)))
 
 
@@ -434,7 +396,7 @@ def verify_bell(transcript: Transcript, inp: BellInput) -> VerificationReport:
     if transcript.final_abc is None:
         raise ValueError("transcript has no disentangling stage; was this a general run?")
     output_fid = _fidelity(transcript.psi6m.amps, _unit(_compact_bell(inp)))
-    ancilla_weight = float(born_probabilities(transcript.final_abc, 2)[0])
+    ancilla_weight = float(_marginal(transcript.final_abc, 2)[0])
     return VerificationReport.from_stages([("psi6m", output_fid), ("ancilla", ancilla_weight)])
 
 

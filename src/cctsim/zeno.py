@@ -27,6 +27,10 @@ M = N = 160).  Both are reported, neither is declared authoritative.
 
 Counterfactuality bookkeeping: a trajectory counts as Success only if no
 absorption event fired, i.e. the photon was never found in the channel.
+
+Loading: the module needs only ``hilbert`` and ``inputs``.  ``protocol``
+(and ``gates`` below it) is imported by the schedules' ``outcomes``, which
+only ``simulate_cct`` calls, so a sweep never compiles the dense run.
 """
 
 from __future__ import annotations
@@ -41,9 +45,8 @@ from typing import TypeVar
 
 import numpy as np
 
-from . import protocol as _protocol
 from .hilbert import StateVector, _as_seed, _check_unit_pair, _is_integer, _norm, fidelity, is_count, sample_counts
-from .protocol import BellInput, GeneralInput
+from .inputs import BellInput, GeneralInput
 
 # The largest cycle count: every count the closed forms derive from a config,
 # up to the 2M cycles of lambda5's pass, then stays at or below 2**53, where
@@ -382,8 +385,11 @@ def _general_weights(inp: GeneralInput) -> tuple[dict[str, float], tuple]:
 
 
 def _general_outcomes(inp: GeneralInput) -> Iterable[tuple[float, float]]:
-    p0, transcripts = _protocol.run_general_branches(inp)
-    fids = [fidelity(t.psi6m, _protocol.expected_output_general(inp, m)) for m, t in enumerate(transcripts)]
+    # The dense run loads on a campaign's first call: a sweep never needs it.
+    from . import protocol
+
+    p0, transcripts = protocol.run_general_branches(inp)
+    fids = [fidelity(t.psi6m, protocol.expected_output_general(inp, m)) for m, t in enumerate(transcripts)]
     return zip((p0, 1.0 - p0), fids)
 
 
@@ -411,7 +417,9 @@ def _bell_weights(inp: BellInput) -> tuple[dict[str, float], tuple]:
 
 
 def _bell_outcomes(inp: BellInput) -> Iterable[tuple[float, float]]:
-    return [(1.0, fidelity(_protocol.run_bell(inp).psi6m, _protocol.expected_output_bell(inp)))]
+    from . import protocol
+
+    return [(1.0, fidelity(protocol.run_bell(inp).psi6m, protocol.expected_output_bell(inp)))]
 
 
 BELL_SCHEDULE = Schedule(

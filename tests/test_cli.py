@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cctsim import checks, cli, gates
+from cctsim import checks, cli, gates, protocol
 from cctsim.hilbert import Operator
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -320,12 +320,10 @@ class TestRunCommand:
         assert json.loads(captured.out)["config"]["sweep"] == {"axis": "Q", "values": "many"}
 
     def test_verification_failure_exits_1(self, tmp_path, capsys, monkeypatch):
-        from cctsim.protocol import VerificationReport
-
         def failing(transcript, inp):
-            return VerificationReport((("psi1", 0.5),), 0.5, False)
+            return protocol.VerificationReport((("psi1", 0.5),), 0.5, False)
 
-        monkeypatch.setattr(cli.protocol, "verify_general", failing)
+        monkeypatch.setattr(protocol, "verify_general", failing)
         code = cli.main(["run", "--config", write_config(tmp_path, GENERAL_DOC)])
         assert code == cli.EXIT_VERIFY_FAILED
 
@@ -658,7 +656,7 @@ class TestOneErrorPath:
             raise AssertionError("work done for an output that cannot be written")
 
         for module, name in ((checks, "run_all"), (cli.zeno, "simulate_cct"), (cli.zeno, "stage_rows"),
-                             (cli.protocol, "run_general")):
+                             (protocol, "run_general")):
             monkeypatch.setattr(module, name, forbidden)
         config = write_config(tmp_path, GENERAL_DOC)
         target = tmp_path / "taken"

@@ -317,6 +317,27 @@ class TestMeasure:
         with pytest.raises(ValueError, match="subsystem index -1 out of range for 2 subsystems"):
             born_probabilities(state, -1)
 
+    @pytest.mark.parametrize("index", [1.5, 1.0, 0.0, True, "1"], ids=repr)
+    def test_a_non_integer_outcome_or_subsystem_is_named(self, rng, index):
+        # Unchecked, numpy read a float as an IndexError, a string failed its
+        # range test with a TypeError, and True took the last-subsystem path
+        # of born_probabilities as if it were 1.
+        state = StateVector.from_terms((2, 2), {(0, 0): 0.6, (1, 1): 0.8})
+        outcome = f"^outcome must be an integer, got {re.escape(repr(index))}$"
+        with pytest.raises(ValueError, match=outcome):
+            collapse(state, 1, index)
+        with pytest.raises(ValueError, match=outcome):
+            factor_out(collapse(state, 1, 1)[0], 1, index)
+        subsystem = f"^subsystem index must be an integer, got {re.escape(repr(index))}$"
+        for call in (
+            lambda: born_probabilities(state, index),
+            lambda: collapse(state, index, 0),
+            lambda: factor_out(state, index, 0),
+            lambda: measure(state, index, rng),
+        ):
+            with pytest.raises(ValueError, match=subsystem):
+                call()
+
     def test_born_probabilities_sum_to_one(self):
         state = StateVector.from_terms((2, 3), {(0, 1): 0.6, (1, 2): 0.8})
         probs = born_probabilities(state, 1)

@@ -15,8 +15,9 @@ import pytest
 
 import cctsim
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-LAYERS = ("hilbert", "gates", "protocol", "zeno")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+LAYERS = ("hilbert", "inputs", "gates", "protocol", "zeno")
 
 
 def _fresh(code: str) -> str:
@@ -62,19 +63,48 @@ class TestSurface:
         ]
 
 
-# The cctsim submodules each entry point loads.  run, sweep and montecarlo
-# never use the checklist; only verify imports it.
+# The cctsim submodules each entry point loads.  zeno and cli load the dense
+# run (gates, protocol) only when a campaign or a run needs it, and only
+# verify imports the checklist.
 LOADS = {
     "cctsim": [],
-    "cctsim.protocol": ["gates", "hilbert", "protocol"],
-    "cctsim.zeno": ["gates", "hilbert", "protocol", "zeno"],
-    "cctsim.cli": ["cli", "gates", "hilbert", "protocol", "zeno"],
-    "cctsim.checks": ["checks", "gates", "hilbert", "protocol", "zeno"],
+    "cctsim.inputs": ["hilbert", "inputs"],
+    "cctsim.protocol": ["gates", "hilbert", "inputs", "protocol"],
+    "cctsim.zeno": ["hilbert", "inputs", "zeno"],
+    "cctsim.cli": ["cli", "hilbert", "inputs", "zeno"],
+    "cctsim.checks": ["checks", "gates", "hilbert", "inputs", "protocol", "zeno"],
 }
+
+# The cctsim submodules a whole subcommand leaves loaded, on examples.json.  A
+# sweep evaluates closed forms only; run and montecarlo execute the dense run.
+DENSE = ["cli", "gates", "hilbert", "inputs", "protocol", "zeno"]
+COMMAND_LOADS = {
+    "sweep": (["sweep", "--axis", "M", "--values", "5"], ["cli", "hilbert", "inputs", "zeno"]),
+    "run": (["run"], DENSE),
+    "montecarlo": (["montecarlo", "--trials", "100"], DENSE),
+}
+
+
+def _loaded(names) -> str:
+    return f"{[f'cctsim.{name}' for name in names]}\n"
 
 
 class TestLayering:
     @pytest.mark.parametrize("entry", LOADS)
     def test_each_entry_point_loads_only_its_layers(self, entry):
         code = f"import sys, {entry}; print(sorted(m for m in sys.modules if m.startswith('cctsim.')))"
-        assert _fresh(code) == f"{[f'cctsim.{name}' for name in LOADS[entry]]}\n"
+        assert _fresh(code) == _loaded(LOADS[entry])
+
+    @pytest.mark.parametrize("command", COMMAND_LOADS)
+    def test_each_subcommand_loads_only_the_layers_it_runs(self, command):
+        # The imports at the entry point do not show a lazy import that a
+        # subcommand's own path reaches; a whole run does.
+        flags, loaded = COMMAND_LOADS[command]
+        argv = [*flags, "--config", str(ROOT / "examples.json")]
+        code = (
+            "import contextlib, io, sys, cctsim.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cctsim.cli.main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('cctsim.')))\n"
+        )
+        assert _fresh(code) == _loaded(loaded)
