@@ -40,7 +40,6 @@ __all__ = [
     "expected_output_bell",
     "expected_output_general",
     "fidelity",
-    "measure",
     "outcome_statistics",
     "run_bell",
     "run_general",

@@ -209,8 +209,7 @@ def check_unitary_teleportation() -> str:
         angles = protocol.random_angles(rng)
         alpha, beta = protocol.random_amplitude_pair(rng)
         inp = protocol.GeneralInput(alpha, beta, 0.0, 1.0, angles)
-        for m in (0, 1):
-            transcript = protocol.run_general_for_outcome(inp, m)
+        for m, transcript in enumerate(protocol.run_general_branches(inp)[1]):
             _require(
                 schmidt_rank(transcript.psi6m, {0}) == 1,
                 f"output not separable for m={m}, angles {angles}",

@@ -17,6 +17,7 @@ ones.  Randomness enters only through explicitly passed generators.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -36,10 +37,32 @@ _TABLE_SUM_TOL = 1e-9
 
 
 def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
-    if not out or any(d < 1 for d in out):
-        raise ValueError(f"subsystem dimensions must be positive integers, got {dims!r}")
-    return out
+    """``dims`` as a tuple of Python ints, each a count (``is_count``)."""
+    out = tuple(dims)
+    if not out or not all(map(is_count, out)):
+        raise ValueError(f"subsystem dimensions must be positive integers, got {out!r}")
+    return tuple(map(operator.index, out))
+
+
+def _index(value: object, size: int, what: str, where: str = "{} subsystems") -> int:
+    """The rule for a subsystem index, an outcome and a basis label: a Python or numpy
+    integer in ``range(size)``, as an int.  Anything else (True, 1.0) raises a ValueError."""
+    if value.__class__ is not int and not _is_integer(value):  # an int skips the call
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if not 0 <= value < size:
+        raise ValueError(f"{what} {value} out of range for {where.format(size)}")
+    return operator.index(value)
+
+
+def _flat_index(dims: tuple[int, ...], labels: Iterable[int]) -> int:
+    """Mixed-radix index of the basis labels ``labels`` over ``dims``."""
+    labels = tuple(labels)
+    if len(labels) != len(dims):
+        raise ValueError(f"expected {len(dims)} basis labels for dims {dims}, got {labels!r}")
+    index = 0
+    for label, dim in zip(labels, dims):
+        index = index * dim + _index(label, dim, "basis label", "dimension {}")
+    return index
 
 
 @dataclass(frozen=True)
@@ -95,10 +118,7 @@ class StateVector:
     @classmethod
     def basis(cls, dims: Iterable[int], labels: Sequence[int]) -> StateVector:
         """Computational basis ket |labels> over the given dims."""
-        dims = _check_dims(dims)
-        amps = np.zeros(math.prod(dims), dtype=np.complex128)
-        amps[int(np.ravel_multi_index(tuple(labels), dims))] = 1.0
-        return cls(dims, amps)
+        return cls.from_terms(dims, {tuple(labels): 1.0})
 
     @classmethod
     def from_terms(cls, dims: Iterable[int], terms: Mapping[tuple[int, ...], complex]) -> StateVector:
@@ -106,11 +126,11 @@ class StateVector:
         dims = _check_dims(dims)
         amps = np.zeros(math.prod(dims), dtype=np.complex128)
         for labels, amp in terms.items():
-            amps[int(np.ravel_multi_index(tuple(labels), dims))] += amp
+            amps[_flat_index(dims, labels)] += amp
         return cls(dims, amps)
 
     def index_of(self, labels: Sequence[int]) -> int:
-        return int(np.ravel_multi_index(tuple(labels), self.dims))
+        return _flat_index(self.dims, labels)
 
     def amplitude(self, labels: Sequence[int]) -> complex:
         return complex(self.amps[self.index_of(labels)])
@@ -234,16 +254,25 @@ def tensor(a: StateVector | Operator, b: StateVector | Operator):
     raise TypeError("tensor requires two StateVectors or two Operators")
 
 
+# The targets tuple that last passed apply's check, by (dims, targets); only
+# that object skips it, since by value True and 1.0 would pass as 1.
+_CHECKED_TARGETS: dict = {}
+
+
 def apply(op: Operator, state: StateVector, targets: Sequence[int]) -> StateVector:
     """Apply ``op`` to the listed subsystems of ``state``, identity elsewhere.
 
-    ``targets`` are subsystem indices in the order matching ``op.dims``.
-    The first call for a given register and targets validates them and
-    stores a plan on ``op``; later calls with the same operator run that
-    plan directly.
+    ``targets`` are distinct subsystem indices in the order matching
+    ``op.dims``, checked unless this very tuple passed for this register
+    before.  The first call for a given register and targets stores a plan
+    on ``op``; later calls with the same operator run that plan directly.
     """
     dims = state.dims
     key = (dims, tuple(targets))
+    if _CHECKED_TARGETS.get(key) is not key[1]:
+        if len({_index(t, len(dims), "target index") for t in key[1]}) != len(key[1]):
+            raise ValueError(f"repeated target index in {list(key[1])}")
+        _CHECKED_TARGETS[key] = key[1]
     plan = op._plans.get(key)
     if plan is None:
         plan = op._plans[key] = _apply_plan(op, *key)
@@ -266,7 +295,7 @@ def _apply_plan(op: Operator, dims: tuple[int, ...], targets: tuple[int, ...]):
     the product's values (a zero may change sign).
     """
     index = _register_index(dims, targets)
-    target_dims = tuple(dims[int(t)] for t in targets)
+    target_dims = tuple(dims[t] for t in targets)
     if op.dims != target_dims:
         raise ValueError(f"operator dims {op.dims} do not match targeted subsystem dims {target_dims}")
     permutation = _signed_permutation(op.entries)
@@ -301,16 +330,9 @@ def _register_index(dims: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarr
     """Flat index of every (setting of the other subsystems, target basis state).
 
     Rows run over the subsystems not in ``targets`` in register order, columns
-    over the targets' basis states, mixed-radix in the order listed.  Raises on
-    repeated or out-of-range targets.
-    """
-    targets = tuple(int(t) for t in targets)
-    n, k = len(dims), len(targets)
-    if len(set(targets)) != k:
-        raise ValueError(f"repeated target index in {list(targets)}")
-    if any(t < 0 or t >= n for t in targets):
-        raise ValueError(f"target index out of range for {n} subsystems: {list(targets)}")
-    others = [i for i in range(n) if i not in targets]
+    over the targets' basis states, mixed-radix in the order listed, for
+    targets the caller has checked."""
+    others = [i for i in range(len(dims)) if i not in targets]
     block = math.prod(dims[t] for t in targets)
     index = np.arange(math.prod(dims)).reshape(dims).transpose(others + list(targets)).reshape(-1, block)
     index.setflags(write=False)
@@ -343,12 +365,7 @@ def _by_outcome(state: StateVector, subsystem: int) -> np.ndarray:
 
 def born_probabilities(state: StateVector, subsystem: int) -> np.ndarray:
     """Marginal outcome probabilities for measuring one subsystem."""
-    n = len(state.dims)
-    if not _is_integer(subsystem):
-        raise ValueError(f"subsystem index must be an integer, got {subsystem!r}")
-    if subsystem < 0 or subsystem >= n:
-        raise ValueError(f"subsystem index {subsystem} out of range for {n} subsystems")
-    return _marginal(state, subsystem)
+    return _marginal(state, _index(subsystem, len(state.dims), "subsystem index"))
 
 
 def _marginal(state: StateVector, subsystem: int) -> np.ndarray:
@@ -371,23 +388,11 @@ def collapse(state: StateVector, subsystem: int, outcome: int) -> tuple[StateVec
     Returns the collapsed full-register state and the Born weight of the
     branch.  Raises if the branch carries (near-)zero weight.
     """
-    return _collapse(state, subsystem, outcome, born_probabilities(state, subsystem))
-
-
-def _collapse(state: StateVector, subsystem: int, outcome: int, probs: np.ndarray) -> tuple[StateVector, float]:
-    """collapse, given ``probs = born_probabilities(state, subsystem)``."""
-    weight = _branch_weight(outcome, probs)
+    weight = _branch_weight(outcome, born_probabilities(state, subsystem))
     split = _by_outcome(state, subsystem)
     kept = np.zeros(split.shape, dtype=np.complex128)
     kept[:, outcome] = split[:, outcome]
     return StateVector._trusted(state.dims, kept.reshape(-1) / np.sqrt(weight)), weight
-
-
-def _check_outcome(outcome: int, dim: int) -> None:
-    if not _is_integer(outcome):
-        raise ValueError(f"outcome must be an integer, got {outcome!r}")
-    if outcome < 0 or outcome >= dim:
-        raise ValueError(f"outcome {outcome} out of range for dimension {dim}")
 
 
 def _check_tol(tol: float) -> None:
@@ -400,8 +405,7 @@ def _check_tol(tol: float) -> None:
 def _branch_weight(outcome: int, probs: np.ndarray) -> float:
     """Born weight of ``outcome`` in the marginal ``probs``; raises if the
     outcome is out of range or its weight is (near) zero."""
-    _check_outcome(outcome, probs.size)
-    weight = float(probs[outcome])
+    weight = float(probs[_index(outcome, probs.size, "outcome", "dimension {}")])
     if weight <= NORMALIZATION_TOL:
         raise ValueError(f"cannot collapse onto outcome {outcome} with Born weight {weight}")
     return weight
@@ -411,7 +415,7 @@ def factor_out(state: StateVector, subsystem: int, outcome: int, tol: float = NO
     """Drop a subsystem that is (up to ``tol``) in the basis state ``outcome``."""
     _check_tol(tol)
     probs = born_probabilities(state, subsystem)
-    _check_outcome(outcome, probs.size)
+    outcome = _index(outcome, probs.size, "outcome", "dimension {}")
     residual = float(probs.sum() - probs[outcome])
     if residual > tol:
         raise ValueError(f"subsystem {subsystem} is not in basis state {outcome}: residual weight {residual}")
@@ -419,26 +423,6 @@ def factor_out(state: StateVector, subsystem: int, outcome: int, tol: float = NO
     if not remaining:
         raise ValueError("cannot factor out the only subsystem of a register")
     return StateVector._trusted(remaining, _by_outcome(state, subsystem)[:, outcome].flatten()).normalized()
-
-
-def measure(
-    state: StateVector, subsystem: int, rng: np.random.Generator
-) -> tuple[int, StateVector, float]:
-    """Projective measurement of one subsystem in the computational basis.
-
-    Samples the outcome from the Born distribution, collapses and
-    renormalizes.  Returns (outcome, collapsed state, exact Born weight of
-    the sampled outcome).
-    """
-    probs = born_probabilities(state, subsystem)
-    total = float(probs.sum())
-    if total <= NORMALIZATION_TOL:
-        raise ValueError("all-zero measurement marginal; state is unnormalized upstream")
-    u = rng.random() * total
-    outcome = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    outcome = min(outcome, probs.size - 1)
-    collapsed, weight = _collapse(state, subsystem, outcome, probs)
-    return outcome, collapsed, weight
 
 
 def unit_pair_error(c0: complex, c1: complex) -> str | None:
@@ -529,10 +513,8 @@ def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _bipartition_matrix(state: StateVector, left: Iterable[int]) -> np.ndarray:
-    left = sorted(set(int(i) for i in left))
     n = len(state.dims)
-    if any(i < 0 or i >= n for i in left):
-        raise ValueError(f"bipartition indices out of range: {left}")
+    left = {_index(i, n, "bipartition index") for i in left}
     if not left or len(left) == n:
         raise ValueError("bipartition must be a proper nonempty subset of subsystems")
     return state.amps[_register_index(state.dims, tuple(i for i in range(n) if i not in left))]

@@ -216,21 +216,11 @@ def run_general(inp: GeneralInput, rng: np.random.Generator) -> Transcript:
     return _finish_general(stages, probs, m)
 
 
-def run_general_for_outcome(inp: GeneralInput, m: int) -> Transcript:
-    """Deterministic replay of the general protocol for a forced outcome.
-
-    The transcript is identical to a sampled run that realized ``m``; the
-    recorded probability is the true Born weight of that branch.
-    """
-    _check_bit(m, "measurement outcome")
-    stages, probs = _general_prefix(inp)
-    return _finish_general(stages, probs, m)
-
-
 def run_general_branches(inp: GeneralInput) -> tuple[float, tuple[Transcript, Transcript]]:
     """Probability of m=0 and the replays of both outcomes, from one prefix build.
 
-    Each transcript equals ``run_general_for_outcome(inp, m)``.
+    The transcript for m is identical to a sampled ``run_general`` that
+    realized m; its recorded probability is the Born weight of that branch.
     """
     stages, probs = _general_prefix(inp)
     return _zero_probability(probs), (

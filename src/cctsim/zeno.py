@@ -684,11 +684,11 @@ def _gate_table(
     """
     a, b = complex(absorber[0]), complex(absorber[1])
     _check_unit_pair("absorber", a, b)
-    if polarization not in _POL_INDEX:
+    pol0 = _POL_INDEX.get(polarization) if isinstance(polarization, str) else None
+    if pol0 is None:
         raise ValueError(f"polarization must be 'H' or 'V', got {polarization!r}")
     if not isinstance(model, AbsorberModel):
         raise ValueError(f"model must be an AbsorberModel, got {model!r}")
-    pol0 = _POL_INDEX[polarization]
     if outer is None:
         inner = _cycle_count("N", inner)
         builder = _qz_born_rows if model is AbsorberModel.PER_CYCLE_BORN else _qz_coherent_rows

@@ -41,7 +41,7 @@ from cctsim.protocol import (
     random_general_input,
     run_bell,
     run_general,
-    run_general_for_outcome,
+    run_general_branches,
     verify_bell,
     verify_general,
 )
@@ -162,7 +162,7 @@ class TestGeneralProtocol:
     def test_forced_outcome_replay_matches_sampled_run(self, rng):
         inp = random_general_input(rng)
         sampled = run_general(inp, rng)
-        replay = run_general_for_outcome(inp, sampled.outcome)
+        replay = run_general_branches(inp)[1][sampled.outcome]
         assert np.array_equal(sampled.psi6m.amps, replay.psi6m.amps)
         assert replay.outcome_probability == sampled.outcome_probability
 
@@ -191,15 +191,13 @@ class TestGeneralProtocol:
     def test_measuring_the_stored_pre_measurement_state(self, rng):
         # The ancilla measurement itself: outcomes 0/1 at exact weight 0.5,
         # level 2 suppressed below 1e-12.
-        from cctsim.hilbert import measure
-
         t = run_general(random_general_input(rng), rng)
         weights = born_probabilities(t.pre_measurement, 2)
         assert float(weights[2]) < 1e-12
-        outcome, collapsed, probability = measure(t.pre_measurement, 2, rng)
-        assert outcome in (0, 1)
-        assert probability == pytest.approx(0.5, abs=1e-12)
-        assert collapsed.is_normalized()
+        for m in (0, 1):
+            collapsed, probability = collapse(t.pre_measurement, 2, m)
+            assert probability == pytest.approx(0.5, abs=1e-12)
+            assert collapsed.is_normalized()
 
     def test_degenerate_delta_zero_still_measures(self, rng):
         inp = general(0.6, 0.8, 1.0, 0.0)
@@ -376,8 +374,7 @@ class TestVerifyGeneral:
     def test_compact_and_term_list_forms_agree(self, rng):
         for _ in range(25):
             inp = random_general_input(rng)
-            for m in (0, 1):
-                transcript = run_general_for_outcome(inp, m)
+            for transcript in run_general_branches(inp)[1]:
                 report = verify_general(transcript, inp)
                 stage = dict(report.stage_fidelities)
                 assert stage["psi6m"] >= 1.0 - 1e-10
@@ -569,15 +566,10 @@ class TestExpectedOutputGeneral:
         # Unchecked, True fails inside numpy with a TypeError and 1.0 with an IndexError.
         inp = general(0.6, 0.8, ROOT_HALF, ROOT_HALF)
         with pytest.raises(ValueError, match="measurement outcome must be 0 or 1"):
-            run_general_for_outcome(inp, m)
-        with pytest.raises(ValueError, match="measurement outcome must be 0 or 1"):
             expected_output_general(inp, m)
 
     def test_numpy_integer_outcome_is_accepted(self):
         inp = general(0.6, 0.8, ROOT_HALF, ROOT_HALF)
-        replay = run_general_for_outcome(inp, np.int64(1))
-        assert replay.outcome == 1
-        assert np.array_equal(replay.psi6m.amps, run_general_for_outcome(inp, 1).psi6m.amps)
         assert np.array_equal(expected_output_general(inp, np.int64(1)).amps, expected_output_general(inp, 1).amps)
 
 
@@ -774,7 +766,7 @@ def test_protocol_properties_over_random_inputs(weight_a, weight_b, phi, theta, 
     weights = measurement_weights(inp)
     assert abs(float(weights[0]) - 0.5) < 1e-12
     assert float(weights[2]) < 1e-12
-    transcript = run_general_for_outcome(inp, m)
+    transcript = run_general_branches(inp)[1][m]
     for label, state in transcript.stages():
         assert state.is_normalized(1e-12), label
     assert fidelity(transcript.psi6m, expected_output_general(inp, m)) >= 1.0 - 1e-10

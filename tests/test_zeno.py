@@ -1606,6 +1606,14 @@ class TestGateStatisticsValidation:
         counts = {model: (report.successes, report.absorbed) for model, report in reports.items()}
         assert counts == {AbsorberModel.COHERENT: (435, 1565), AbsorberModel.PER_CYCLE_BORN: (591, 1409)}
 
+    @pytest.mark.parametrize("polarization", ["D", "h", ["H"], ("H",), None, 0], ids=repr)
+    def test_polarization_must_be_h_or_v(self, polarization):
+        # A list used to fail the polarization lookup with "unhashable type".
+        message = f"^polarization must be 'H' or 'V', got {re.escape(repr(polarization))}$"
+        for gate, outer in (("qz", None), ("cqz", 5)):
+            with pytest.raises(ValueError, match=message):
+                gate_statistics(gate, (1.0, 0.0), polarization, 5, AbsorberModel.COHERENT, 10, 1, outer=outer)
+
     def test_the_tally_refuses_an_unknown_kind(self):
         with pytest.raises(ValueError, match="not an OutcomeKind"):
             zeno._report([(OutcomeKind.SUCCESS, None, 2), ("success", None, 1)], 1)
