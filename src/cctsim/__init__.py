@@ -2,20 +2,23 @@
 
 Submodules, each imported on first use (``import cctsim`` loads none):
 
+* ``inputs``   - the input records (Euler angles, general and Bell-type
+  inputs) and the integer, count, seed and unit-pair rules (loads no
+  other layer)
 * ``hilbert``  - dense states/operators over mixed-dimension registers
-* ``inputs``   - the input records: Euler angles, general and Bell-type
-  inputs (loads hilbert)
-* ``gates``    - constructors for every named protocol gate (loads inputs)
+  (loads inputs)
+* ``gates``    - constructors for every named protocol gate (loads hilbert)
 * ``protocol`` - exact logical runs, closed-form oracles, verification
   (loads gates and the layers below it)
-* ``zeno``     - stage probabilities and optical-gate Monte Carlo (loads
-  inputs; its Monte Carlo loads protocol on its first campaign)
+* ``stages``   - closed-form gate and stage probabilities (loads inputs)
+* ``zeno``     - optical-gate and protocol Monte Carlo (loads stages and
+  protocol)
 * ``checks``   - the acceptance checklist driven by tests and the CLI
-* ``cli``      - run / sweep / montecarlo / verify front end (loads zeno;
-  ``sweep`` loads nothing more, ``run`` and ``montecarlo`` load protocol,
-  ``verify`` loads checks)
+* ``cli``      - run / sweep / montecarlo / verify front end (loads
+  stages; ``sweep`` loads nothing more, ``run`` loads protocol,
+  ``montecarlo`` zeno, ``verify`` checks)
 
-The first five, and every name in ``__all__``, are package attributes too.
+The first six, and every name in ``__all__``, are package attributes too.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ __all__ = [
     "verify_general",
 ]
 
-# Lowest layer first: a layer re-exports only names of the layers below it,
-# so the first layer holding a public name is the one that defines it.
-_LAYERS = ("hilbert", "inputs", "gates", "protocol", "zeno")
+# Each layer imports only layers before it here, and re-exports only their
+# names, so the first layer holding a public name is the one that defines it.
+_LAYERS = ("inputs", "hilbert", "gates", "protocol", "stages", "zeno")
 
 
 def __getattr__(name: str):

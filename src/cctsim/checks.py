@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import gates, protocol, zeno
+from . import gates, protocol, stages, zeno
 from .gates import EulerAngles
 from .hilbert import FIDELITY_TOL, Operator, StateVector, apply, born_probabilities, fidelity, schmidt_rank
 
@@ -262,11 +262,11 @@ def check_bell_determinism() -> str:
 def check_probability_pins() -> str:
     """Criterion 6: closed-form gate probabilities hit their exact rational values."""
     pins = [
-        ("qz_survival(1)", zeno.qz_survival(1), 0.0),
-        ("qz_survival(2)", zeno.qz_survival(2), 0.25),
-        ("cqz_lambda0(2)", zeno.cqz_lambda0(2), 0.25),
-        ("cqz_lambda1(2,2)", zeno.cqz_lambda1(2, 2), 9.0 / 64.0),
-        ("cepi_success(2,0.5)", zeno.cepi_success(2, 0.5), 0.28125),
+        ("qz_survival(1)", stages.qz_survival(1), 0.0),
+        ("qz_survival(2)", stages.qz_survival(2), 0.25),
+        ("cqz_lambda0(2)", stages.cqz_lambda0(2), 0.25),
+        ("cqz_lambda1(2,2)", stages.cqz_lambda1(2, 2), 9.0 / 64.0),
+        ("cepi_success(2,0.5)", stages.cepi_success(2, 0.5), 0.28125),
     ]
     for name, got, want in pins:
         _require(got == want, f"{name} = {got!r}, expected exactly {want!r}")
@@ -276,7 +276,7 @@ def check_probability_pins() -> str:
     sin_sq = {1: Fraction(1, 2), 2: Fraction(1, 1)}
     rational = (1 - sin_sq[1] * Fraction(1, 2)) ** 2 * (1 - sin_sq[2] * Fraction(1, 2)) ** 2
     _require(rational == Fraction(9, 64), f"rational cross-check drifted: {rational}")
-    _require(float(rational) == zeno.cqz_lambda1(2, 2), "float and rational routes disagree")
+    _require(float(rational) == stages.cqz_lambda1(2, 2), "float and rational routes disagree")
     return "all five pins exact; 9/64 confirmed by exact rational arithmetic"
 
 
@@ -284,14 +284,14 @@ _DIAGONAL = (5, 10, 20, 40, 80)
 
 
 def _diagonal_scan() -> dict[str, list[float]]:
-    cfgs = [zeno.CycleConfig(c, c, c) for c in _DIAGONAL]
-    general = [values for values, _ in zeno.stage_rows(cfgs, _balanced_general())]
-    bell = [values for values, _ in zeno.stage_rows(cfgs, _balanced_bell(1))]
+    cfgs = [stages.CycleConfig(c, c, c) for c in _DIAGONAL]
+    general = [values for values, _ in stages.stage_rows(cfgs, _balanced_general())]
+    bell = [values for values, _ in stages.stage_rows(cfgs, _balanced_bell(1))]
     return {
         "zeta0": [values["zeta0"] for values in general],
         "zeta1": [values["zeta1"] for values in general],
         "zeta": [values["zeta"] for values in bell],
-        "lambda1": [zeno.cqz_lambda1(c, c) for c in _DIAGONAL],
+        "lambda1": [stages.cqz_lambda1(c, c) for c in _DIAGONAL],
     }
 
 
@@ -326,9 +326,9 @@ def check_asymptotics_halving() -> str:
     scan = _diagonal_scan()
     ginp = _balanced_general()
     binp = _balanced_bell(1)
-    inner_dominant = zeno.CycleConfig(20, 400, 20)
-    ref_g = zeno.stage_probabilities_general(inner_dominant, ginp)
-    ref_b = zeno.stage_probabilities_bell(inner_dominant, binp)
+    inner_dominant = stages.CycleConfig(20, 400, 20)
+    ref_g = stages.stage_probabilities_general(inner_dominant, ginp)
+    ref_b = stages.stage_probabilities_bell(inner_dominant, binp)
     context = (
         f"diagonal limits: zeta0 {scan['zeta0'][-1]:.4f}, zeta1 {scan['zeta1'][-1]:.4f}, "
         f"zeta {scan['zeta'][-1]:.4f}; inner-dominant (M=K=20, N=400): "
@@ -352,26 +352,26 @@ def check_montecarlo_agreement() -> str:
         (
             "qz presence",
             zeno.gate_statistics("qz", (1.0, 0.0), "H", inner, zeno.AbsorberModel.PER_CYCLE_BORN, trials, 101),
-            zeno.qz_survival(inner),
+            stages.qz_survival(inner),
         ),
         (
             "cepi balanced",
             zeno.gate_statistics("qz", (root_half, root_half), "H", 2, zeno.AbsorberModel.PER_CYCLE_BORN, trials, 103),
-            zeno.cepi_success(2, 0.5),
+            stages.cepi_success(2, 0.5),
         ),
         (
             "cqz absence",
             zeno.gate_statistics(
                 "cqz", (0.0, 1.0), "H", inner, zeno.AbsorberModel.PER_CYCLE_BORN, trials, 105, outer=outer
             ),
-            zeno.cqz_lambda0(outer),
+            stages.cqz_lambda0(outer),
         ),
         (
             "cqz presence",
             zeno.gate_statistics(
                 "cqz", (1.0, 0.0), "V", inner, zeno.AbsorberModel.PER_CYCLE_BORN, trials, 107, outer=outer
             ),
-            zeno.cqz_lambda1(outer, inner),
+            stages.cqz_lambda1(outer, inner),
         ),
     ]
     lines = []
@@ -401,11 +401,11 @@ def check_montecarlo_agreement() -> str:
     rep_a = zeno.gate_statistics("qz", (1.0, 0.0), "H", inner, zeno.AbsorberModel.PER_CYCLE_BORN, 5_000, 77)
     rep_b = zeno.gate_statistics("qz", (1.0, 0.0), "H", inner, zeno.AbsorberModel.PER_CYCLE_BORN, 5_000, 77)
     _require(rep_a == rep_b, "fixed seed did not reproduce an identical report")
-    cfg = zeno.CycleConfig(25, 25, 25)
+    cfg = stages.CycleConfig(25, 25, 25)
     mc_a = zeno.simulate_cct(cfg, _balanced_general(), 100_000, 31)
     mc_b = zeno.simulate_cct(cfg, _balanced_general(), 100_000, 31)
     _require(mc_a == mc_b, "protocol-level campaign not reproducible")
-    probs = zeno.stage_probabilities_general(cfg, _balanced_general())
+    probs = stages.stage_probabilities_general(cfg, _balanced_general())
     expected_abort = (probs["zeta0"] + probs["zeta1"]) / 2.0
     bound = 4.0 * math.sqrt(expected_abort * (1.0 - expected_abort) / mc_a.trials)
     _require(
@@ -422,8 +422,8 @@ def check_montecarlo_agreement() -> str:
 
 def check_model_convergence() -> str:
     """Criterion 9: coherent and per-cycle-Born gate models converge as N grows."""
-    gap_small = abs(zeno.coherent_qz_success(10, 0.5) - zeno.cepi_success(10, 0.5))
-    gap_large = abs(zeno.coherent_qz_success(200, 0.5) - zeno.cepi_success(200, 0.5))
+    gap_small = abs(stages.coherent_qz_success(10, 0.5) - stages.cepi_success(10, 0.5))
+    gap_large = abs(stages.coherent_qz_success(200, 0.5) - stages.cepi_success(200, 0.5))
     _require(
         gap_large < gap_small,
         f"model gap did not shrink: |diff|(N=200) = {gap_large} vs |diff|(N=10) = {gap_small}",
@@ -436,8 +436,8 @@ def check_model_convergence() -> str:
         report = zeno.gate_statistics("qz", (root_half, root_half), "H", 10, model, trials, 211)
         observed[model] = report.successes / report.trials
     for model, probability in (
-        (zeno.AbsorberModel.COHERENT, zeno.coherent_qz_success(10, 0.5)),
-        (zeno.AbsorberModel.PER_CYCLE_BORN, zeno.cepi_success(10, 0.5)),
+        (zeno.AbsorberModel.COHERENT, stages.coherent_qz_success(10, 0.5)),
+        (zeno.AbsorberModel.PER_CYCLE_BORN, stages.cepi_success(10, 0.5)),
     ):
         bound = 4.0 * math.sqrt(probability * (1.0 - probability) / trials)
         _require(

@@ -8,10 +8,10 @@ full configuration and the seed, and files are written atomically (temp
 file plus rename).  Exit codes: 0 success, 1 verification failure, 2
 configuration error, an output that cannot be written included.
 
-Each subcommand loads only the layers it runs: ``sweep`` needs ``zeno``'s
-closed forms and the ``inputs`` records alone, ``run`` imports ``protocol``
-(with ``gates``), ``montecarlo`` gets them through ``zeno.simulate_cct``,
-and ``verify`` imports ``checks``.
+Each subcommand loads only the layers it runs: ``sweep`` needs the closed
+forms of ``stages`` and the ``inputs`` records alone, ``run`` imports
+``protocol`` (with ``gates`` and ``hilbert``), ``montecarlo`` imports
+``zeno``'s samplers (with ``protocol``), and ``verify`` imports ``checks``.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, zeno
-from .hilbert import _is_integer, schmidt_rank, unit_pair_error
-from .inputs import BellInput, EulerAngles, GeneralInput
-from .zeno import CycleConfig
+from . import __version__, stages
+from .inputs import BellInput, EulerAngles, GeneralInput, _is_integer, unit_pair_error
+from .stages import CycleConfig
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -42,8 +41,8 @@ EXIT_CONFIG_ERROR = 2
 
 _SWEEP_AXES = ("M", "N", "K", "diag")
 # Column orders read off each protocol's stage schedule; the golden-file tests pin these.
-SWEEP_COLUMNS_GENERAL = ("axis", "value", *zeno.GENERAL_SCHEDULE.lambdas, *zeno.GENERAL_SCHEDULE.zetas)
-SWEEP_COLUMNS_BELL = ("axis", "value", *zeno.BELL_SCHEDULE.lambdas, *zeno.BELL_SCHEDULE.zetas)
+SWEEP_COLUMNS_GENERAL = ("axis", "value", *stages.GENERAL_SCHEDULE.lambdas, *stages.GENERAL_SCHEDULE.zetas)
+SWEEP_COLUMNS_BELL = ("axis", "value", *stages.BELL_SCHEDULE.lambdas, *stages.BELL_SCHEDULE.zetas)
 
 
 class ConfigError(Exception):
@@ -294,6 +293,7 @@ def cmd_run(config: RunConfig) -> int:
     _check_out(config.out)
     # Imported here, like checks in cmd_verify: a sweep never loads the dense run.
     from . import protocol
+    from .hilbert import schmidt_rank
 
     if config.mode == "general":
         rng = np.random.default_rng(config.seed)
@@ -332,10 +332,10 @@ def _sweep_cycles(config: RunConfig, axis: str, value: int) -> CycleConfig:
 
 def _sweep_rows(config: RunConfig, axis: str, values: tuple[int, ...]) -> list[list]:
     cfgs = [_sweep_cycles(config, axis, value) for value in values]
-    schedule = zeno.schedule_of(config.protocol_input)
+    schedule = stages.schedule_of(config.protocol_input)
     keys = schedule.lambdas + schedule.zetas
     return [[axis, value, *map(p.__getitem__, keys)]
-            for value, (p, _) in zip(values, zeno.stage_rows(cfgs, config.protocol_input))]
+            for value, (p, _) in zip(values, stages.stage_rows(cfgs, config.protocol_input))]
 
 
 def cmd_sweep(config: RunConfig, axis: str | None, values: tuple[int, ...] | None) -> int:
@@ -345,9 +345,9 @@ def cmd_sweep(config: RunConfig, axis: str | None, values: tuple[int, ...] | Non
     only source of a sweep request; a config ``sweep`` key is echoed and
     otherwise ignored, like any other field the loader does not read.
 
-    The rows are one closed-form evaluation (``zeno.stage_rows``), with the
+    The rows are one closed-form evaluation (``stages.stage_rows``), with the
     columns of the protocol's stage schedule: values that share M share one
-    pass in chunks of the fixed ``zeno.PASS_BLOCK`` budget.  Rows come in
+    pass in chunks of the fixed ``stages.PASS_BLOCK`` budget.  Rows come in
     the order of ``values``, duplicates included, and each is == to a
     one-value sweep.
     """
@@ -374,9 +374,12 @@ def cmd_sweep(config: RunConfig, axis: str | None, values: tuple[int, ...] | Non
 def cmd_montecarlo(config: RunConfig) -> int:
     """Run the stage-composed protocol campaign and emit its JSON report."""
     _check_out(config.out)
+    # Imported here, like protocol in cmd_run: a sweep or a run never loads the samplers.
+    from . import zeno
+
     report = zeno.simulate_cct(config.cycles, config.protocol_input, config.trials, config.seed)
-    schedule = zeno.schedule_of(config.protocol_input)
-    ((values, _),) = zeno.stage_rows((config.cycles,), config.protocol_input)
+    schedule = stages.schedule_of(config.protocol_input)
+    ((values, _),) = stages.stage_rows((config.cycles,), config.protocol_input)
     results = {"report": report.as_dict(), "analytic": {z: values[z] for z in schedule.zetas}}
     _emit(_envelope(config, results), config.out)
     return EXIT_OK

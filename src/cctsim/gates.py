@@ -28,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import NORMALIZATION_TOL, Operator
-from .inputs import EulerAngles, _check_angle, _check_bit
+from .hilbert import Operator
+from .inputs import NORMALIZATION_TOL, EulerAngles, _check_angle, _check_bit
 
 _I2 = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)

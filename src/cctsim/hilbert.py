@@ -24,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# Normalization / unitarity tolerance.
-NORMALIZATION_TOL = 1e-12
+from .inputs import NORMALIZATION_TOL, _is_integer, is_count
+
 # Fidelity tolerance for comparing states built along independent routes;
 # looser than NORMALIZATION_TOL to leave headroom for ~10 chained matrix
 # applications.
@@ -423,49 +423,6 @@ def factor_out(state: StateVector, subsystem: int, outcome: int, tol: float = NO
     if not remaining:
         raise ValueError("cannot factor out the only subsystem of a register")
     return StateVector._trusted(remaining, _by_outcome(state, subsystem)[:, outcome].flatten()).normalized()
-
-
-def unit_pair_error(c0: complex, c1: complex) -> str | None:
-    """None when both amplitudes are finite and |c0|^2 + |c1|^2 is within
-    NORMALIZATION_TOL of 1; otherwise the diagnostic, for the caller to
-    prefix with the pair's name.
-
-    Written so that NaN fails: every comparison with NaN is False.
-    """
-    c0, c1 = complex(c0), complex(c1)
-    total = abs(c0) ** 2 + abs(c1) ** 2
-    finite = all(math.isfinite(part) for part in (c0.real, c0.imag, c1.real, c1.imag))
-    if finite and abs(total - 1.0) <= NORMALIZATION_TOL:
-        return None
-    return f"amplitudes must be finite with |c0|^2 + |c1|^2 = 1, got {total!r}"
-
-
-def _check_unit_pair(label: str, c0: complex, c1: complex) -> None:
-    """Raise unit_pair_error's diagnostic, prefixed with ``label``, as a ValueError."""
-    error = unit_pair_error(c0, c1)
-    if error:
-        raise ValueError(f"{label} {error}")
-
-
-def _is_integer(value: object) -> bool:
-    """True for Python and numpy integers; False for bools and floats, although
-    True and 1.0 compare equal to 1."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def is_count(value: object) -> bool:
-    """The rule for trial and cycle counts: a Python or numpy integer >= 1.
-    A bool, a float (even an integral one) and None are not counts."""
-    return _is_integer(value) and value >= 1
-
-
-def _as_seed(value: object) -> int:
-    """The rule for campaign seeds: a Python or numpy integer >= 0, returned
-    as a Python int, which a report's JSON can hold.  A bool is not a seed,
-    although default_rng takes True as 1."""
-    if _is_integer(value) and value >= 0:
-        return int(value)
-    raise ValueError(f"seed must be a non-negative integer, got {value!r}")
 
 
 def sample_counts(probs: Sequence[float], trials: int, rng: np.random.Generator) -> list[int]:

@@ -1,10 +1,12 @@
-"""Input records of the protocols: Bob's Euler angles and the general and
-Bell-type inputs on Alice's and Bob's qubits.
+"""Input records of the protocols and the rules their fields follow: Bob's
+Euler angles, the general and Bell-type inputs on Alice's and Bob's qubits,
+and the integer, count, seed and unit-pair rules.
 
-Every layer above reads these records, and a sweep reads nothing else of the
-dense protocol, so they live here, above ``hilbert`` alone: a sweep loads
-neither ``gates`` nor ``protocol``.  ``gates`` re-exports ``EulerAngles`` and
-``protocol`` re-exports all three, as the same objects.
+Every layer above reads these records and rules, and a sweep reads nothing
+else of the dense protocol, so they live here, the lowest layer: loading it
+loads no other cctsim module, and a sweep loads neither ``hilbert``,
+``gates`` nor ``protocol``.  ``gates`` re-exports ``EulerAngles`` and
+``protocol`` re-exports all three records, as the same objects.
 """
 
 from __future__ import annotations
@@ -12,7 +14,53 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hilbert import _check_unit_pair, _is_integer
+import numpy as np
+
+# Normalization / unitarity tolerance.
+NORMALIZATION_TOL = 1e-12
+
+
+def unit_pair_error(c0: complex, c1: complex) -> str | None:
+    """None when both amplitudes are finite and |c0|^2 + |c1|^2 is within
+    NORMALIZATION_TOL of 1; otherwise the diagnostic, for the caller to
+    prefix with the pair's name.
+
+    Written so that NaN fails: every comparison with NaN is False.
+    """
+    c0, c1 = complex(c0), complex(c1)
+    total = abs(c0) ** 2 + abs(c1) ** 2
+    finite = all(math.isfinite(part) for part in (c0.real, c0.imag, c1.real, c1.imag))
+    if finite and abs(total - 1.0) <= NORMALIZATION_TOL:
+        return None
+    return f"amplitudes must be finite with |c0|^2 + |c1|^2 = 1, got {total!r}"
+
+
+def _check_unit_pair(label: str, c0: complex, c1: complex) -> None:
+    """Raise unit_pair_error's diagnostic, prefixed with ``label``, as a ValueError."""
+    error = unit_pair_error(c0, c1)
+    if error:
+        raise ValueError(f"{label} {error}")
+
+
+def _is_integer(value: object) -> bool:
+    """True for Python and numpy integers; False for bools and floats, although
+    True and 1.0 compare equal to 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_count(value: object) -> bool:
+    """The rule for trial and cycle counts: a Python or numpy integer >= 1.
+    A bool, a float (even an integral one) and None are not counts."""
+    return _is_integer(value) and value >= 1
+
+
+def _as_seed(value: object) -> int:
+    """The rule for campaign seeds: a Python or numpy integer >= 0, returned
+    as a Python int, which a report's JSON can hold.  A bool is not a seed,
+    although default_rng takes True as 1."""
+    if _is_integer(value) and value >= 0:
+        return int(value)
+    raise ValueError(f"seed must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)

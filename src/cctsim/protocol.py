@@ -26,7 +26,6 @@ from . import gates
 from .hilbert import (
     FIDELITY_TOL,
     StateVector,
-    _as_seed,
     _branch_weight,
     _fidelity,
     _marginal,
@@ -34,7 +33,7 @@ from .hilbert import (
     apply,
     sample_counts,
 )
-from .inputs import BellInput, EulerAngles, GeneralInput, _check_bit
+from .inputs import BellInput, EulerAngles, GeneralInput, _as_seed, _check_bit
 
 # Ancilla weight above which the measurement's third level signals a fault.
 ANCILLA_LEAK_TOL = 1e-12

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cctsim import checks, cli, gates, protocol
+from cctsim import checks, cli, gates, protocol, stages, zeno
 from cctsim.hilbert import Operator
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -655,7 +655,7 @@ class TestOneErrorPath:
         def forbidden(*args, **kwargs):
             raise AssertionError("work done for an output that cannot be written")
 
-        for module, name in ((checks, "run_all"), (cli.zeno, "simulate_cct"), (cli.zeno, "stage_rows"),
+        for module, name in ((checks, "run_all"), (zeno, "simulate_cct"), (stages, "stage_rows"),
                              (protocol, "run_general")):
             monkeypatch.setattr(module, name, forbidden)
         config = write_config(tmp_path, GENERAL_DOC)

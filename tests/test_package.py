@@ -6,6 +6,7 @@ loads is checked in a fresh interpreter: this one has loaded them all.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -14,10 +15,11 @@ from pathlib import Path
 import pytest
 
 import cctsim
+from cctsim import stages, zeno
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-LAYERS = ("hilbert", "inputs", "gates", "protocol", "zeno")
+LAYERS = ("inputs", "hilbert", "gates", "protocol", "stages", "zeno")
 
 
 def _fresh(code: str) -> str:
@@ -63,25 +65,50 @@ class TestSurface:
         ]
 
 
-# The cctsim submodules each entry point loads.  zeno and cli load the dense
-# run (gates, protocol) only when a campaign or a run needs it, and only
-# verify imports the checklist.
+def _benchmark_closed_forms() -> tuple[str, ...]:
+    """The closed-form names perfbench's tracer wraps on ``zeno``, read from
+    its module, which loads no cctsim module until it is installed."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.CLOSED_FORMS
+
+
+class TestZenoReExports:
+    """perfbench reaches the closed forms through ``zeno``, where they no
+    longer live, so the names it reads there are pinned."""
+
+    def test_closed_forms_are_the_stages_objects(self):
+        for name in ("CycleConfig", *_benchmark_closed_forms()):
+            assert getattr(zeno, name) is getattr(stages, name), name
+
+    def test_samplers_are_zeno_objects(self):
+        for name in ("simulate_cct", "gate_statistics", "simulate_qz", "simulate_cqz", "AbsorberModel"):
+            assert getattr(zeno, name).__module__ == "cctsim.zeno", name
+
+
+# The cctsim submodules each entry point loads.  cli loads the dense run
+# (hilbert, gates, protocol) only when a run or a campaign needs it, and the
+# samplers (zeno) only for a campaign; only verify imports the checklist.
 LOADS = {
     "cctsim": [],
-    "cctsim.inputs": ["hilbert", "inputs"],
+    "cctsim.inputs": ["inputs"],
+    "cctsim.hilbert": ["hilbert", "inputs"],
+    "cctsim.stages": ["inputs", "stages"],
     "cctsim.protocol": ["gates", "hilbert", "inputs", "protocol"],
-    "cctsim.zeno": ["hilbert", "inputs", "zeno"],
-    "cctsim.cli": ["cli", "hilbert", "inputs", "zeno"],
-    "cctsim.checks": ["checks", "gates", "hilbert", "inputs", "protocol", "zeno"],
+    "cctsim.zeno": ["gates", "hilbert", "inputs", "protocol", "stages", "zeno"],
+    "cctsim.cli": ["cli", "inputs", "stages"],
+    "cctsim.checks": ["checks", "gates", "hilbert", "inputs", "protocol", "stages", "zeno"],
 }
 
 # The cctsim submodules a whole subcommand leaves loaded, on examples.json.  A
-# sweep evaluates closed forms only; run and montecarlo execute the dense run.
-DENSE = ["cli", "gates", "hilbert", "inputs", "protocol", "zeno"]
+# sweep evaluates closed forms only; run executes the dense run, and
+# montecarlo samples it too.
+DENSE = ["cli", "gates", "hilbert", "inputs", "protocol", "stages"]
 COMMAND_LOADS = {
-    "sweep": (["sweep", "--axis", "M", "--values", "5"], ["cli", "hilbert", "inputs", "zeno"]),
+    "sweep": (["sweep", "--axis", "M", "--values", "5"], ["cli", "inputs", "stages"]),
     "run": (["run"], DENSE),
-    "montecarlo": (["montecarlo", "--trials", "100"], DENSE),
+    "montecarlo": (["montecarlo", "--trials", "100"], [*DENSE, "zeno"]),
 }
 
 
