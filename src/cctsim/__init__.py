@@ -18,63 +18,46 @@ Submodules, each imported on first use (``import cctsim`` loads none):
   stages; ``sweep`` loads nothing more, ``run`` loads protocol,
   ``montecarlo`` zeno, ``verify`` checks)
 
-The first six, and every name in ``__all__``, are package attributes too.
+The first six are package attributes too, and so is every name in
+``__all__``: reading one loads only its home layer in ``_HOMES``, the
+layer that defines it, and what that layer imports.
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "AbsorberModel",
-    "BellInput",
-    "CycleConfig",
-    "EulerAngles",
-    "GeneralInput",
-    "MonteCarloReport",
-    "Operator",
-    "OutcomeKind",
-    "StateVector",
-    "Transcript",
-    "TrajectoryOutcome",
-    "VerificationReport",
-    "apply",
-    "expected_output_bell",
-    "expected_output_general",
-    "fidelity",
-    "outcome_statistics",
-    "run_bell",
-    "run_general",
-    "schmidt_rank",
-    "simulate_cct",
-    "simulate_cqz",
-    "simulate_qz",
-    "stage_probabilities_bell",
-    "stage_probabilities_general",
-    "tensor",
-    "verify_bell",
-    "verify_general",
-]
+# The layer that defines each public name.
+_HOMES = {
+    **dict.fromkeys(("BellInput", "EulerAngles", "GeneralInput"), "inputs"),
+    **dict.fromkeys(("Operator", "StateVector", "apply", "fidelity", "schmidt_rank", "tensor"), "hilbert"),
+    **dict.fromkeys(
+        ("Transcript", "VerificationReport", "expected_output_bell", "expected_output_general",
+         "outcome_statistics", "run_bell", "run_general", "verify_bell", "verify_general"),
+        "protocol",
+    ),
+    "CycleConfig": "stages",
+    **dict.fromkeys(
+        ("AbsorberModel", "MonteCarloReport", "OutcomeKind", "TrajectoryOutcome",
+         "simulate_cct", "simulate_cqz", "simulate_qz"),
+        "zeno",
+    ),
+}
 
-# Each layer imports only layers before it here, and re-exports only their
-# names, so the first layer holding a public name is the one that defines it.
+__all__ = ["__version__", *_HOMES]
+
 _LAYERS = ("inputs", "hilbert", "gates", "protocol", "stages", "zeno")
 
 
 def __getattr__(name: str):
-    """Import a layer, or the layers up to the one defining a public name, on
-    first access (PEP 562) and bind the name here, so this runs once per name."""
+    """Import a layer, or the layer defining a public name, on first access
+    (PEP 562) and bind the name here, so this runs once per name."""
     if name in _LAYERS:
         # The import statement's own path, which binds the layer here and
         # which ``-X importtime`` reports.
         __import__(f"{__name__}.{name}")
-    elif name in __all__:
-        for layer in _LAYERS:
-            module = __getattr__(layer)
-            if hasattr(module, name):
-                globals()[name] = getattr(module, name)
-                break
+    elif name in _HOMES:
+        globals()[name] = getattr(__getattr__(_HOMES[name]), name)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return globals()[name]

@@ -327,8 +327,8 @@ def check_asymptotics_halving() -> str:
     ginp = _balanced_general()
     binp = _balanced_bell(1)
     inner_dominant = stages.CycleConfig(20, 400, 20)
-    ref_g = stages.stage_probabilities_general(inner_dominant, ginp)
-    ref_b = stages.stage_probabilities_bell(inner_dominant, binp)
+    ((ref_g, _),) = stages.stage_rows((inner_dominant,), ginp)
+    ((ref_b, _),) = stages.stage_rows((inner_dominant,), binp)
     context = (
         f"diagonal limits: zeta0 {scan['zeta0'][-1]:.4f}, zeta1 {scan['zeta1'][-1]:.4f}, "
         f"zeta {scan['zeta'][-1]:.4f}; inner-dominant (M=K=20, N=400): "
@@ -405,7 +405,7 @@ def check_montecarlo_agreement() -> str:
     mc_a = zeno.simulate_cct(cfg, _balanced_general(), 100_000, 31)
     mc_b = zeno.simulate_cct(cfg, _balanced_general(), 100_000, 31)
     _require(mc_a == mc_b, "protocol-level campaign not reproducible")
-    probs = stages.stage_probabilities_general(cfg, _balanced_general())
+    ((probs, _),) = stages.stage_rows((cfg,), _balanced_general())
     expected_abort = (probs["zeta0"] + probs["zeta1"]) / 2.0
     bound = 4.0 * math.sqrt(expected_abort * (1.0 - expected_abort) / mc_a.trials)
     _require(

@@ -8,8 +8,9 @@ configurations: configs that share M share one log1p pass per outer cycle
 count, walked in blocks of at most PASS_BLOCK entries along both the inner
 counts and the cycles, so memory stays bounded at any cycle count, and
 every row is == to a one-config call.  ``stage_probabilities_general/bell``
-return a one-config call's values.  The trajectory Monte Carlo over the
-same gates is ``zeno``.
+return a one-config call's values, for perfbench and the tests only; they
+are not package names.  The trajectory Monte Carlo over the same gates is
+``zeno``.
 
 Loading: the module needs only ``inputs``, so a sweep compiles neither the
 dense run nor the samplers.

@@ -36,7 +36,7 @@ class TestSurface:
             if name == "__version__":
                 continue
             value = getattr(cctsim, name)
-            assert value.__module__ in {f"cctsim.{layer}" for layer in LAYERS}, name
+            assert value.__module__ == f"cctsim.{cctsim._HOMES[name]}", name
             assert getattr(sys.modules[value.__module__], name) is value, name
 
     def test_star_import_binds_exactly_all(self):
@@ -49,6 +49,13 @@ class TestSurface:
     def test_an_unknown_attribute_is_named(self):
         with pytest.raises(AttributeError, match="^module 'cctsim' has no attribute 'no_such_name'$"):
             getattr(cctsim, "no_such_name")
+
+    def test_the_one_config_stage_wrappers_are_not_package_names(self):
+        # They stay on stages (and on zeno, for perfbench's tracer) only.
+        for name in ("stage_probabilities_general", "stage_probabilities_bell"):
+            with pytest.raises(AttributeError, match=f"^module 'cctsim' has no attribute '{name}'$"):
+                getattr(cctsim, name)
+            assert name not in cctsim.__all__ and name not in dir(cctsim)
 
     def test_a_bare_import_lists_every_name_and_binds_each_on_first_use(self):
         code = (
@@ -101,6 +108,16 @@ LOADS = {
     "cctsim.checks": ["checks", "gates", "hilbert", "inputs", "protocol", "stages", "zeno"],
 }
 
+# The cctsim submodules reading one public name leaves loaded, one name per
+# home layer: that layer and its own imports.
+NAME_LOADS = {
+    "BellInput": ["inputs"],
+    "fidelity": ["hilbert", "inputs"],
+    "CycleConfig": ["inputs", "stages"],
+    "run_general": ["gates", "hilbert", "inputs", "protocol"],
+    "simulate_cct": ["gates", "hilbert", "inputs", "protocol", "stages", "zeno"],
+}
+
 # The cctsim submodules a whole subcommand leaves loaded, on examples.json.  A
 # sweep evaluates closed forms only; run executes the dense run, and
 # montecarlo samples it too.
@@ -121,6 +138,11 @@ class TestLayering:
     def test_each_entry_point_loads_only_its_layers(self, entry):
         code = f"import sys, {entry}; print(sorted(m for m in sys.modules if m.startswith('cctsim.')))"
         assert _fresh(code) == _loaded(LOADS[entry])
+
+    @pytest.mark.parametrize("name", NAME_LOADS)
+    def test_each_public_name_loads_only_its_home_layer(self, name):
+        code = f"import sys, cctsim; cctsim.{name}; print(sorted(m for m in sys.modules if m.startswith('cctsim.')))"
+        assert _fresh(code) == _loaded(NAME_LOADS[name])
 
     @pytest.mark.parametrize("command", COMMAND_LOADS)
     def test_each_subcommand_loads_only_the_layers_it_runs(self, command):

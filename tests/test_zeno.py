@@ -229,7 +229,8 @@ class TestSurvivalFormulas:
         with pytest.raises(ValueError):
             qz_survival(0)
 
-    @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.1], ids=repr)
+    # 1 + 2**-40: the bound is 1 itself, so a check loosened by any margin fails.
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.1, 1.0 + 2**-40], ids=repr)
     @pytest.mark.parametrize(
         "name,call",
         [
@@ -816,10 +817,10 @@ class TestGroupedPass:
         self._assert_rows_match_one_config_calls(cfgs, inputs)
 
     def test_every_written_value_is_range_checked(self, monkeypatch):
-        # A value out of [0, 1] (here a NaN lambda3 or lambda6) is named by
-        # stage_rows, in a many-config call as in a one-config one, and so by
-        # the stage_probabilities_* functions that return a one-config row.
-        monkeypatch.setattr(stages, "dcfo_success", lambda chain, inner, nabla: math.nan)
+        # A value out of [0, 1] (here a NaN lambda3 or lambda6, or one just
+        # above 1) is named by stage_rows, in a many-config call as in a
+        # one-config one, and so by the stage_probabilities_* functions that
+        # return a one-config row.
         cfgs = _axis_configs("K", (5, 6), CycleConfig(6, 7, 8))
         calls = [
             ("lambda3", lambda: stages.stage_rows(cfgs, BALANCED)),
@@ -827,9 +828,11 @@ class TestGroupedPass:
             ("lambda3", lambda: stage_probabilities_general(cfgs[0], BALANCED)),
             ("lambda6", lambda: stage_probabilities_bell(cfgs[0], UNIT_BELL)),
         ]
-        for name, call in calls:
-            with pytest.raises(ValueError, match=f"^{name} must lie in \\[0, 1\\], got nan$"):
-                call()
+        for bad in (math.nan, 1.0 + 2**-40):
+            monkeypatch.setattr(stages, "dcfo_success", lambda chain, inner, nabla: bad)
+            for name, call in calls:
+                with pytest.raises(ValueError, match=f"^{name} must lie in \\[0, 1\\], got {bad!r}$"):
+                    call()
 
     def test_rows_do_not_depend_on_phi_or_varphi(self):
         # Only theta enters a stage weight, so every row, values and stage
@@ -935,14 +938,16 @@ class TestSimulateQz:
         assert report.conditional_fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_absence_flips_deterministically(self):
-        sampled = simulate_qz((0.0, 1.0), "H", 6, AbsorberModel.PER_CYCLE_BORN, np.random.default_rng(17), 300)
-        assert sum(count for _, count in sampled) == 300
-        for outcome, _ in sampled:
-            assert outcome.kind is OutcomeKind.ABSORBED_BY_ELECTRON
-            assert outcome.photon_entered_channel
-            assert outcome.stage == "qz:exit"
-            # The recorded exit state shows the flip onto V before the discard.
-            assert abs(outcome.final_state.amplitude((0, 1))) == pytest.approx(1.0, abs=1e-12)
+        # Under either absorber model the exit absorption sits on the absence row.
+        for model in AbsorberModel:
+            sampled = simulate_qz((0.0, 1.0), "H", 6, model, np.random.default_rng(17), 300)
+            assert sum(count for _, count in sampled) == 300
+            for outcome, _ in sampled:
+                assert outcome.kind is OutcomeKind.ABSORBED_BY_ELECTRON
+                assert outcome.photon_entered_channel
+                assert outcome.stage == "qz:exit"
+                # The recorded exit state shows the flip onto V before the discard.
+                assert abs(outcome.final_state.amplitude((0, 1))) == pytest.approx(1.0, abs=1e-12), model
 
     def test_balanced_absorber_matches_collapse_formula(self):
         trials = 60_000
