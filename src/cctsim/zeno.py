@@ -3,11 +3,11 @@
 The module samples the gates' trajectories under two explicitly named
 absorber models:
 
-* ``PER_CYCLE_BORN`` reproduces the closed forms: each cycle an absorption
-  event fires with the fixed probability weight * sin^2(theta), with the
-  absorber's branch weights frozen until a final collapse;
-* ``COHERENT`` evolves the joint absorber-photon amplitudes cycle by cycle
-  and samples every event from the current squared amplitude.
+* ``PER_CYCLE_BORN`` reproduces the closed forms: a cycle's absorption
+  hazard is the fixed weight * sin^2(theta), with the absorber's branch
+  weights frozen until a final collapse;
+* ``COHERENT`` evolves the joint absorber-photon amplitudes, unnormalized,
+  and takes each event's probability from the squared amplitude it removes.
 
 The two models differ at finite cycle counts.  For the collapse gate
 they agree in the many-cycle limit; for the chained gate they agree only
@@ -124,6 +124,11 @@ def _joint_state(presence: bool, pol_index: int) -> StateVector:
 # One row of a gate's outcome table: (probability, *TrajectoryOutcome fields).
 _Row = tuple[float, OutcomeKind, str, int, StateVector | None]
 
+# The most rows a chained gate's table may hold.  Each of its 2M + 2 rows is
+# a checked TrajectoryOutcome; at M = 2**21 - 1 a 1000-trial campaign peaks
+# at about 1.1 GB resident, inside 2 GB of address space.
+MAX_TABLE_ROWS = 2**22
+
 
 def _qz_born_rows(a: complex, b: complex, pol0: int, inner: int) -> Iterator[_Row]:
     weight = abs(a) ** 2
@@ -181,12 +186,12 @@ def _cqz_born_rows(a: complex, b: complex, pol0: int, outer: int, inner: int) ->
     p_detector = (1.0 - weight) * _sin_sq_pi(1.0 / (2 * outer))
     alive = 1.0
     for i in range(1, outer + 1):
+        # N inner cycles at one hazard p keep (1 - p)^N = exp(log_kept); a
+        # certain loss keeps nothing (exp(-inf) = 0, expm1(-inf) = -1).
         p_absorb = weight * _sin_sq_pi(i / (2 * outer)) * s_n
-        absorbed = 0.0
-        for _ in range(inner):
-            absorbed += alive * p_absorb
-            alive *= 1.0 - p_absorb
-        yield absorbed, OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i, None
+        log_kept = inner * math.log1p(-p_absorb) if p_absorb < 1.0 else -math.inf
+        yield -alive * math.expm1(log_kept), OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i, None
+        alive *= math.exp(log_kept)
         yield alive * p_detector, OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", i, None
         alive *= 1.0 - p_detector
     yield alive * weight, OutcomeKind.SUCCESS, "cqz:exit", outer, _joint_state(True, 1 - pol0)
@@ -200,21 +205,21 @@ def _cqz_coherent_rows(a: complex, b: complex, pol0: int, outer: int, inner: int
     presence, presence_channel = complex(a), 0j
     cos_m, sin_m = _rotation_step(outer)
     cos_n, sin_n = _rotation_step(inner)
+    # Channel components enter the inner gate; its own channel is the outer
+    # design polarization, read by the detector on exit.  As in
+    # _qz_coherent_rows, it keeps cos^N theta_N = exp(log_kept / 2) of the
+    # presence component (cos_n**N would raise cos_n's rounding to the N-th
+    # power), none at N = 1, and absorbs the rest; the absence component
+    # makes one exact quarter turn onto the detector.
+    log_kept = inner * math.log1p(-sin_n * sin_n) if cos_n else -math.inf
+    lost, kept = -math.expm1(log_kept), math.exp(log_kept / 2)
     for i in range(1, outer + 1):
         absence, absence_channel = (cos_m * absence - sin_m * absence_channel,
                                     sin_m * absence + cos_m * absence_channel)
         presence, presence_channel = (cos_m * presence - sin_m * presence_channel,
                                       sin_m * presence + cos_m * presence_channel)
-        # Channel components enter the inner gate; its own channel is the
-        # outer design polarization, read by the detector on exit.  As in
-        # _qz_coherent_rows, the presence component loses its rotated-out
-        # part to absorption each inner cycle, and the absence component
-        # makes one exact quarter turn onto the detector.
-        absorbed = 0.0
-        for _ in range(inner):
-            absorbed += abs(sin_n * presence_channel) ** 2
-            presence_channel *= cos_n
-        yield absorbed, OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i, None
+        yield abs(presence_channel) ** 2 * lost, OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i, None
+        presence_channel *= kept
         yield abs(absence_channel) ** 2, OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", i, None
         absence_channel = 0j
     # Map the gate frame back onto (H, V) and deliver the coherent exit state.
@@ -241,7 +246,8 @@ def _gate_table(
     weights; the coherent amplitude recursion is left unnormalized, so the
     squared modulus of each component it removes is the probability of
     that event.  Absorptions inside one outer cycle of the chained gate
-    share that cycle's row.
+    share that cycle's row, one closed form in N: a chained table costs O(M),
+    and an M whose 2M + 2 rows pass MAX_TABLE_ROWS is refused before any row.
     Rows of probability 0 are left out; every other row is built, and
     checked, by the TrajectoryOutcome constructor.
     """
@@ -258,6 +264,9 @@ def _gate_table(
         rows = builder(a, b, pol0, inner)
     else:
         outer, inner = _cycle_count("M", outer), _cycle_count("N", inner)
+        if 2 * outer + 2 > MAX_TABLE_ROWS:
+            raise ValueError(f"cycle count M must be at most {MAX_TABLE_ROWS // 2 - 1} "
+                             f"(a gate table of at most 2**22 rows), got {outer!r}")
         builder = _cqz_born_rows if model is AbsorberModel.PER_CYCLE_BORN else _cqz_coherent_rows
         rows = builder(a, b, pol0, outer, inner)
     outcomes, probs = [], []

@@ -52,10 +52,10 @@ ROOT_HALF = 1.0 / math.sqrt(2.0)
 BALANCED = GeneralInput(ROOT_HALF, ROOT_HALF, ROOT_HALF, ROOT_HALF, EulerAngles(0.3, math.pi / 2, 0.7))
 
 # SHA-256 over the same-seed reports of _monte_carlo_documents(), recorded
-# when each campaign's counts became one multinomial draw.  It follows
-# numpy's Generator.multinomial stream, which NEP 19 lets a numpy release
-# change.
-MONTE_CARLO_DIGEST = "a23a270e7ae41716adb1706c89de68151c1c77e62f51b5bc50084564c5dbaa82"
+# when each chained gate's inner gate became one closed form per outer
+# cycle.  It follows numpy's Generator.multinomial stream, which NEP 19
+# lets a numpy release change.
+MONTE_CARLO_DIGEST = "4f3e3f980c5533754ef32c9ff9578fe86279c758fc08b0e81b0b90a9e0788b7f"
 
 # SHA-256 over _stage_documents(), recorded before configs shared a pass.
 STAGE_DIGEST = "cd2cd1497311aaf8c404f1969dfab117446039b787e28c26956f45dd38763234"
@@ -1088,6 +1088,161 @@ class TestCqzAbortKinds:
         for observed, expected in ((report.absorbed, absorbed), (report.discarded, discarded)):
             se = math.sqrt(expected * (1 - expected) / trials)
             assert abs(observed / trials - expected) < 4 * se
+
+
+def _cqz_born_reference(a: complex, b: complex, pol0: int, outer: int, inner: int):
+    """The per-cycle-Born chained-gate rows, stepping through every inner cycle."""
+    weight = abs(a) ** 2
+    s_n = stages._sin_sq_pi(1.0 / (2 * inner))
+    p_detector = (1.0 - weight) * stages._sin_sq_pi(1.0 / (2 * outer))
+    alive = 1.0
+    for i in range(1, outer + 1):
+        p_absorb = weight * stages._sin_sq_pi(i / (2 * outer)) * s_n
+        absorbed = 0.0
+        for _ in range(inner):
+            absorbed += alive * p_absorb
+            alive *= 1.0 - p_absorb
+        yield absorbed, OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i, None
+        yield alive * p_detector, OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", i, None
+        alive *= 1.0 - p_detector
+    yield alive * weight, OutcomeKind.SUCCESS, "cqz:exit", outer, StateVector.basis((2, 2), (1, 1 - pol0))
+    yield alive * (1.0 - weight), OutcomeKind.SUCCESS, "cqz:exit", outer, StateVector.basis((2, 2), (0, pol0))
+
+
+def _cqz_coherent_reference(a: complex, b: complex, pol0: int, outer: int, inner: int):
+    """The coherent chained-gate rows, stepping through every inner cycle."""
+    absence, absence_channel = complex(b), 0j
+    presence, presence_channel = complex(a), 0j
+    cos_m, sin_m = zeno._rotation_step(outer)
+    cos_n, sin_n = zeno._rotation_step(inner)
+    for i in range(1, outer + 1):
+        absence, absence_channel = (cos_m * absence - sin_m * absence_channel,
+                                    sin_m * absence + cos_m * absence_channel)
+        presence, presence_channel = (cos_m * presence - sin_m * presence_channel,
+                                      sin_m * presence + cos_m * presence_channel)
+        absorbed = 0.0
+        for _ in range(inner):
+            absorbed += abs(sin_n * presence_channel) ** 2
+            presence_channel *= cos_n
+        yield absorbed, OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i, None
+        yield abs(absence_channel) ** 2, OutcomeKind.DISCARDED_AT_DETECTOR, "cqz:detector", i, None
+        absence_channel = 0j
+    final = np.zeros((2, 2), dtype=np.complex128)
+    final[:, pol0] = absence, presence
+    final[:, 1 - pol0] = absence_channel, presence_channel
+    weight = float(np.sum(np.abs(final) ** 2))
+    yield weight, OutcomeKind.SUCCESS, "cqz:exit", outer, StateVector((2, 2), final / math.sqrt(weight)) if weight else None
+
+
+def _mp_cqz_rows(mp, a: complex, b: complex, outer: int, inner: int, model: AbsorberModel) -> list:
+    """The chained gate's row probabilities at 50 digits, each inner gate as
+    its closed form: (1 - p)^N kept per-cycle-Born, cos^N theta_N coherent."""
+    rows = []
+    with mp.workdps(50):
+        if model is AbsorberModel.PER_CYCLE_BORN:
+            weight, s_n = abs(mp.mpc(a)) ** 2, mp.sin(mp.pi / (2 * inner)) ** 2
+            p_detector = (1 - weight) * mp.sin(mp.pi / (2 * outer)) ** 2
+            alive = mp.mpf(1)
+            for i in range(1, outer + 1):
+                kept = (1 - weight * mp.sin(mp.pi * i / (2 * outer)) ** 2 * s_n) ** inner
+                rows += [alive * (1 - kept), alive * kept * p_detector]
+                alive *= kept * (1 - p_detector)
+            return rows + [alive * weight, alive * (1 - weight)]
+        absence, absence_channel, presence, presence_channel = mp.mpc(b), mp.mpc(0), mp.mpc(a), mp.mpc(0)
+        cos_m, sin_m = mp.cos(mp.pi / (2 * outer)), mp.sin(mp.pi / (2 * outer))
+        kept = mp.cos(mp.pi / (2 * inner)) ** inner
+        for _ in range(outer):
+            absence, absence_channel = cos_m * absence - sin_m * absence_channel, sin_m * absence + cos_m * absence_channel
+            presence, presence_channel = (cos_m * presence - sin_m * presence_channel,
+                                          sin_m * presence + cos_m * presence_channel)
+            rows += [abs(presence_channel) ** 2 * (1 - kept**2), abs(absence_channel) ** 2]
+            presence_channel *= kept
+            absence_channel = 0
+        return rows + [abs(absence) ** 2 + abs(presence) ** 2 + abs(presence_channel) ** 2]
+
+
+class TestChainedGateRows:
+    """The chained gate's tables, one closed form per outer cycle, against the
+    per-inner-cycle recursions they replace and a 50-digit oracle."""
+
+    @pytest.mark.parametrize("model", list(AbsorberModel))
+    def test_rows_match_the_per_inner_cycle_recursion(self, model):
+        reference = _cqz_born_reference if model is AbsorberModel.PER_CYCLE_BORN else _cqz_coherent_reference
+        for absorber in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8j), (ROOT_HALF, -ROOT_HALF)):
+            for polarization in ("H", "V"):
+                pol0 = "HV".index(polarization)
+                for outer in (1, 2, 3, 5, 12, 40):
+                    for inner in (1, 2, 3, 5, 12, 40):
+                        case = (model, absorber, polarization, outer, inner)
+                        outcomes, probs = zeno._gate_table(absorber, polarization, outer, inner, model)
+                        rows = [row for row in reference(complex(absorber[0]), complex(absorber[1]), pol0, outer, inner)
+                                if row[0] > 0.0]
+                        assert [(o.kind, o.stage, o.cycle_index) for o in outcomes] == [row[1:4] for row in rows], case
+                        expected = np.array([row[0] for row in rows])
+                        assert np.all(np.abs(probs - expected) <= 1e-12 * expected), case
+                        for outcome, row in zip(outcomes, rows):
+                            if outcome.kind is OutcomeKind.SUCCESS:
+                                assert np.allclose(outcome.final_state.amps, row[4].amps,
+                                                   rtol=0.0, atol=1e-12), case
+
+    @pytest.mark.parametrize("model", list(AbsorberModel))
+    def test_rows_match_a_50_digit_oracle_at_a_long_gate(self, mp, model):
+        outer, inner = 400, 160_000
+        outcomes, probs = zeno._gate_table((0.6, 0.8j), "V", outer, inner, model)
+        references = [p for p in _mp_cqz_rows(mp, 0.6, 0.8j, outer, inner, model) if p > 0]
+        assert len(references) == len(probs) == 2 * outer + (2 if model is AbsorberModel.PER_CYCLE_BORN else 1)
+        for i, (value, reference) in enumerate(zip(probs, references)):
+            _assert_close(value, reference, (model, outcomes[i]))
+
+    @pytest.mark.parametrize("outer", [1, 2, 5, 40])
+    def test_a_whole_inner_quarter_turn_keeps_no_zero_row_and_warns_nothing(self, outer):
+        # One inner cycle is a full quarter turn: per-cycle-Born presence
+        # meets a loss of exactly 1 in the last outer cycle, which absorbs
+        # all that is left, and the coherent inner gate (cos theta_N = 0)
+        # absorbs its whole channel component every outer cycle.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            born = zeno._gate_table((1.0, 0.0), "V", outer, 1, AbsorberModel.PER_CYCLE_BORN)
+            coherent = zeno._gate_table((1.0, 0.0), "V", outer, 1, AbsorberModel.COHERENT)
+        channel = [(OutcomeKind.ABSORBED_BY_ELECTRON, "cqz:channel", i) for i in range(1, outer + 1)]
+        for (outcomes, probs), rows in ((born, channel),
+                                        (coherent, channel + [(OutcomeKind.SUCCESS, "cqz:exit", outer)] * (outer > 1))):
+            assert [(o.kind, o.stage, o.cycle_index) for o in outcomes] == rows
+            assert np.all(probs > 0.0) and abs(probs.sum() - 1.0) <= 1e-12
+
+    def test_an_outer_count_past_the_row_budget_is_refused_by_name(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(zeno, "_cqz_born_rows", forbidden)
+        monkeypatch.setattr(zeno, "_cqz_coherent_rows", forbidden)
+        largest = zeno.MAX_TABLE_ROWS // 2 - 1
+        assert 2 * largest + 2 == zeno.MAX_TABLE_ROWS == 2**22
+        message = re.escape(f"cycle count M must be at most {largest} (a gate table of at most 2**22 rows), got ")
+        for model in AbsorberModel:
+            for outer in (largest + 1, np.int64(2**40), 2**52):
+                with pytest.raises(ValueError, match=f"^{message}{int(outer)}$"):
+                    gate_statistics("cqz", (0.6, 0.8), "H", 5, model, 10, 1, outer=outer)
+            with pytest.raises(AssertionError, match="^a table was built$"):
+                zeno._gate_table((0.6, 0.8), "H", largest, 5, model)
+
+    def test_readme_success_masses(self):
+        # The presence-blocked success masses the README's "Absorber models"
+        # section quotes, (coherent, per-cycle-Born) at five digits; the
+        # per-cycle-Born one is cqz_lambda1.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("## Absorber models"):readme.index("## How the protocol layer executes")]
+        quoted = {(10, 10): (0.38439, 0.25696), (160, 160): (0.42416, 0.28897),
+                  (40, 1600): (0.96907, 0.96888), (400, 160_000): (0.99691, 0.99691)}
+        for (outer, inner), pair in quoted.items():
+            masses = []
+            for model in (AbsorberModel.COHERENT, AbsorberModel.PER_CYCLE_BORN):
+                outcomes, probs = zeno._gate_table((1.0, 0.0), "V", outer, inner, model)
+                masses.append(sum(p for o, p in zip(outcomes, probs) if o.kind is OutcomeKind.SUCCESS))
+            assert [round(mass, 5) for mass in masses] == list(pair), (outer, inner)
+            assert masses[1] == pytest.approx(cqz_lambda1(outer, inner), rel=1e-12, abs=0.0)
+            for value in pair:
+                assert f"{value:.5f}" in section, (outer, inner, value)
 
 
 def _assert_within_4_se(counts: np.ndarray, probs: np.ndarray, case: object) -> None:
